@@ -3,9 +3,17 @@
 An object is a finite web: a family of pairs (dimension, permutation
 group), one per label.  A morphism is a label-indexed family of
 superoperators, each invariant under the source and target group actions
-(conjugation by permutation matrices).  Superoperators are stored as
-dense complex matrices acting on column-major vectorizations, and
-morphism families are sparse: absent entries are zero.
+(conjugation by permutation matrices).  Superoperators are complex
+matrices acting on column-major vectorizations, stored dense or as scipy
+sparse arrays (relabellings, identities, eta and epsilon are built
+sparse), and morphism families are sparse: absent entries are zero.
+
+Every structural map is a relabelling of basis indices averaged over the
+group actions.  A relabelling is an index array ``tau`` with
+``tau[in_flat] = out_flat`` over mixed-radix digits, the last digit
+varying fastest (:func:`digit_permutation`); :func:`perm_channel` turns it
+into conjugation by ``P`` with ``P[tau[i], i] = 1``, whose vec form sends
+``vec(X)`` to ``vec(P X P^T)``.
 
 The exponential is the biproduct of symmetric powers up to a truncation
 bound; lists are the biproduct of tensor powers up to a bound.  All
@@ -56,19 +64,14 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def so_identity(d: int) -> np.ndarray:
-    return np.eye(d * d, dtype=complex)
-
-
 def _dense(v) -> np.ndarray:
     return v.toarray() if sparse.issparse(v) else np.asarray(v)
 
 
 def _maxabs(v) -> float:
-    if sparse.issparse(v):
-        return float(abs(v).max()) if v.nnz else 0.0
-    v = np.asarray(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    # implicit zeros of a sparse entry never raise the maximum
+    data = v.data if sparse.issparse(v) else np.asarray(v)
+    return float(np.max(np.abs(data))) if data.size else 0.0
 
 
 def so_conjugation(a: np.ndarray) -> np.ndarray:
@@ -92,14 +95,34 @@ def _from_tensor(t: np.ndarray) -> np.ndarray:
     return t.transpose(1, 0, 3, 2).reshape(dout * dout, din * din)
 
 
+def digit_permutation(dims, order, acts=None) -> np.ndarray:
+    """The relabelling ``tau[in_flat] = out_flat`` of mixed-radix indices.
+
+    Indices have digits over ``dims``, the last varying fastest.  Output
+    digit ``j`` is input digit ``order[j]``, mapped through the index array
+    ``acts[j]`` when ``acts`` is given.  Input digits left out of ``order``
+    must have dimension 1.
+    """
+    # open grids keep one full-size array alive, not one per digit
+    grids = np.ix_(*(np.arange(d) for d in dims))
+    out = np.zeros(tuple(dims), dtype=np.intp)
+    for j, i in enumerate(order):
+        out *= dims[i]
+        out += grids[i] if acts is None else np.asarray(acts[j], dtype=np.intp)[grids[i]]
+    return out.reshape(-1)
+
+
+def _vec_gather(perm) -> np.ndarray:
+    """Index c with vec(P X P^T) = vec(X)[c], where P[perm[i], i] = 1."""
+    inv = np.argsort(perm)
+    return digit_permutation((len(perm), len(perm)), (0, 1), (inv, inv))
+
+
 @lru_cache(maxsize=4096)
 def _vec_pair_perm(d1: int, d2: int) -> np.ndarray:
     """Combined vec index -> Kronecker vec index, for the sparse tensor path."""
-    r1, r2, c1, c2 = np.ix_(*(np.arange(d) for d in (d1, d2, d1, d2)))
-    comb = ((c1 * d2 + c2) * (d1 * d2) + (r1 * d2 + r2)).reshape(-1)
-    kron = ((c1 * d1 + r1) * (d2 * d2) + (c2 * d2 + r2)).reshape(-1)
-    out = np.empty(comb.size, dtype=np.intp)
-    out[comb] = kron
+    # combined digits (c1, c2, r1, r2) -> Kronecker digits (c1, r1, c2, r2)
+    out = digit_permutation((d1, d2, d1, d2), (0, 2, 1, 3))
     out.setflags(write=False)
     return out
 
@@ -141,13 +164,8 @@ def is_cp(s: np.ndarray, tol: float = 1e-9) -> bool:
 
 @lru_cache(maxsize=65536)
 def _perm_vec_index(perm: tuple) -> np.ndarray:
-    """Index array tau with (P X P^T) as vec gather: out[a] = in[tau[a]]."""
-    d = len(perm)
-    inv = np.empty(d, dtype=np.intp)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    k, l = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    out = (inv[k] + inv[l] * d).reshape(-1, order="F")
+    """The vec gather of one group element, cached and read-only."""
+    out = _vec_gather(perm)
     out.setflags(write=False)
     return out
 
@@ -158,15 +176,6 @@ def _group_vec_indices(group: "PermGroup") -> np.ndarray:
     out = np.stack([_perm_vec_index(g) for g in group.perms])
     out.setflags(write=False)
     return out
-
-
-def so_perm(perm: tuple) -> np.ndarray:
-    """Conjugation by the permutation matrix P (P[perm[i], i] = 1)."""
-    d = len(perm)
-    p = np.zeros((d, d))
-    for i, t in enumerate(perm):
-        p[t, i] = 1.0
-    return np.kron(p, p).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +250,17 @@ def average_post(s: np.ndarray, group: PermGroup) -> np.ndarray:
     chan = _group_channel_sparse(group)
     out = chan @ s
     return out if sparse.issparse(out) else np.asarray(out)
+
+
+def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
+    """Conjugation by P (P[tau[i], i] = 1), averaged by the source group
+    before and the target group after, as a sparse matrix."""
+    dd = len(tau) ** 2
+    # row a holds a single 1, at the vec-gather index of a
+    s = sparse.csr_array(
+        (np.ones(dd, dtype=complex), _vec_gather(tau), np.arange(dd + 1)), shape=(dd, dd)
+    )
+    return average_post(average_pre(s, g_src), g_dst)
 
 
 def group_average(group: PermGroup, x: np.ndarray) -> np.ndarray:
@@ -490,17 +510,6 @@ def cotuple(parts, morphisms) -> Morphism:
     return Morphism(bp, dst, entries)
 
 
-def tuple_mor(parts, morphisms) -> Morphism:
-    """<f_i> : C -> biproduct(parts) given f_i : C -> parts[i]."""
-    bp = biproduct(parts)
-    src = morphisms[0].src
-    entries = {}
-    for i, f in enumerate(morphisms):
-        for (la, lb), s in f.entries.items():
-            entries[(la, ("inj", i, lb))] = s
-    return Morphism(src, bp, entries)
-
-
 def distribute_left(a: CpmObject, parts) -> Morphism:
     """(biproduct B_i) (x) A  ->  biproduct (B_i (x) A), label identity."""
     bp = biproduct(parts)
@@ -579,34 +588,11 @@ def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict) -> Morphis
             if i not in dst_ids and dims[i] != 1:
                 raise CpmError(f"cannot drop non-unit leaf {i} (dim {dims[i]})")
         lb = _build_label(dst_shape, leaves)
-        # mixed-radix digit permutation from source digit order to dest order
-        src_dims = [dims[i] for i in src_ids]
-        tau = _digit_perm(src_dims, src_ids, dst_ids)
-        p = sparse.csr_array(
-            (np.ones(da, dtype=complex), (tau, np.arange(da))), shape=(da, da)
-        )
-        s = average_pre(sparse.kron(p, p, format="csr"), ga)
-        entries[(la, lb)] = s
+        tau = digit_permutation([dims[i] for i in src_ids], [src_ids.index(i) for i in dst_ids])
+        # the relabelling carries the source symmetry onto the target's, so
+        # averaging once over the source group suffices
+        entries[(la, lb)] = perm_channel(tau, ga, PermGroup.trivial(da))
     return Morphism(src, dst, entries)
-
-
-def _digit_perm(src_dims, src_ids, dst_ids) -> np.ndarray:
-    """tau[src_flat] = dst_flat where digits are reordered (dropped ids have dim 1)."""
-    d = int(np.prod(src_dims))
-    pos = {i: k for k, i in enumerate(src_ids)}
-    tau = np.zeros(d, dtype=np.intp)
-    for flat in range(d):
-        digits = []
-        rem = flat
-        for dim in reversed(src_dims):
-            digits.append(rem % dim)
-            rem //= dim
-        digits.reverse()
-        out = 0
-        for i in dst_ids:
-            out = out * src_dims[pos[i]] + digits[pos[i]]
-        tau[flat] = out
-    return tau
 
 
 @lru_cache(maxsize=512)
@@ -849,29 +835,8 @@ def _wreath_group(a: CpmObject, mu: tuple, cap: int) -> PermGroup:
                 for t in range(mult[l]):
                     digit_src[slots[l][t]] = slots[l][h[t]]
                     digit_act[slots[l][t]] = gs[li][t]
-            perms.add(_digit_action(dims, digit_src, digit_act))
+            perms.add(tuple(digit_permutation(dims, digit_src, digit_act).tolist()))
     return PermGroup(total, tuple(sorted(perms)))
-
-
-def _digit_action(dims, digit_src, digit_act) -> tuple:
-    """Permutation on mixed-radix indices: out digit j = act_j(in digit src_j)."""
-    n = len(dims)
-    total = 1
-    for d in dims:
-        total *= d
-    out = [0] * total
-    for flat in range(total):
-        digits = []
-        rem = flat
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        res = 0
-        for j in range(n):
-            res = res * dims[j] + digit_act[j][digits[digit_src[j]]]
-        out[flat] = res
-    return tuple(out)
 
 
 @lru_cache(maxsize=1024)
@@ -884,47 +849,20 @@ def bang_obj(a: CpmObject, bang_max: int, cap: int = 5040) -> CpmObject:
     return CpmObject(tuple(elems))
 
 
-def _mset_dims(a: CpmObject, mu: tuple):
-    return [a.dim(l) for l in mu]
+def _copy_positions(seq) -> list:
+    """The position of each entry of seq in the multiset sorted(seq): the
+    t-th occurrence of a label in seq takes the t-th copy of it."""
+    pos = [0] * len(seq)
+    for p, j in enumerate(sorted(range(len(seq)), key=seq.__getitem__)):
+        pos[j] = p
+    return pos
 
 
-def _reindex_channel(a: CpmObject, mu: tuple, seq, group_src: PermGroup, group_dst: PermGroup, dst_dims=None) -> np.ndarray:
+def _reindex_channel(a: CpmObject, mu: tuple, seq, group_src: PermGroup, group_dst: PermGroup):
     """Channel taking digits in mu (sorted) order to digits in seq order,
     averaged by the source and target symmetries."""
-    src_dims = _mset_dims(a, mu)
-    # seq is a permutation of mu as a sequence; build digit map dest j <- src pos
-    used = [False] * len(mu)
-    src_pos = []
-    for l in seq:
-        for p, l2 in enumerate(mu):
-            if not used[p] and l2 == l:
-                used[p] = True
-                src_pos.append(p)
-                break
-    n = len(mu)
-    total = 1
-    for d in src_dims:
-        total *= d
-    tau = [0] * total
-    dst_dims2 = [src_dims[p] for p in src_pos]
-    for flat in range(total):
-        digits = []
-        rem = flat
-        for d in reversed(src_dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        res = 0
-        for j in range(n):
-            res = res * dst_dims2[j] + digits[src_pos[j]]
-        tau[flat] = res
-    p = np.zeros((total, total))
-    for k2, t in enumerate(tau):
-        p[t, k2] = 1.0
-    s = np.kron(p, p).astype(complex)
-    s = average_pre(s, group_src)
-    s = average_post(s, group_dst)
-    return s
+    tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
+    return perm_channel(tau, group_src, group_dst)
 
 
 @lru_cache(maxsize=512)
@@ -1023,7 +961,7 @@ def promotion(f: Morphism, bang_max: int, cap: int = 5040) -> Morphism:
             lmu = ("mset", mu)
             # reorder source digits from mu order into seq order, then apply
             # the blockwise tensor, then average into the target symmetry
-            pre = _reindex_channel(a, mu, list(seq), banga.group(lmu), PermGroup.trivial(int(np.prod([a.dim(l) for l in seq])) if seq else 1))
+            pre = _reindex_channel(a, mu, seq, banga.group(lmu), PermGroup.trivial(banga.dim(lmu)))
             block = reduce(so_tensor, blocks)
             s = average_post(block @ pre, gnu)
             key = (lmu, lnu)
@@ -1057,57 +995,21 @@ def bierman_tensor(a: CpmObject, b: CpmObject, bang_max: int, cap: int = 5040) -
     entries = {}
     for leta, deta, geta in bangab.elems:
         eta_ms = leta[1]  # sorted tuple of ("pair", la, lb)
-        mu = _mset([p[1] for p in eta_ms])
-        nu = _mset([p[2] for p in eta_ms])
+        a_seq = [p[1] for p in eta_ms]
+        b_seq = [p[2] for p in eta_ms]
+        mu, nu = _mset(a_seq), _mset(b_seq)
         if len(mu) > bang_max or len(nu) > bang_max:
             continue
         lsrc = ("pair", ("mset", mu), ("mset", nu))
         # source digits: mu digits then nu digits; target digits follow
-        # eta_ms order as (a-digit, b-digit) pairs
+        # eta_ms order as (a-digit, b-digit) pairs, each eta slot taking a
+        # concrete copy of its a-label and b-label
         k = len(eta_ms)
-        a_dims = [a.dim(l) for l in mu]
-        b_dims = [b.dim(l) for l in nu]
-        src_dims = a_dims + b_dims
-        # assign each eta slot a concrete copy of its a-label and b-label
-        used_a = [False] * k
-        used_b = [False] * k
-        order = []
-        for la2, lb2 in ((p[1], p[2]) for p in eta_ms):
-            for i, l in enumerate(mu):
-                if not used_a[i] and l == la2:
-                    used_a[i] = True
-                    ai = i
-                    break
-            for j, l in enumerate(nu):
-                if not used_b[j] and l == lb2:
-                    used_b[j] = True
-                    bj = j
-                    break
-            order += [ai, k + bj]
-        total = 1
-        for d in src_dims:
-            total *= d
-        tau = [0] * total
-        out_dims = [src_dims[p] for p in order]
-        for flat in range(total):
-            digits = []
-            rem = flat
-            for d in reversed(src_dims):
-                digits.append(rem % d)
-                rem //= d
-            digits.reverse()
-            res = 0
-            for j, p in enumerate(order):
-                res = res * out_dims[j] + digits[p]
-            tau[flat] = res
-        p = np.zeros((total, total))
-        for k2, t in enumerate(tau):
-            p[t, k2] = 1.0
-        s = np.kron(p, p).astype(complex)
+        order = [q for i, j in zip(_copy_positions(a_seq), _copy_positions(b_seq))
+                 for q in (i, k + j)]
+        tau = digit_permutation([a.dim(l) for l in mu] + [b.dim(l) for l in nu], order)
         gsrc = banga.group(("mset", mu)).product(bangb.group(("mset", nu)))
-        s = average_pre(s, gsrc)
-        s = average_post(s, geta)
-        entries[(lsrc, leta)] = s
+        entries[(lsrc, leta)] = perm_channel(tau, gsrc, geta)
     return Morphism(src, bangab, entries)
 
 

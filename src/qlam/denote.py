@@ -45,14 +45,6 @@ class TruncationConfig:
 DEFAULT_CONFIG = TruncationConfig()
 
 
-@dataclass(frozen=True)
-class Denotation:
-    """A computed lower approximant together with its truncation bounds."""
-
-    morphism: Morphism
-    trunc: TruncationConfig
-
-
 # ---------------------------------------------------------------------------
 # types
 
@@ -460,10 +452,6 @@ def _denote_rec(d: T.Derivation, cfg: TruncationConfig) -> Morphism:
     if not ctx:  # the continuation context has no unit factor on the left
         pre = pre.then(C.lunit_elim(bang_hom))
     return pre.then(cont)
-
-
-def denote_term(deriv: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Denotation:
-    return Denotation(denote(deriv, cfg), cfg)
 
 
 # ---------------------------------------------------------------------------

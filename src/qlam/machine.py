@@ -158,7 +158,7 @@ def _discard_orphans(prob, state, link, term):
     return branches
 
 
-def _congruence(state, link, inner, rebuild, results=None):
+def _congruence(state, link, inner, rebuild):
     steps = _step_term(state, link, inner)
     return [(p, q2, l2, rebuild(m2), rule) for p, q2, l2, m2, rule in steps]
 

@@ -454,8 +454,3 @@ def parse_type(src: str) -> S.Type:
     if not p._at("eof"):
         p._err(f"trailing input starting at {p.cur.text!r}")
     return t
-
-
-def parse_file(path: str) -> S.Term:
-    with open(path) as fh:
-        return parse_term(fh.read())

@@ -32,9 +32,6 @@ class QState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def density(self) -> np.ndarray:
-        return np.outer(self.amps, self.amps.conj())
-
 
 EMPTY = QState(np.ones(1, dtype=complex))
 

@@ -574,10 +574,6 @@ def alpha_canonical(m: Term, env: Optional[dict] = None, counter: Optional[list]
     raise TypeError(f"not a term: {m!r}")
 
 
-def alpha_eq(m: Term, n: Term) -> bool:
-    return alpha_canonical(m) == alpha_canonical(n)
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing (concrete syntax; round-trips through the parser)
 

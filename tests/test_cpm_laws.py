@@ -88,6 +88,42 @@ def test_structural_isos():
         assert_close(f.tensor(g).then(C.swap(b, c)), C.swap(a, b).then(g.tensor(f)))
 
 
+def _digit_permutation_reference(dims, order, acts):
+    """Decode each flat index into digits (last fastest), relabel, re-encode."""
+    tau = []
+    for flat in range(int(np.prod(dims))):
+        digits, rem = [], flat
+        for d in reversed(dims):
+            digits.append(rem % d)
+            rem //= d
+        digits.reverse()
+        out = 0
+        for j, i in enumerate(order):
+            out = out * dims[i] + (digits[i] if acts is None else acts[j][digits[i]])
+        tau.append(out)
+    return tau
+
+
+def test_digit_permutation_and_perm_channel():
+    cases = [((), (), None), ((1, 1), (), None), ((1,), (), None)]
+    for rng in seeds():
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(0, 5)))
+        # a reordering of the digits that drops some of dimension 1
+        order = tuple(int(i) for i in rng.permutation(len(dims))
+                      if dims[i] > 1 or rng.random() < 0.5)
+        acts = [tuple(rng.permutation(dims[i]).tolist()) for i in order]
+        cases += [(dims, order, None), (dims, order, acts)]
+    for dims, order, acts in cases:
+        tau = C.digit_permutation(dims, order, acts)
+        assert tau.tolist() == _digit_permutation_reference(dims, order, acts)
+        # perm_channel is conjugation by P[tau[i], i] = 1
+        p = np.zeros((tau.size, tau.size))
+        p[tau, np.arange(tau.size)] = 1.0
+        triv = C.PermGroup.trivial(tau.size)
+        chan = C.perm_channel(tau, triv, triv)
+        assert np.array_equal(chan.toarray(), C.so_conjugation(p))
+
+
 # ---------------------------------------------------------------------------
 # biproducts and distributivity
 
