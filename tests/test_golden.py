@@ -1,11 +1,21 @@
-"""Golden corpus: denotations frozen from an earlier commit.
+"""Golden corpus: denotations and machine results frozen from earlier commits.
 
-Refactors of ``cpm`` and ``denote`` must reproduce every file under
+Refactors of ``cpm`` and ``denote`` must reproduce every morphism file under
 ``tests/golden/`` to 1e-12 in the entrywise max norm (``cpm.diff_entries``).
 The corpus covers the runnable programs at the default truncation, the qlist
 denotation at small bounds, the exponential's structural maps on webs with a
 nontrivial group and with mixed dimensions, and the scalar denotations of the
 first fifty finitary fuzz programs.
+
+Refactors of ``syntax`` and ``machine`` must reproduce ``machine.json``: for
+every runnable program, each sorted ``canonical_key`` of
+``evaluate(..., max_steps=200)`` (its term text, and the SHA-256 of its
+``repr``, which covers the linking and the rounded amplitudes of up to 2^18
+entries) with its probability, and the blocked and residual mass and steps
+used; the halting mass and ``is_finitary`` of the
+first fifty finitary fuzz programs; and ``is_finitary`` and the pretty-printed
+``lower_approximant(t, 3)`` of the first thirty letrec fuzz programs.  Keys
+and text must match exactly, masses to 1e-12.
 
 ``qlist`` and ``qlist-run`` are left out at the default bounds
 (``list_max=4, bang_max=2``): denoting ``qlist-run`` there needs more memory
@@ -18,6 +28,7 @@ change log::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +37,7 @@ import pytest
 import qlam.adequacy as A
 import qlam.cpm as C
 import qlam.denote as D
+import qlam.machine as M
 import qlam.parser as P
 import qlam.syntax as S
 import qlam.typecheck as T
@@ -38,6 +50,10 @@ TOL = 1e-12
 PROGRAM_NAMES = ["coin-unit", "cointoss", "entangle", "omega", "tt",
                  "teleport", "teleport-applied", "teleport-roundtrip"]
 N_SCALAR_SEEDS = 50
+# every program in programs/ that parses and typechecks
+MACHINE_PROGRAMS = PROGRAM_NAMES + ["qlist", "qlist-run"]
+MACHINE_STEPS = 200
+N_LETREC_SEEDS = 30
 
 S2 = C.PermGroup(2, ((0, 1), (1, 0)))
 # a 2-dim web with group S2, and a mixed 2-dim (with S2) + 1-dim web
@@ -77,7 +93,38 @@ def _scalars() -> list:
             for s in range(N_SCALAR_SEEDS)]
 
 
+def _evaluation(name: str) -> dict:
+    term = P.parse_term((PROGRAMS / f"{name}.qlam").read_text())
+    dist = M.evaluate(M.load(term), max_steps=MACHINE_STEPS)
+    keys = sorted(dist.outcomes, key=repr)
+    return {"outcomes": [[k[0], hashlib.sha256(repr(k).encode()).hexdigest(),
+                          dist.outcomes[k].prob] for k in keys],
+            "blocked": dist.blocked, "residual": dist.residual,
+            "steps_used": dist.steps_used}
+
+
+def _finitary(seed: int) -> list:
+    term = A.random_finitary_program(seed, 10)
+    halt = M.evaluate(M.load(term), max_steps=2000).halt_mass
+    return [halt, A.is_finitary(term)]
+
+
+def _letrec(seed: int) -> list:
+    term = A.random_letrec_program(seed)
+    return [A.is_finitary(term), S.pretty(S.lower_approximant(term, 3))]
+
+
+def _machine() -> dict:
+    return {"programs": {n: _evaluation(n) for n in MACHINE_PROGRAMS},
+            "finitary": [_finitary(s) for s in range(N_SCALAR_SEEDS)],
+            "letrec": [_letrec(s) for s in range(N_LETREC_SEEDS)]}
+
+
 CASES = _cases()
+
+
+def _golden_machine() -> dict:
+    return json.loads((GOLDEN / "machine.json").read_text())
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
@@ -97,8 +144,36 @@ def test_golden_scalars():
         assert abs(want - got) <= TOL, seed
 
 
+@pytest.mark.parametrize("name", MACHINE_PROGRAMS)
+def test_golden_evaluation(name):
+    want, got = _golden_machine()["programs"][name], _evaluation(name)
+    assert [k[:2] for k in got["outcomes"]] == [k[:2] for k in want["outcomes"]]
+    for (*_, p), (*_, q) in zip(want["outcomes"], got["outcomes"]):
+        assert abs(p - q) <= TOL
+    for mass in ("blocked", "residual"):
+        assert abs(want[mass] - got[mass]) <= TOL, mass
+    assert got["steps_used"] == want["steps_used"]
+
+
+def test_golden_finitary_halting():
+    golden = _golden_machine()["finitary"]
+    assert len(golden) == N_SCALAR_SEEDS
+    for seed, (halt, fin) in enumerate(golden):
+        got_halt, got_fin = _finitary(seed)
+        assert abs(halt - got_halt) <= TOL, seed
+        assert got_fin == fin, seed
+
+
+def test_golden_letrec_approximants():
+    golden = _golden_machine()["letrec"]
+    assert len(golden) == N_LETREC_SEEDS
+    for seed, want in enumerate(golden):
+        assert _letrec(seed) == want, seed
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stem, make in CASES.items():
         (GOLDEN / f"{stem}.txt").write_text(C.serialize_morphism(make()))
     (GOLDEN / "scalars.json").write_text(json.dumps(_scalars(), indent=1) + "\n")
+    (GOLDEN / "machine.json").write_text(json.dumps(_machine(), indent=1) + "\n")
