@@ -162,19 +162,9 @@ class AdequacyReport:
 
 def is_finitary(m: S.Term) -> bool:
     """True iff every letrec in the term carries a finite unfolding bound."""
-    match m:
-        case S.LetRec(_, _, _, _, body, cont, bound):
-            return bound is not None and is_finitary(body) and is_finitary(cont)
-        case S.Abs(_, _, b) | S.InL(b) | S.InR(b) | S.Ascribe(b, _):
-            return is_finitary(b)
-        case S.App(f, x) | S.LetUnit(f, x) | S.Pair(f, x):
-            return is_finitary(f) and is_finitary(x)
-        case S.LetPair(_, _, _, _, s, b):
-            return is_finitary(s) and is_finitary(b)
-        case S.Match(s, _, _, lb, _, _, rb):
-            return is_finitary(s) and is_finitary(lb) and is_finitary(rb)
-        case _:
-            return True
+    if isinstance(m, S.LetRec) and m.bound is None:
+        return False
+    return all(is_finitary(t) for t in S.subterms(m))
 
 
 def scalar_denotation(m: S.Term, cfg: TruncationConfig = DEFAULT_CONFIG) -> float:

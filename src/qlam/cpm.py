@@ -344,11 +344,6 @@ def tensor_fold(objs) -> CpmObject:
     return reduce(tensor_obj, objs)
 
 
-def hom_obj(a: CpmObject, b: CpmObject) -> CpmObject:
-    """Internal hom via compact closure: A -o B has the web of A (x) B."""
-    return tensor_obj(a, b)
-
-
 # ---------------------------------------------------------------------------
 # Morphisms
 
@@ -400,9 +395,6 @@ class Morphism:
                 else:
                     acc[key] = prod
         return Morphism(self.src, other.dst, acc)
-
-    def then(self, other: "Morphism") -> "Morphism":
-        return self.compose(other)
 
     def tensor(self, other: "Morphism") -> "Morphism":
         src = tensor_obj(self.src, other.src)

@@ -67,9 +67,10 @@ def _denote_type(t: S.Type, cfg: TruncationConfig) -> CpmObject:
         case S.UnitT():
             return C.UNIT_OBJ
         case S.LinArrow(a, b):
-            return C.hom_obj(denote_type(a, cfg), denote_type(b, cfg))
+            # the internal hom via compact closure: A -o B has the web of A (x) B
+            return C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
         case S.BangArrow(a, b):
-            hom = C.hom_obj(denote_type(a, cfg), denote_type(b, cfg))
+            hom = C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
             return C.bang_obj(hom, cfg.bang_max, cfg.group_cap)
         case S.TensorT(a, b):
             return C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
@@ -81,7 +82,7 @@ def _denote_type(t: S.Type, cfg: TruncationConfig) -> CpmObject:
 
 
 def _hom_of_bang(t: S.BangArrow, cfg: TruncationConfig) -> CpmObject:
-    return C.hom_obj(denote_type(t.arg, cfg), denote_type(t.res, cfg))
+    return C.tensor_obj(denote_type(t.arg, cfg), denote_type(t.res, cfg))
 
 
 def ctx_obj(ctx: T.Ctx, cfg: TruncationConfig) -> CpmObject:
@@ -140,7 +141,7 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
             # iterated contraction, left-nested: ((!H (x) !H) (x) !H) ...
             f = contr
             for _ in range(n - 2):
-                f = f.then(contr.tensor(C.identity(obj)))
+                f = f.compose(contr.tensor(C.identity(obj)))
             shape = f"{x}#0"
             for j in range(1, n):
                 shape = (shape, f"{x}#{j}")
@@ -167,7 +168,7 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
     dst_shape = _nest(dest_shapes)
 
     perm = C.structural(mor.dst, src_after, dst_shape, leaf_objs)
-    return mor.then(perm)
+    return mor.compose(perm)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +226,7 @@ def _const_body(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morph
 
 def _curry_const(f: Morphism, a: CpmObject, b: CpmObject) -> Morphism:
     """1 -> (A -o B) packaging a direct morphism f : A -> B."""
-    body = C.lunit_elim(a).then(f)
+    body = C.lunit_elim(a).compose(f)
     return C.curry(body, C.UNIT_OBJ, a, b)
 
 
@@ -237,7 +238,7 @@ def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
     """``[[ctx]] -> !H`` from ``g : [[ctx]] -> H`` (ctx all-exponential)."""
     K, cap = cfg.bang_max, cfg.group_cap
     if not ctx:
-        return C.bierman_unit(K, cap).then(C.promotion(g, K, cap))
+        return C.bierman_unit(K, cap).compose(C.promotion(g, K, cap))
     bases = []
     digs = None
     for x, t in ctx:
@@ -256,9 +257,9 @@ def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
         lift = m
         for r in rest:
             lift = lift.tensor(C.identity(r))
-        mor = mor.then(lift)
+        mor = mor.compose(lift)
         cur = C.tensor_obj(cur, bases[i])
-    return mor.then(C.promotion(g, K, cap))
+    return mor.compose(C.promotion(g, K, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +281,14 @@ def fixpoint_iterate(exp_ctx: T.Ctx, chi: Morphism, bang_hom: CpmObject,
     ``fix_iters``, checking Löwner monotonicity along the way.
     """
     eobj = ctx_obj(exp_ctx, cfg)
-    f = route(exp_ctx, [()], cfg).then(_bang_point(bang_hom))
+    f = route(exp_ctx, [()], cfg).compose(_bang_point(bang_hom))
     n_iters = bound if bound is not None else cfg.fix_iters
     split = route(exp_ctx, [exp_ctx, exp_ctx], cfg) if exp_ctx else None
     for _ in range(n_iters):
         if exp_ctx:
-            nxt = split.then(C.identity(eobj).tensor(f)).then(chi)
+            nxt = split.compose(C.identity(eobj).tensor(f)).compose(chi)
         else:
-            nxt = f.then(chi)
+            nxt = f.compose(chi)
         if bound is None:
             if not f.loewner_leq(nxt, cfg.matrix_tol):
                 raise C.NonMonotoneIteration("fixpoint iteration is not Löwner-increasing")
@@ -314,7 +315,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             x = d.term.name
             t = T.ctx_lookup(ctx, x)
             hom = _hom_of_bang(t, cfg)
-            return route(ctx, [((x, t),)], cfg).then(
+            return route(ctx, [((x, t),)], cfg).compose(
                 C.dereliction(hom, cfg.bang_max, cfg.group_cap)
             )
 
@@ -329,7 +330,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             a = denote_type(arrow.arg, cfg)
             b = denote_type(arrow.res, cfg)
             f = _const_body(d.term, arrow, cfg)
-            return route(ctx, [()], cfg).then(_curry_const(f, a, b))
+            return route(ctx, [()], cfg).compose(_curry_const(f, a, b))
 
         case "omega":
             return C.zero(ctx_obj(ctx, cfg), denote_type(d.type, cfg))
@@ -344,7 +345,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             a = denote_type(d.type.arg, cfg)
             b = denote_type(d.type.res, cfg)
             if not ctx:  # the body context has no unit factor on the left
-                body = C.lunit_elim(a).then(body)
+                body = C.lunit_elim(a).compose(body)
             return C.curry(body, ctx_obj(ctx, cfg), a, b)
 
         case "loli_E":
@@ -354,8 +355,8 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             b = denote_type(df.type.res, cfg)
             return (
                 route(ctx, [c1, c2], cfg)
-                .then(denote(df, cfg).tensor(denote(da, cfg)))
-                .then(C.eval_mor(a, b))
+                .compose(denote(df, cfg).tensor(denote(da, cfg)))
+                .compose(C.eval_mor(a, b))
             )
 
         case "unit_E":
@@ -364,14 +365,14 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             out = denote_type(db.type, cfg)
             return (
                 route(ctx, [c1, c2], cfg)
-                .then(denote(ds, cfg).tensor(denote(db, cfg)))
-                .then(C.lunit_elim(out))
+                .compose(denote(ds, cfg).tensor(denote(db, cfg)))
+                .compose(C.lunit_elim(out))
             )
 
         case "tensor_I":
             dl, dr = d.children
             c1, c2 = d.info["split"]
-            return route(ctx, [c1, c2], cfg).then(denote(dl, cfg).tensor(denote(dr, cfg)))
+            return route(ctx, [c1, c2], cfg).compose(denote(dl, cfg).tensor(denote(dr, cfg)))
 
         case "tensor_E":
             ds, db = d.children
@@ -381,18 +382,18 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             tl, tr = denote_type(tens.left, cfg), denote_type(tens.right, cfg)
             pre = (
                 route(ctx, [c2, c1], cfg)
-                .then(C.identity(c2o).tensor(denote(ds, cfg)))
-                .then(C.assoc_left(c2o, tl, tr))
+                .compose(C.identity(c2o).tensor(denote(ds, cfg)))
+                .compose(C.assoc_left(c2o, tl, tr))
             )
             if not c2:  # the branch context has no unit factor on the left
-                pre = pre.then(C.lunit_elim(tl).tensor(C.identity(tr)))
-            return pre.then(denote(db, cfg))
+                pre = pre.compose(C.lunit_elim(tl).tensor(C.identity(tr)))
+            return pre.compose(denote(db, cfg))
 
         case "plus_Il" | "plus_Ir":
             child = d.children[0]
             parts = [denote_type(d.type.left, cfg), denote_type(d.type.right, cfg)]
             i = 0 if d.rule == "plus_Il" else 1
-            return denote(child, cfg).then(C.injection(tuple(parts), i))
+            return denote(child, cfg).compose(C.injection(tuple(parts), i))
 
         case "plus_E":
             ds, dl, dr = d.children
@@ -405,21 +406,21 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             for part, dbr in zip(parts, (dl, dr)):
                 b = C.swap(part, c2o)
                 if not c2:  # the branch context has no unit factor on the left
-                    b = b.then(C.lunit_elim(part))
-                branches.append(b.then(denote(dbr, cfg)))
+                    b = b.compose(C.lunit_elim(part))
+                branches.append(b.compose(denote(dbr, cfg)))
             parts_t = tuple(C.tensor_obj(p, c2o) for p in parts)
             return (
                 route(ctx, [c2, c1], cfg)
-                .then(C.identity(c2o).tensor(denote(ds, cfg)))
-                .then(C.swap(c2o, sumo))
-                .then(C.distribute_left(c2o, parts))
-                .then(C.cotuple(parts_t, branches))
+                .compose(C.identity(c2o).tensor(denote(ds, cfg)))
+                .compose(C.swap(c2o, sumo))
+                .compose(C.distribute_left(c2o, parts))
+                .compose(C.cotuple(parts_t, branches))
             )
 
         case "list_I":
             child = d.children[0]
             elem = denote_type(d.type.elem, cfg)
-            return denote(child, cfg).then(C.list_roll(elem, cfg.list_max))
+            return denote(child, cfg).compose(C.list_roll(elem, cfg.list_max))
 
         case "rec" | "recN":
             return _denote_rec(d, cfg)
@@ -448,10 +449,10 @@ def _denote_rec(d: T.Derivation, cfg: TruncationConfig) -> Morphism:
 
     cont = denote(dcont, cfg)  # [[ctx + f]] -> [[type]]
     co = ctx_obj(ctx, cfg)
-    pre = route(ctx, [ctx, exp], cfg).then(C.identity(co).tensor(fix))
+    pre = route(ctx, [ctx, exp], cfg).compose(C.identity(co).tensor(fix))
     if not ctx:  # the continuation context has no unit factor on the left
-        pre = pre.then(C.lunit_elim(bang_hom))
-    return pre.then(cont)
+        pre = pre.compose(C.lunit_elim(bang_hom))
+    return pre.compose(cont)
 
 
 # ---------------------------------------------------------------------------

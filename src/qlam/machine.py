@@ -9,7 +9,6 @@ Born probabilities.  Bounded ``letrec^n`` unfolds at most n times, with
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -111,14 +110,6 @@ def _bit_value(v: Term) -> int:
     raise StuckTerm(f"new argument {S.pretty(v)} is not a bit literal")
 
 
-_FRESH = [0]
-
-
-def _fresh_qvar() -> str:
-    _FRESH[0] += 1
-    return f"q{_FRESH[0]}"
-
-
 def step(c: Closure) -> list:
     """All one-step successors of a closure with their probabilities.
 
@@ -158,55 +149,50 @@ def _discard_orphans(prob, state, link, term):
     return branches
 
 
-def _congruence(state, link, inner, rebuild):
-    steps = _step_term(state, link, inner)
-    return [(p, q2, l2, rebuild(m2), rule) for p, q2, l2, m2, rule in steps]
+# Call-by-value evaluation order: the fields of each node that reduce to
+# values, left to right, before the node itself is a redex or a value.
+_EVAL_ORDER = {
+    App: ("fn", "arg"),
+    Pair: ("left", "right"),
+    InL: ("body",),
+    InR: ("body",),
+    LetUnit: ("subject",),
+    LetPair: ("subject",),
+    Match: ("subject",),
+}
+
+
+def _focus(m: Term) -> Optional[str]:
+    """The field that holds the next redex of ``m``; None when no field does."""
+    for name in _EVAL_ORDER.get(type(m), ()):
+        if not is_value(getattr(m, name)):
+            return name
+    return None
 
 
 def _step_term(state, link, m):
     """Returns a list of (prob, state, linking-dict, term, rule)."""
+    name = _focus(m)
+    if name is not None:
+        steps = _step_term(state, link, getattr(m, name))
+        return [(p, q2, l2, replace(m, **{name: m2}), rule) for p, q2, l2, m2, rule in steps]
     match m:
         case App(f, a):
-            if not is_value(f):
-                return _congruence(state, link, f, lambda f2: App(f2, a))
-            if not is_value(a):
-                return _congruence(state, link, a, lambda a2: App(f, a2))
             return _apply(state, link, f, a)
         case LetUnit(s, b):
-            if not is_value(s):
-                return _congruence(state, link, s, lambda s2: LetUnit(s2, b))
             if not isinstance(s, UnitVal):
                 raise StuckTerm(f"let () subject is {S.pretty(s)}")
             return [(1.0, state, link, b, "let_unit")]
-        case LetPair(x, tx, y, ty, s, b):
-            if not is_value(s):
-                return _congruence(state, link, s, lambda s2: LetPair(x, tx, y, ty, s2, b))
+        case LetPair(x, _, y, _, s, b):
             if not isinstance(s, Pair):
                 raise StuckTerm(f"let <,> subject is {S.pretty(s)}")
             out = subst(subst(b, x, s.left), y, s.right)
             return [(1.0, state, link, out, "let_tensor")]
-        case Pair(l, r):
-            if not is_value(l):
-                return _congruence(state, link, l, lambda l2: Pair(l2, r))
-            if not is_value(r):
-                return _congruence(state, link, r, lambda r2: Pair(l, r2))
-            return []
-        case InL(b, ann):
-            if not is_value(b):
-                return _congruence(state, link, b, lambda b2: InL(b2, ann))
-            return []
-        case InR(b, ann):
-            if not is_value(b):
-                return _congruence(state, link, b, lambda b2: InR(b2, ann))
-            return []
-        case Match(s, x, tx, lb, y, ty, rb):
-            if not is_value(s):
-                return _congruence(state, link, s, lambda s2: Match(s2, x, tx, lb, y, ty, rb))
-            match s:
-                case InL(v, _):
-                    return [(1.0, state, link, subst(lb, x, v), "match_inl")]
-                case InR(v, _):
-                    return [(1.0, state, link, subst(rb, y, v), "match_inr")]
+        case Match(InL(v, _), x, _, lb, _, _, _):
+            return [(1.0, state, link, subst(lb, x, v), "match_inl")]
+        case Match(InR(v, _), _, _, _, y, _, rb):
+            return [(1.0, state, link, subst(rb, y, v), "match_inr")]
+        case Match(s):
             raise StuckTerm(f"match subject is {S.pretty(s)}")
         case LetRec(_, _, _, _, _, _, bound):
             rule = "letrec" if bound is None else f"letrec^{bound}"
@@ -226,7 +212,7 @@ def _apply(state, link, f, a):
             return [(1.0, state, link, a, "split")]
         case New():
             bit = _bit_value(a)
-            y = _fresh_qvar()
+            y = S.fresh_name(f"q{state.num_qubits + 1}", link)
             state2 = QS.append_qubit(state, bit)
             link2 = dict(link)
             link2[y] = state.num_qubits + 1
@@ -257,26 +243,9 @@ def _apply(state, link, f, a):
 
 def is_blocked(m: Term) -> bool:
     """A term is omega-blocked when the next redex is an exhausted letrec."""
-    match m:
-        case Omega():
-            return True
-        case App(f, a):
-            if not is_value(f):
-                return is_blocked(f)
-            if not is_value(a):
-                return is_blocked(a)
-            return False
-        case LetUnit(s, _) | Match(s, _, _, _, _, _, _):
-            return not is_value(s) and is_blocked(s)
-        case LetPair(_, _, _, _, s, _):
-            return not is_value(s) and is_blocked(s)
-        case Pair(l, r):
-            if not is_value(l):
-                return is_blocked(l)
-            return not is_value(r) and is_blocked(r)
-        case InL(b, _) | InR(b, _):
-            return not is_value(b) and is_blocked(b)
-    return False
+    while (name := _focus(m)) is not None:
+        m = getattr(m, name)
+    return isinstance(m, Omega)
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +254,19 @@ def is_blocked(m: Term) -> bool:
 
 def canonical_key(c: Closure):
     """Aggregation key identifying closures up to renaming and global phase."""
-    # rename free variables by first occurrence in the (alpha-canonical) term
-    order = []
+    # rename variables to _q0, _q1, ... by first occurrence in the
+    # alpha-canonical term, then rename the free ones in one pass
+    canon = S.alpha_canonical(c.term)
+    renaming = {}
 
     def scan(t):
-        match t:
-            case Var(x):
-                if x not in order:
-                    order.append(x)
-            case Abs(_, _, b) | InL(b, _) | InR(b, _):
-                scan(b)
-            case App(l, r) | LetUnit(l, r) | Pair(l, r):
-                scan(l), scan(r)
-            case LetPair(_, _, _, _, s, b):
-                scan(s), scan(b)
-            case Match(s, _, _, lb, _, _, rb):
-                scan(s), scan(lb), scan(rb)
-            case LetRec(_, _, _, _, body, cont, _):
-                scan(body), scan(cont)
+        if isinstance(t, Var):
+            renaming.setdefault(t.name, f"_q{len(renaming)}")
+        for u in S.subterms(t):
+            scan(u)
 
-    canon = S.alpha_canonical(c.term)
     scan(canon)
-    renaming = {x: f"_q{i}" for i, x in enumerate(order)}
-    for x in renaming:
-        canon = subst(canon, x, Var(renaming[x]))
+    canon = S.alpha_canonical(canon, renaming)
     link = c.link_map()
     link_key = tuple(sorted((renaming.get(x, x), i) for x, i in link.items()))
     amps = c.state.amps

@@ -6,12 +6,20 @@ node rather than being a general type constructor.  Surface sugar
 (booleans, lists, ``if``, sequencing) is eliminated at parse time; the
 constructors for the desugared forms live here so the parser, the
 typechecker tests and the adequacy generators all agree on the encoding.
+
+Passes that bind nothing (``strip_ascriptions``, ``lower_approximant``,
+``adequacy.is_finitary``, the variable scan of ``machine.canonical_key``) walk
+terms through ``subterms``/``map_subterms``, which read the subterm fields of
+every class from one table.  ``free_vars``, ``subst`` and ``pretty`` spell out
+every constructor, and ``alpha_canonical`` every binder, because they must
+know what each binder binds or how each form prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+import itertools
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -249,6 +257,38 @@ class Ascribe(Term):
     ann: Type
 
 
+# the subterm fields of each term class: its fields annotated ``Term``
+_SUBTERMS = {
+    cls: tuple(f.name for f in fields(cls) if f.type == "Term")
+    for cls in (Var, Abs, App, UnitVal, LetUnit, Pair, LetPair, InL, InR, Match,
+                LetRec, Omega, Meas, New, Split, Gate, Ascribe)
+}
+
+
+def _subterm_fields(m: Term) -> tuple:
+    try:
+        return _SUBTERMS[type(m)]
+    except KeyError:
+        raise TypeError(f"not a term: {m!r}") from None
+
+
+def subterms(m: Term) -> tuple:
+    """The immediate subterms of ``m`` in field order; ``()`` for a leaf."""
+    return tuple(getattr(m, name) for name in _subterm_fields(m))
+
+
+def map_subterms(m: Term, f: Callable[[Term], Term]) -> Term:
+    """``m`` with ``f`` applied to each immediate subterm, binders untouched.
+
+    Returns ``m`` itself when ``f`` returns every subterm unchanged.
+    """
+    names = _subterm_fields(m)
+    kids = [f(getattr(m, name)) for name in names]
+    if all(k is getattr(m, name) for k, name in zip(kids, names)):
+        return m
+    return replace(m, **dict(zip(names, kids)))
+
+
 def gate(name: str, matrix) -> Gate:
     """Build a gate term, checking unitarity of the matrix."""
     arr = np.array(matrix, dtype=complex)
@@ -463,115 +503,64 @@ def subst(m: Term, x: str, v: Term) -> Term:
 
 
 def strip_ascriptions(m: Term) -> Term:
-    match m:
-        case Ascribe(b, _):
-            return strip_ascriptions(b)
-        case Var() | UnitVal() | Meas() | New() | Split() | Gate() | Omega():
-            return m
-        case Abs(x, t, b):
-            return Abs(x, t, strip_ascriptions(b))
-        case App(f, a):
-            return App(strip_ascriptions(f), strip_ascriptions(a))
-        case LetUnit(s, b):
-            return LetUnit(strip_ascriptions(s), strip_ascriptions(b))
-        case Pair(l, r):
-            return Pair(strip_ascriptions(l), strip_ascriptions(r))
-        case LetPair(x, tx, y, ty, s, b):
-            return LetPair(x, tx, y, ty, strip_ascriptions(s), strip_ascriptions(b))
-        case InL(b, ann):
-            return InL(strip_ascriptions(b), ann)
-        case InR(b, ann):
-            return InR(strip_ascriptions(b), ann)
-        case Match(s, x, tx, lb, y, ty, rb):
-            return Match(strip_ascriptions(s), x, tx, strip_ascriptions(lb), y, ty, strip_ascriptions(rb))
-        case LetRec(f, ta, tb, x, body, cont, bound):
-            return LetRec(f, ta, tb, x, strip_ascriptions(body), strip_ascriptions(cont), bound)
-    raise TypeError(f"not a term: {m!r}")
+    while isinstance(m, Ascribe):
+        m = m.body
+    return map_subterms(m, strip_ascriptions)
 
 
 def lower_approximant(m: Term, n: int) -> Term:
     """Replace every unbounded ``letrec`` by its ``n``-bounded variant."""
-    match m:
-        case LetRec(f, ta, tb, x, body, cont, bound):
-            new_bound = n if bound is None else bound
-            return LetRec(f, ta, tb, x, lower_approximant(body, n), lower_approximant(cont, n), new_bound)
-        case Var() | UnitVal() | Meas() | New() | Split() | Gate() | Omega():
-            return m
-        case Abs(x, t, b):
-            return Abs(x, t, lower_approximant(b, n))
-        case App(f, a):
-            return App(lower_approximant(f, n), lower_approximant(a, n))
-        case LetUnit(s, b):
-            return LetUnit(lower_approximant(s, n), lower_approximant(b, n))
-        case Pair(l, r):
-            return Pair(lower_approximant(l, n), lower_approximant(r, n))
-        case LetPair(x, tx, y, ty, s, b):
-            return LetPair(x, tx, y, ty, lower_approximant(s, n), lower_approximant(b, n))
-        case InL(b, ann):
-            return InL(lower_approximant(b, n), ann)
-        case InR(b, ann):
-            return InR(lower_approximant(b, n), ann)
-        case Ascribe(b, ann):
-            return Ascribe(lower_approximant(b, n), ann)
-        case Match(s, x, tx, lb, y, ty, rb):
-            return Match(lower_approximant(s, n), x, tx, lower_approximant(lb, n), y, ty, lower_approximant(rb, n))
-    raise TypeError(f"not a term: {m!r}")
+    if isinstance(m, LetRec) and m.bound is None:
+        m = replace(m, bound=n)
+    return map_subterms(m, lambda t: lower_approximant(t, n))
 
 
 # ---------------------------------------------------------------------------
 # Alpha-canonical form (for term equality between machine branches)
 
 
-def alpha_canonical(m: Term, env: Optional[dict] = None, counter: Optional[list] = None) -> Term:
-    """Rename bound variables to a canonical scheme; free variables are kept."""
-    if env is None:
-        env = {}
-    if counter is None:
-        counter = [0]
+def alpha_canonical(m: Term, env: Optional[dict] = None) -> Term:
+    """Rename bound variables to ``_b0, _b1, ...`` in binding order.
 
-    def bind(name: str) -> str:
-        fresh = f"_b{counter[0]}"
-        counter[0] += 1
+    Free variables are renamed through ``env`` in the same pass, all at once;
+    those not in it are kept.  Bound names skip every name a free variable
+    ends up with, so no free variable is captured.
+    """
+    env = env or {}
+    taken = {env.get(x, x) for x in free_vars(m)}
+    counter = itertools.count()
+
+    def bind() -> str:
+        while (fresh := f"_b{next(counter)}") in taken:
+            pass
         return fresh
 
-    match m:
-        case Var(x):
-            return Var(env.get(x, x))
-        case Abs(x, t, b):
-            x2 = bind(x)
-            return Abs(x2, t, alpha_canonical(b, {**env, x: x2}, counter))
-        case App(f, a):
-            return App(alpha_canonical(f, env, counter), alpha_canonical(a, env, counter))
-        case UnitVal() | Meas() | New() | Split() | Gate() | Omega():
-            return m
-        case LetUnit(s, b):
-            return LetUnit(alpha_canonical(s, env, counter), alpha_canonical(b, env, counter))
-        case Pair(l, r):
-            return Pair(alpha_canonical(l, env, counter), alpha_canonical(r, env, counter))
-        case LetPair(x, tx, y, ty, s, b):
-            s2 = alpha_canonical(s, env, counter)
-            x2, y2 = bind(x), bind(y)
-            return LetPair(x2, tx, y2, ty, s2, alpha_canonical(b, {**env, x: x2, y: y2}, counter))
-        case InL(b, ann):
-            return InL(alpha_canonical(b, env, counter), ann)
-        case InR(b, ann):
-            return InR(alpha_canonical(b, env, counter), ann)
-        case Ascribe(b, ann):
-            return Ascribe(alpha_canonical(b, env, counter), ann)
-        case Match(s, x, tx, lb, y, ty, rb):
-            s2 = alpha_canonical(s, env, counter)
-            x2 = bind(x)
-            lb2 = alpha_canonical(lb, {**env, x: x2}, counter)
-            y2 = bind(y)
-            rb2 = alpha_canonical(rb, {**env, y: y2}, counter)
-            return Match(s2, x2, tx, lb2, y2, ty, rb2)
-        case LetRec(f, ta, tb, x, body, cont, bound):
-            f2 = bind(f)
-            x2 = bind(x)
-            body2 = alpha_canonical(body, {**env, f: f2, x: x2}, counter)
-            cont2 = alpha_canonical(cont, {**env, f: f2}, counter)
-            return LetRec(f2, ta, tb, x2, body2, cont2, bound)
-    raise TypeError(f"not a term: {m!r}")
+    def go(t: Term, env: dict) -> Term:
+        match t:
+            case Var(x):
+                return Var(env.get(x, x))
+            case Abs(x, ty, b):
+                x2 = bind()
+                return Abs(x2, ty, go(b, {**env, x: x2}))
+            case LetPair(x, tx, y, ty, s, b):
+                s2 = go(s, env)
+                x2, y2 = bind(), bind()
+                return LetPair(x2, tx, y2, ty, s2, go(b, {**env, x: x2, y: y2}))
+            case Match(s, x, tx, lb, y, ty, rb):
+                s2 = go(s, env)
+                x2 = bind()
+                lb2 = go(lb, {**env, x: x2})
+                y2 = bind()
+                rb2 = go(rb, {**env, y: y2})
+                return Match(s2, x2, tx, lb2, y2, ty, rb2)
+            case LetRec(f, ta, tb, x, body, cont, bound):
+                f2, x2 = bind(), bind()
+                body2 = go(body, {**env, f: f2, x: x2})
+                cont2 = go(cont, {**env, f: f2})
+                return LetRec(f2, ta, tb, x2, body2, cont2, bound)
+        return map_subterms(t, lambda u: go(u, env))
+
+    return go(m, env)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +636,7 @@ def _pp_app(f: Term) -> str:
     # the function position of an application binds like an operand, except
     # that a nested application may stay unparenthesised (left associativity)
     if isinstance(f, App):
-        return _pp(f, 0) if False else f"{_pp_app(f.fn)} {_pp(f.arg, 1)}"
+        return f"{_pp_app(f.fn)} {_pp(f.arg, 1)}"
     return _pp(f, 1)
 
 

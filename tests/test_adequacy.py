@@ -126,6 +126,13 @@ def test_random_finitary_deterministic():
     assert A.random_finitary_program(3, 10) == A.random_finitary_program(3, 10)
 
 
+def test_unbounded_letrec_in_match_arm_is_not_finitary():
+    loop = S.LetRec("f", S.UNIT, S.UNIT, "u", S.App(S.Var("f"), S.Var("u")), S.Var("f"))
+    term = S.if_term(A.COIN, S.UnitVal(), S.App(loop, S.UnitVal()))
+    assert not A.is_finitary(term)
+    assert A.is_finitary(S.lower_approximant(term, 2))
+
+
 def test_random_letrec_is_not_finitary():
     for seed in range(10):
         term = A.random_letrec_program(seed)

@@ -59,9 +59,9 @@ def test_category_laws():
     for rng in seeds():
         a, b, c, d = (rand_obj(rng) for _ in range(4))
         f, g, h = rand_mor(rng, a, b), rand_mor(rng, b, c), rand_mor(rng, c, d)
-        assert_close(f.then(g).then(h), f.then(g.then(h)))
-        assert_close(C.identity(a).then(f), f)
-        assert_close(f.then(C.identity(b)), f)
+        assert_close(f.compose(g).compose(h), f.compose(g.compose(h)))
+        assert_close(C.identity(a).compose(f), f)
+        assert_close(f.compose(C.identity(b)), f)
 
 
 def test_tensor_bifunctorial():
@@ -69,23 +69,23 @@ def test_tensor_bifunctorial():
         a, b, c, d = (rand_obj(rng) for _ in range(4))
         f1, f2 = rand_mor(rng, a, b), rand_mor(rng, b, c)
         g1, g2 = rand_mor(rng, c, d), rand_mor(rng, d, a)
-        assert_close(f1.tensor(g1).then(f2.tensor(g2)), f1.then(f2).tensor(g1.then(g2)))
+        assert_close(f1.tensor(g1).compose(f2.tensor(g2)), f1.compose(f2).tensor(g1.compose(g2)))
         assert_close(C.identity(a).tensor(C.identity(b)), C.identity(C.tensor_obj(a, b)))
 
 
 def test_structural_isos():
     for rng in seeds():
         a, b, c = (rand_obj(rng) for _ in range(3))
-        assert_close(C.swap(a, b).then(C.swap(b, a)), C.identity(C.tensor_obj(a, b)))
+        assert_close(C.swap(a, b).compose(C.swap(b, a)), C.identity(C.tensor_obj(a, b)))
         assert_close(
-            C.assoc_right(a, b, c).then(C.assoc_left(a, b, c)),
+            C.assoc_right(a, b, c).compose(C.assoc_left(a, b, c)),
             C.identity(C.tensor_obj(C.tensor_obj(a, b), c)),
         )
-        assert_close(C.lunit_intro(a).then(C.lunit_elim(a)), C.identity(a))
-        assert_close(C.runit_intro(a).then(C.runit_elim(a)), C.identity(a))
+        assert_close(C.lunit_intro(a).compose(C.lunit_elim(a)), C.identity(a))
+        assert_close(C.runit_intro(a).compose(C.runit_elim(a)), C.identity(a))
         # naturality of swap
         f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
-        assert_close(f.tensor(g).then(C.swap(b, c)), C.swap(a, b).then(g.tensor(f)))
+        assert_close(f.tensor(g).compose(C.swap(b, c)), C.swap(a, b).compose(g.tensor(f)))
 
 
 def _digit_permutation_reference(dims, order, acts):
@@ -132,10 +132,10 @@ def test_biproduct_laws():
     for rng in seeds():
         parts = [rand_obj(rng), rand_obj(rng)]
         for i in range(2):
-            assert_close(C.injection(parts, i).then(C.projection(parts, i)), C.identity(parts[i]))
+            assert_close(C.injection(parts, i).compose(C.projection(parts, i)), C.identity(parts[i]))
             j = 1 - i
             assert_close(
-                C.injection(parts, i).then(C.projection(parts, j)),
+                C.injection(parts, i).compose(C.projection(parts, j)),
                 C.zero(parts[i], parts[j]),
             )
         # cotuple mediates: inj_i ; [f0,f1] = f_i
@@ -143,7 +143,7 @@ def test_biproduct_laws():
         fs = [rand_mor(rng, parts[0], c), rand_mor(rng, parts[1], c)]
         cot = C.cotuple(parts, fs)
         for i in range(2):
-            assert_close(C.injection(parts, i).then(cot), fs[i])
+            assert_close(C.injection(parts, i).compose(cot), fs[i])
 
 
 def test_pdistr_iso_and_naturality():
@@ -153,18 +153,18 @@ def test_pdistr_iso_and_naturality():
         bp = C.biproduct(parts)
         dist = C.distribute_left(a, parts)
         undist = C.undistribute_left(a, parts)
-        assert_close(dist.then(undist), C.identity(C.tensor_obj(bp, a)))
-        assert_close(undist.then(dist), C.identity(dist.dst))
+        assert_close(dist.compose(undist), C.identity(C.tensor_obj(bp, a)))
+        assert_close(undist.compose(dist), C.identity(dist.dst))
         # naturality in the biproduct argument
         parts2 = [rand_obj(rng), rand_obj(rng)]
         gs = [rand_mor(rng, parts[i], parts2[i]) for i in range(2)]
-        bp_map = C.cotuple(parts, [gs[i].then(C.injection(parts2, i)) for i in range(2)])
+        bp_map = C.cotuple(parts, [gs[i].compose(C.injection(parts2, i)) for i in range(2)])
         f = rand_mor(rng, a, a)
-        lhs = bp_map.tensor(f).then(C.distribute_left(a, parts2))
+        lhs = bp_map.tensor(f).compose(C.distribute_left(a, parts2))
         parts_t = [C.tensor_obj(p, a) for p in parts]
         parts2_t = [C.tensor_obj(p, a) for p in parts2]
-        sum_map = C.cotuple(parts_t, [gs[i].tensor(f).then(C.injection(parts2_t, i)) for i in range(2)])
-        rhs = dist.then(sum_map)
+        sum_map = C.cotuple(parts_t, [gs[i].tensor(f).compose(C.injection(parts2_t, i)) for i in range(2)])
+        rhs = dist.compose(sum_map)
         assert_close(lhs, rhs)
 
 
@@ -178,18 +178,18 @@ def test_snake_equations():
         ida = C.identity(a)
         lhs = (
             C.lunit_intro(a)
-            .then(C.eta(a).tensor(ida))
-            .then(C.assoc_right(a, a, a))
-            .then(ida.tensor(C.epsilon(a)))
-            .then(C.runit_elim(a))
+            .compose(C.eta(a).tensor(ida))
+            .compose(C.assoc_right(a, a, a))
+            .compose(ida.tensor(C.epsilon(a)))
+            .compose(C.runit_elim(a))
         )
         assert_close(lhs, ida)
         rhs = (
             C.runit_intro(a)
-            .then(ida.tensor(C.eta(a)))
-            .then(C.assoc_left(a, a, a))
-            .then(C.epsilon(a).tensor(ida))
-            .then(C.lunit_elim(a))
+            .compose(ida.tensor(C.eta(a)))
+            .compose(C.assoc_left(a, a, a))
+            .compose(C.epsilon(a).tensor(ida))
+            .compose(C.lunit_elim(a))
         )
         assert_close(rhs, ida)
 
@@ -199,9 +199,9 @@ def test_curry_eval_adjunction():
         c, a, b = rand_obj(rng), rand_obj(rng), rand_obj(rng)
         f = rand_mor(rng, C.tensor_obj(c, a), b)
         lam = C.curry(f, c, a, b)
-        assert_close(lam.tensor(C.identity(a)).then(C.eval_mor(a, b)), f)
+        assert_close(lam.tensor(C.identity(a)).compose(C.eval_mor(a, b)), f)
         # currying Eval gives the identity on the hom object
-        hom = C.hom_obj(a, b)
+        hom = C.tensor_obj(a, b)
         assert_close(C.curry(C.eval_mor(a, b), hom, a, b), C.identity(hom))
 
 
@@ -216,7 +216,7 @@ def test_list_roll_unroll():
         roll = C.list_roll(a, L)
         unroll = C.list_unroll(a, L)
         # unroll is total and rolls back to the identity
-        assert_close(unroll.then(roll), C.identity(C.list_obj(a, L)))
+        assert_close(unroll.compose(roll), C.identity(C.list_obj(a, L)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +242,12 @@ def test_comonoid_laws():
         contr = C.contraction(a, k)
         weak = C.weakening(a, k)
         idb = C.identity(bang)
-        assert_close(contr.then(weak.tensor(idb)).then(C.lunit_elim(bang)), idb)
-        assert_close(contr.then(idb.tensor(weak)).then(C.runit_elim(bang)), idb)
-        assert_close(contr.then(C.swap(bang, bang)), contr)
+        assert_close(contr.compose(weak.tensor(idb)).compose(C.lunit_elim(bang)), idb)
+        assert_close(contr.compose(idb.tensor(weak)).compose(C.runit_elim(bang)), idb)
+        assert_close(contr.compose(C.swap(bang, bang)), contr)
         assert_close(
-            contr.then(contr.tensor(idb)).then(C.assoc_right(bang, bang, bang)),
-            contr.then(idb.tensor(contr)),
+            contr.compose(contr.tensor(idb)).compose(C.assoc_right(bang, bang, bang)),
+            contr.compose(idb.tensor(contr)),
         )
 
 
@@ -256,8 +256,8 @@ def test_comonad_triangles():
         a, k = rand_bang_obj(rng)
         bang = C.bang_obj(a, k)
         dig = C.digging(a, k)
-        assert_close(dig.then(C.dereliction(bang, k)), C.identity(bang))
-        assert_close(dig.then(C.promotion(C.dereliction(a, k), k)), C.identity(bang))
+        assert_close(dig.compose(C.dereliction(bang, k)), C.identity(bang))
+        assert_close(dig.compose(C.promotion(C.dereliction(a, k), k)), C.identity(bang))
 
 
 def test_digging_coassociativity():
@@ -274,8 +274,8 @@ def test_digging_coassociativity():
     for a, k in combos:
         bang = C.bang_obj(a, k)
         dig = C.digging(a, k)
-        lhs = dig.then(C.digging(bang, k))
-        rhs = dig.then(C.promotion(dig, k))
+        lhs = dig.compose(C.digging(bang, k))
+        rhs = dig.compose(C.promotion(dig, k))
         assert lhs.loewner_leq(rhs, TOL)
         for key in set(lhs.entries) | set(rhs.entries):
             _, ltarget = key
@@ -292,7 +292,7 @@ def test_promotion_functorial():
         b, _ = rand_bang_obj(rng)
         c, _ = rand_bang_obj(rng)
         f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
-        assert_close(C.promotion(f.then(g), k), C.promotion(f, k).then(C.promotion(g, k)))
+        assert_close(C.promotion(f.compose(g), k), C.promotion(f, k).compose(C.promotion(g, k)))
         assert_close(C.promotion(C.identity(a), k), C.identity(C.bang_obj(a, k)))
 
 
@@ -303,15 +303,15 @@ def test_comonad_naturality():
         k = min(k, kb)
         f = rand_mor(rng, a, b)
         bf = C.promotion(f, k)
-        assert_close(bf.then(C.dereliction(b, k)), C.dereliction(a, k).then(f))
-        assert_close(bf.then(C.weakening(b, k)), C.weakening(a, k))
+        assert_close(bf.compose(C.dereliction(b, k)), C.dereliction(a, k).compose(f))
+        assert_close(bf.compose(C.weakening(b, k)), C.weakening(a, k))
         assert_close(
-            bf.then(C.contraction(b, k)),
-            C.contraction(a, k).then(bf.tensor(bf)),
+            bf.compose(C.contraction(b, k)),
+            C.contraction(a, k).compose(bf.tensor(bf)),
         )
         assert_close(
-            bf.then(C.digging(b, k)),
-            C.digging(a, k).then(C.promotion(bf, k)),
+            bf.compose(C.digging(b, k)),
+            C.digging(a, k).compose(C.promotion(bf, k)),
         )
 
 
@@ -324,26 +324,26 @@ def test_bierman_maps():
         m = C.bierman_tensor(a, b, k)
         # monoidality interacts correctly with dereliction and weakening
         assert_close(
-            m.then(C.dereliction(ab, k)),
+            m.compose(C.dereliction(ab, k)),
             C.dereliction(a, k).tensor(C.dereliction(b, k)),
         )
         assert_close(
-            m.then(C.weakening(ab, k)),
-            C.weakening(a, k).tensor(C.weakening(b, k)).then(C.lunit_elim(U1)),
+            m.compose(C.weakening(ab, k)),
+            C.weakening(a, k).tensor(C.weakening(b, k)).compose(C.lunit_elim(U1)),
         )
         # naturality: (!f (x) !g) ; m = m ; !(f (x) g)
         f = rand_mor(rng, a, a)
         g = rand_mor(rng, b, b)
         assert_close(
-            C.promotion(f, k).tensor(C.promotion(g, k)).then(m),
-            m.then(C.promotion(f.tensor(g), k)),
+            C.promotion(f, k).tensor(C.promotion(g, k)).compose(m),
+            m.compose(C.promotion(f.tensor(g), k)),
         )
     # the unit map splits dereliction and weakening off as identities
     for k in range(4):
         m1 = C.bierman_unit(k)
         if k >= 1:
-            assert_close(m1.then(C.dereliction(U1, k)), C.identity(U1))
-        assert_close(m1.then(C.weakening(U1, k)), C.identity(U1))
+            assert_close(m1.compose(C.dereliction(U1, k)), C.identity(U1))
+        assert_close(m1.compose(C.weakening(U1, k)), C.identity(U1))
 
 
 # ---------------------------------------------------------------------------

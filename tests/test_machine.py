@@ -82,7 +82,20 @@ def test_sample_reproducible():
     a = M.sample(M.load(term), 7)
     b = M.sample(M.load(term), 7)
     assert S.pretty(a.final.term) == S.pretty(b.final.term)
-    assert [r for r, _, _ in a.steps] == [r for r, _, _ in b.steps]
+    # qubit names included: a run does not depend on the runs before it
+    assert [(r, S.pretty(c.term)) for r, _, c in a.steps] == \
+        [(r, S.pretty(c.term)) for r, _, c in b.steps]
+
+
+def test_is_blocked_follows_the_evaluation_order():
+    omega = S.Omega(S.UNIT)
+    assert M.is_blocked(omega)
+    assert M.is_blocked(S.Pair(S.UnitVal(), omega))
+    assert M.is_blocked(S.App(S.Abs("x", S.UNIT, S.Var("x")), omega))
+    # omega under a binder, or after a redex that is not blocked, is not next
+    assert not M.is_blocked(S.Abs("x", S.UNIT, omega))
+    assert not M.is_blocked(S.Pair(S.App(S.New(), S.ff()), omega))
+    assert not M.is_blocked(S.UnitVal())
 
 
 def test_sample_frequency_band():
