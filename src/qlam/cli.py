@@ -64,6 +64,7 @@ def cmd_run(args) -> int:
         print(f"outcome p={out.prob:.9f} {S.pretty(out.closure.term)}")
     print(f"blocked {dist.blocked:.9f}")
     print(f"residual {dist.residual:.9f}")
+    print(f"pruned {dist.pruned:.9f}")
     if dist.residual > 0:
         print("note TIMEOUT")
     return 0

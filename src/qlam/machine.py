@@ -290,12 +290,15 @@ class Distribution:
     ``outcomes`` maps canonical keys of terminal *value* closures to their
     accumulated probability; ``blocked`` is the mass that reached an
     omega-blocked normal form; ``residual`` is mass still unreduced when
-    the step budget ran out (an under-approximation witness).
+    the step budget ran out (an under-approximation witness); ``pruned`` is
+    the mass of the branches dropped at or below ``prune_eps``.  The halting
+    mass and these three sum to 1.
     """
 
     outcomes: dict = field(default_factory=dict)
     blocked: float = 0.0
     residual: float = 0.0
+    pruned: float = 0.0
     steps_used: int = 0
 
     @property
@@ -334,6 +337,8 @@ def evaluate(c: Closure, max_steps: int = 10_000, prune_eps: float = 1e-12) -> D
                 p2 = prob * s.prob
                 if p2 > prune_eps:
                     next_frontier.append((p2, s.closure))
+                else:
+                    dist.pruned += p2
         frontier = next_frontier
     dist.residual = sum(p for p, _ in frontier)
     dist.steps_used = steps

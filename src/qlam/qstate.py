@@ -27,7 +27,7 @@ class QState:
 
     @property
     def num_qubits(self) -> int:
-        return int(np.log2(self.amps.shape[0]) + 0.5)
+        return self.amps.shape[0].bit_length() - 1
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

@@ -10,15 +10,26 @@ typechecker tests and the adequacy generators all agree on the encoding.
 Passes that bind nothing (``strip_ascriptions``, ``lower_approximant``,
 ``adequacy.is_finitary``, the variable scan of ``machine.canonical_key``) walk
 terms through ``subterms``/``map_subterms``, which read the subterm fields of
-every class from one table.  ``free_vars``, ``subst`` and ``pretty`` spell out
-every constructor, and ``alpha_canonical`` every binder, because they must
-know what each binder binds or how each form prints.
+every class from one table.  ``subst`` and ``alpha_canonical`` spell out
+only the binders, because they must know what each binder binds.  ``pretty``
+spells out every constructor because each prints differently, and
+``free_vars`` does so too because on a fresh term the table lookup would
+cost more than the set operations.
+
+Free variables are cached per node: ``free_vars`` fills a node's ``_fv`` slot
+from the cached sets of its immediate subterms the first time it is asked,
+so a term shared between machine steps is scanned once.  Nodes are never
+mutated otherwise, and a node built by a constructor, ``replace``,
+``map_subterms`` or ``subst`` starts with an empty slot, so no cached set can
+go stale.  ``subst`` returns every subterm in which the variable is not free
+as it is, so it rebuilds only the paths down to the occurrences and the rest
+of the term, caches included, is shared with the result.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -126,8 +137,11 @@ def is_exponential(t: Type) -> bool:
 # Terms
 
 
+@dataclass(frozen=True, slots=True)
 class Term:
-    __slots__ = ()
+    # the free-variable set, filled in by ``free_vars`` on first use; it is not
+    # an ``__init__`` argument, so every new node, ``replace``'s too, starts empty
+    _fv: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,28 +389,55 @@ def let_term(x: str, tx: Type, subject: Term, body: Term) -> Term:
 
 
 def free_vars(m: Term) -> frozenset:
+    """The free variables of ``m``, computed once per node and cached on it."""
+    fv = m._fv
+    if fv is None:
+        fv = _node_free_vars(m)
+        object.__setattr__(m, "_fv", fv)
+    return fv
+
+
+def _node_free_vars(m: Term) -> frozenset:
+    # one level: the subterms' sets are cached, so this costs one node
     match m:
         case Var(x):
             return frozenset((x,))
+        case App(a, b) | Pair(a, b) | LetUnit(a, b):
+            return _union(free_vars(a), free_vars(b))
         case Abs(x, _, body):
-            return free_vars(body) - {x}
-        case App(f, a):
-            return free_vars(f) | free_vars(a)
-        case UnitVal() | Meas() | New() | Split() | Gate() | Omega():
-            return frozenset()
-        case LetUnit(s, b):
-            return free_vars(s) | free_vars(b)
-        case Pair(l, r):
-            return free_vars(l) | free_vars(r)
-        case LetPair(x, _, y, _, s, b):
-            return free_vars(s) | (free_vars(b) - {x, y})
+            return _minus(free_vars(body), x)
         case InL(b, _) | InR(b, _) | Ascribe(b, _):
             return free_vars(b)
+        case UnitVal() | Meas() | New() | Split() | Gate() | Omega():
+            return _NO_VARS
+        case LetPair(x, _, y, _, s, b):
+            return _union(free_vars(s), _minus(free_vars(b), x, y))
         case Match(s, x, _, lb, y, _, rb):
-            return free_vars(s) | (free_vars(lb) - {x}) | (free_vars(rb) - {y})
+            return _union(_union(free_vars(s), _minus(free_vars(lb), x)),
+                          _minus(free_vars(rb), y))
         case LetRec(f, _, _, x, body, cont, _):
-            return (free_vars(body) - {f, x}) | (free_vars(cont) - {f})
+            return _union(_minus(free_vars(body), f, x), _minus(free_vars(cont), f))
     raise TypeError(f"not a term: {m!r}")
+
+
+# ``_minus`` and ``_union`` return an operand itself when it already is the
+# result, so most nodes share their set with a subterm and every closed
+# subterm shares ``_NO_VARS``: a frozenset costs 216 bytes and a GC slot.
+_NO_VARS = frozenset()
+
+
+def _minus(fv: frozenset, *names: str) -> frozenset:
+    if fv.isdisjoint(names):
+        return fv
+    return fv.difference(names) or _NO_VARS
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 def is_value(m: Term) -> bool:
@@ -421,83 +462,56 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def subst(m: Term, x: str, v: Term) -> Term:
-    """Capture-avoiding substitution ``m[v / x]``."""
+    """Capture-avoiding substitution ``m[v / x]``.
+
+    Only the paths down to the free occurrences of ``x`` are rebuilt; every
+    other subterm of ``m`` is shared with the result, ``m`` itself when ``x``
+    is not free in it.  A binder is renamed only when ``x`` occurs under it
+    and ``v`` has a free variable of the same name.
+    """
     fv_v = free_vars(v)
 
+    def under(names: tuple, body: Term):
+        """Substitute in ``body`` under the binders ``names``."""
+        if x in names or x not in free_vars(body):
+            return names, body
+        avoid = set().union(fv_v, free_vars(body), names)
+        renamed = []
+        for y in names:
+            if y in fv_v:
+                y2 = fresh_name(y, avoid)
+                avoid.add(y2)
+                body = subst(body, y, Var(y2))
+                y = y2
+            renamed.append(y)
+        return tuple(renamed), go(body)
+
     def go(t: Term) -> Term:
+        if x not in free_vars(t):
+            return t
         match t:
-            case Var(y):
-                return v if y == x else t
+            case Var():
+                return v
             case Abs(y, ty, body):
-                if y == x:
-                    return t
-                if y in fv_v:
-                    y2 = fresh_name(y, fv_v | free_vars(body))
-                    body = subst(body, y, Var(y2))
-                    y = y2
-                return Abs(y, ty, go(body))
-            case App(f, a):
-                return App(go(f), go(a))
-            case UnitVal() | Meas() | New() | Split() | Gate() | Omega():
-                return t
-            case LetUnit(s, b):
-                return LetUnit(go(s), go(b))
-            case Pair(l, r):
-                return Pair(go(l), go(r))
+                (y,), body = under((y,), body)
+                return Abs(y, ty, body)
             case LetPair(y, ty, z, tz, s, b):
-                s2 = go(s)
-                if x in (y, z):
-                    return LetPair(y, ty, z, tz, s2, b)
-                avoid = fv_v | free_vars(b)
-                if y in fv_v:
-                    y2 = fresh_name(y, avoid | {z})
-                    b = subst(b, y, Var(y2))
-                    y = y2
-                if z in fv_v:
-                    z2 = fresh_name(z, avoid | {y})
-                    b = subst(b, z, Var(z2))
-                    z = z2
-                return LetPair(y, ty, z, tz, s2, go(b))
-            case InL(b, ann):
-                return InL(go(b), ann)
-            case InR(b, ann):
-                return InR(go(b), ann)
-            case Ascribe(b, ann):
-                return Ascribe(go(b), ann)
+                (y, z), b = under((y, z), b)
+                return LetPair(y, ty, z, tz, go(s), b)
             case Match(s, y, ty, lb, z, tz, rb):
-                s2 = go(s)
-                if y != x:
-                    if y in fv_v:
-                        y2 = fresh_name(y, fv_v | free_vars(lb))
-                        lb = subst(lb, y, Var(y2))
-                        y = y2
-                    lb = go(lb)
-                if z != x:
-                    if z in fv_v:
-                        z2 = fresh_name(z, fv_v | free_vars(rb))
-                        rb = subst(rb, z, Var(z2))
-                        z = z2
-                    rb = go(rb)
-                return Match(s2, y, ty, lb, z, tz, rb)
+                (y,), lb = under((y,), lb)
+                (z,), rb = under((z,), rb)
+                return Match(go(s), y, ty, lb, z, tz, rb)
             case LetRec(f, ta, tb, y, body, cont, bound):
-                if f != x:
-                    avoid = fv_v | free_vars(body) | free_vars(cont)
-                    if f in fv_v:
-                        f2 = fresh_name(f, avoid | {y})
-                        body = subst(body, f, Var(f2))
-                        cont = subst(cont, f, Var(f2))
-                        f = f2
-                    cont = go(cont)
-                    if y != x:
-                        if y in fv_v:
-                            y2 = fresh_name(y, fv_v | free_vars(body) | {f})
-                            body = subst(body, y, Var(y2))
-                            y = y2
-                        body = go(body)
-                else:
-                    pass  # f shadows x in both body and cont
-                return LetRec(f, ta, tb, y, body, cont, bound)
-        raise TypeError(f"not a term: {t!r}")
+                # f binds in both body and cont, so it is renamed in both
+                # (x is free here, so f != x)
+                if f in fv_v:
+                    f2 = fresh_name(f, fv_v | free_vars(body) | free_vars(cont) | {y})
+                    body, cont = subst(body, f, Var(f2)), subst(cont, f, Var(f2))
+                    f = f2
+                (f, y), body = under((f, y), body)
+                return LetRec(f, ta, tb, y, body, go(cont), bound)
+        return map_subterms(t, go)
 
     return go(m)
 

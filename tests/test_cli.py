@@ -41,7 +41,7 @@ def test_run_distribution():
     code, out, _ = run_cli("run", str(PROGRAMS / "cointoss.qlam"))
     assert code == 0
     assert out.count("p=0.500000000") == 2
-    assert "residual 0.000000000" in out
+    assert "residual 0.000000000\npruned 0.000000000\n" in out
 
 
 def test_run_omega_timeout_note():

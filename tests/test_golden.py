@@ -13,9 +13,13 @@ every runnable program, each sorted ``canonical_key`` of
 ``repr``, which covers the linking and the rounded amplitudes of up to 2^18
 entries) with its probability, and the blocked and residual mass and steps
 used; the halting mass and ``is_finitary`` of the
-first fifty finitary fuzz programs; and ``is_finitary`` and the pretty-printed
-``lower_approximant(t, 3)`` of the first thirty letrec fuzz programs.  Keys
-and text must match exactly, masses to 1e-12.
+first fifty finitary fuzz programs; ``is_finitary`` and the pretty-printed
+``lower_approximant(t, 3)`` of the first thirty letrec fuzz programs; and the
+traces of ``sample(load(p), seed)`` for seeds 0..9 of four programs, each step
+as its rule, probability, qubit count and ``pretty(alpha_canonical(term))``
+(bound names are not frozen, free qubit names are), plus the final term and
+the timeout flag.  Keys and text must match exactly, masses and step
+probabilities to 1e-12.
 
 ``qlist`` and ``qlist-run`` are left out at the default bounds
 (``list_max=4, bang_max=2``): denoting ``qlist-run`` there needs more memory
@@ -54,6 +58,8 @@ N_SCALAR_SEEDS = 50
 MACHINE_PROGRAMS = PROGRAM_NAMES + ["qlist", "qlist-run"]
 MACHINE_STEPS = 200
 N_LETREC_SEEDS = 30
+SAMPLE_PROGRAMS = ["teleport-roundtrip", "teleport-applied", "cointoss", "entangle"]
+N_SAMPLE_SEEDS = 10
 
 S2 = C.PermGroup(2, ((0, 1), (1, 0)))
 # a 2-dim web with group S2, and a mixed 2-dim (with S2) + 1-dim web
@@ -114,10 +120,27 @@ def _letrec(seed: int) -> list:
     return [A.is_finitary(term), S.pretty(S.lower_approximant(term, 3))]
 
 
+def _canon_text(term: S.Term) -> str:
+    return S.pretty(S.alpha_canonical(term))
+
+
+def _samples(name: str) -> list:
+    term = P.parse_term((PROGRAMS / f"{name}.qlam").read_text())
+    out = []
+    for seed in range(N_SAMPLE_SEEDS):
+        trace = M.sample(M.load(term), seed)
+        out.append({"steps": [[rule, prob, c.num_qubits, _canon_text(c.term)]
+                              for rule, prob, c in trace.steps],
+                    "final": _canon_text(trace.final.term),
+                    "timed_out": trace.timed_out})
+    return out
+
+
 def _machine() -> dict:
     return {"programs": {n: _evaluation(n) for n in MACHINE_PROGRAMS},
             "finitary": [_finitary(s) for s in range(N_SCALAR_SEEDS)],
-            "letrec": [_letrec(s) for s in range(N_LETREC_SEEDS)]}
+            "letrec": [_letrec(s) for s in range(N_LETREC_SEEDS)],
+            "samples": {n: _samples(n) for n in SAMPLE_PROGRAMS}}
 
 
 CASES = _cases()
@@ -169,6 +192,19 @@ def test_golden_letrec_approximants():
     assert len(golden) == N_LETREC_SEEDS
     for seed, want in enumerate(golden):
         assert _letrec(seed) == want, seed
+
+
+@pytest.mark.parametrize("name", SAMPLE_PROGRAMS)
+def test_golden_sample_traces(name):
+    golden = _golden_machine()["samples"][name]
+    assert len(golden) == N_SAMPLE_SEEDS
+    for seed, (want, got) in enumerate(zip(golden, _samples(name))):
+        assert len(got["steps"]) == len(want["steps"]), seed
+        for i, ((r, p, n, text), (r2, p2, n2, text2)) in enumerate(
+                zip(want["steps"], got["steps"])):
+            assert (r2, n2, text2) == (r, n, text), (seed, i)
+            assert abs(p - p2) <= TOL, (seed, i)
+        assert (got["final"], got["timed_out"]) == (want["final"], want["timed_out"]), seed
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qlam.adequacy as A
 import qlam.machine as M
 import qlam.parser as P
 import qlam.qstate as Q
@@ -152,3 +153,27 @@ def test_monotone_in_max_steps():
         dist = M.evaluate(M.load(term), max_steps=ms)
         assert dist.halt_mass >= prev - 1e-12
         prev = dist.halt_mass
+
+
+def _total_mass(dist) -> float:
+    return dist.halt_mass + dist.blocked + dist.residual + dist.pruned
+
+
+def test_pruned_branches_are_accounted():
+    # the tt branch of the measurement has probability 1e-13 <= prune_eps
+    s = 1e-13 ** 0.5
+    c = (1 - 1e-13) ** 0.5
+    term = P.parse_term(
+        f"if meas (#U[[{c!r},{-s!r}],[{s!r},{c!r}]] (new ff)) then omega[unit] else ()")
+    dist = M.evaluate(M.load(term))
+    assert dist.blocked == 0.0 and dist.residual == 0.0
+    assert dist.pruned == pytest.approx(1e-13, rel=1e-6)
+    assert _total_mass(dist) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_four_masses_sum_to_one():
+    terms = [A.random_finitary_program(seed, 10) for seed in range(50)]
+    terms += [S.lower_approximant(A.random_letrec_program(seed), 3) for seed in range(30)]
+    for i, term in enumerate(terms):
+        dist = M.evaluate(M.load(term), max_steps=2000)
+        assert abs(_total_mass(dist) - 1.0) <= 1e-12, i

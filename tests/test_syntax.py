@@ -1,5 +1,6 @@
-"""AST, desugaring, substitution, pretty-printer round-trips."""
+"""AST, desugaring, substitution, free-variable caching, pretty-printer round-trips."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlam.adequacy as A
 import qlam.machine as M
 import qlam.parser as P
 import qlam.qstate as Q
@@ -46,9 +48,18 @@ def test_subst_renaming():
 def test_subst_capture_avoiding():
     # (lam y. x){y/x} must rename the bound y
     t = S.subst(S.Abs("y", S.QUBIT, S.Var("x")), "x", S.Var("y"))
-    assert isinstance(t, S.Abs)
-    assert t.var != "y"
-    assert t.body == S.Var("y")
+    assert t == S.Abs("y#1", S.QUBIT, S.Var("y"))
+    # both binders of a pair pattern
+    yz = S.Pair(S.Var("y"), S.Var("z"))
+    t = S.subst(S.LetPair("y", S.UNIT, "z", S.UNIT, S.Var("s"), S.Pair(S.Var("x"), yz)), "x", yz)
+    assert t == S.LetPair("y#1", S.UNIT, "z#1", S.UNIT, S.Var("s"),
+                          S.Pair(yz, S.Pair(S.Var("y#1"), S.Var("z#1"))))
+    # the recursive binder, renamed in the body and the continuation alike
+    loop = S.LetRec("f", S.UNIT, S.UNIT, "u", S.Pair(S.Var("x"), S.Var("f")),
+                    S.App(S.Var("f"), S.Var("x")))
+    assert S.subst(loop, "x", S.Var("f")) == S.LetRec(
+        "f#1", S.UNIT, S.UNIT, "u", S.Pair(S.Var("f"), S.Var("f#1")),
+        S.App(S.Var("f#1"), S.Var("f")))
 
 
 def test_subst_free_var_equation():
@@ -56,6 +67,114 @@ def test_subst_free_var_equation():
     v = S.Pair(S.Var("a"), S.Var("b"))
     out = S.subst(m, "x", v)
     assert S.free_vars(out) == (S.free_vars(m) - {"x"}) | S.free_vars(v)
+
+
+def _reference_free_vars(m: S.Term) -> set:
+    """Free variables recomputed from scratch, reading no cached set."""
+    match m:
+        case S.Var(x):
+            return {x}
+        case S.Abs(x, _, b):
+            return _reference_free_vars(b) - {x}
+        case S.LetPair(x, _, y, _, s, b):
+            return _reference_free_vars(s) | (_reference_free_vars(b) - {x, y})
+        case S.Match(s, x, _, lb, y, _, rb):
+            return (_reference_free_vars(s) | (_reference_free_vars(lb) - {x})
+                    | (_reference_free_vars(rb) - {y}))
+        case S.LetRec(f, _, _, x, body, cont, _):
+            return (_reference_free_vars(body) - {f, x}) | (_reference_free_vars(cont) - {f})
+    return set().union(*map(_reference_free_vars, S.subterms(m)))
+
+
+def _all_subterms(m: S.Term):
+    yield m
+    for u in S.subterms(m):
+        yield from _all_subterms(u)
+
+
+def _fuzz_terms() -> list:
+    return ([A.random_finitary_program(seed, 10) for seed in range(20)]
+            + [S.lower_approximant(A.random_letrec_program(seed), 3) for seed in range(10)])
+
+
+def _reached_terms(term: S.Term, limit: int = 500) -> list:
+    """The terms of the closures reached from ``load(term)``, as ``evaluate`` walks them."""
+    frontier, seen = [M.load(term)], []
+    while frontier and len(seen) < limit:
+        c = frontier.pop()
+        seen.append(c.term)
+        frontier.extend(s.closure for s in M.step(c))
+    return seen
+
+
+def test_cached_free_vars_match_reference():
+    for term in _fuzz_terms():
+        for reached in [term] + _reached_terms(term):
+            for u in _all_subterms(reached):
+                assert S.free_vars(u) == _reference_free_vars(u), S.pretty(u)
+
+
+def test_subst_shares_subterms_without_the_variable():
+    for term in _fuzz_terms():
+        for u in _all_subterms(term):
+            assert S.subst(u, "absent", S.Var("y")) is u
+    big = S.Abs("y", S.QUBIT, S.Pair(S.Var("y"), S.Var("z")))
+    m = S.Pair(S.Var("x"), big)
+    out = S.subst(m, "x", S.Var("y"))
+    assert out == S.Pair(S.Var("y"), big) and out.right is big
+    # x is bound in the left arm only: that arm is shared, the right rebuilt
+    arms = S.Match(S.Var("c"), "x", S.UNIT, big, "w", S.UNIT, S.Var("x"))
+    out = S.subst(arms, "x", S.UnitVal())
+    assert out.lbody is big and out.rbody == S.UnitVal()
+
+
+def test_rebuilt_nodes_carry_no_stale_free_vars():
+    m = S.Abs("y", S.QUBIT, S.Pair(S.Var("x"), S.Var("y")))
+    assert S.free_vars(m) == {"x"} and S.free_vars(m.body) == {"x", "y"}
+    assert S.free_vars(replace(m, var="x")) == {"y"}
+    assert S.free_vars(replace(m.body, left=S.Var("z"))) == {"z", "y"}
+    swapped = S.map_subterms(m.body, lambda t: S.Var("w") if t == S.Var("x") else t)
+    assert S.free_vars(swapped) == {"w", "y"}
+    assert S.free_vars(S.map_subterms(m, lambda t: swapped)) == {"w"}
+    assert S.free_vars(S.subst(m, "x", S.Var("v"))) == {"v"}
+
+
+def _binder_names(m: S.Term) -> set:
+    names = set()
+    for u in _all_subterms(m):
+        match u:
+            case S.Abs(x, _, _):
+                names.add(x)
+            case S.LetPair(x, _, y, _, _, _) | S.Match(_, x, _, _, y, _, _):
+                names |= {x, y}
+            case S.LetRec(f, _, _, x, _, _, _):
+                names |= {f, x}
+    return names
+
+
+def _naive_subst(m: S.Term, x: str, v: S.Term) -> S.Term:
+    # correct only when no binder of m is named x or like a free name of v
+    return v if m == S.Var(x) else S.map_subterms(m, lambda t: _naive_subst(t, x, v))
+
+
+def test_subst_agrees_with_substitution_after_renaming_every_binder():
+    # substitute, for the variable of each binder, a value whose free names
+    # are the names of every binder in the body, so that each one captures
+    checked = 0
+    for term in _fuzz_terms():
+        for u in _all_subterms(term):
+            if not isinstance(u, S.Abs) or u.var not in S.free_vars(u.body):
+                continue
+            names = sorted(_binder_names(u.body)) or ["z"]
+            v = S.Var(names[0])
+            for name in names[1:]:
+                v = S.Pair(v, S.Var(name))
+            got = S.subst(u.body, u.var, v)
+            want = _naive_subst(S.alpha_canonical(u.body), u.var, v)
+            assert S.alpha_canonical(got) == S.alpha_canonical(want), S.pretty(u)
+            assert S.free_vars(got) == _reference_free_vars(got)
+            checked += 1
+    assert checked > 50
 
 
 def test_gate_validation():
@@ -165,6 +284,17 @@ def terms(draw, depth=3):
     if kind == 3:
         return S.LetUnit(draw(terms(depth=depth - 1)), draw(terms(depth=depth - 1)))
     return S.InL(draw(terms(depth=depth - 1)), ann=S.BIT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), st.sampled_from(["x", "y"]))
+def test_subst_and_free_vars_on_random_terms(term, x):
+    v = S.Pair(S.Var("y"), S.Var("z"))
+    out = S.subst(term, x, v)
+    assert S.free_vars(term) == _reference_free_vars(term)
+    assert S.free_vars(out) == _reference_free_vars(out)
+    want = _naive_subst(S.alpha_canonical(term), x, v)
+    assert S.alpha_canonical(out) == S.alpha_canonical(want)
 
 
 @settings(max_examples=200, deadline=None)
