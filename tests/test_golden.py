@@ -4,8 +4,9 @@ Refactors of ``cpm`` and ``denote`` must reproduce every morphism file under
 ``tests/golden/`` to 1e-12 in the entrywise max norm (``cpm.diff_entries``).
 The corpus covers the runnable programs at the default truncation, the qlist
 denotation at small bounds, the exponential's structural maps on webs with a
-nontrivial group and with mixed dimensions, and the scalar denotations of the
-first fifty finitary fuzz programs.
+nontrivial group and with mixed dimensions, the compact-closure, list,
+biproduct and distributor maps and their inverses on the same two webs, and
+the scalar denotations of the first fifty finitary fuzz programs.
 
 Refactors of ``syntax`` and ``machine`` must reproduce ``machine.json``: for
 every runnable program, each sorted ``canonical_key`` of
@@ -89,6 +90,16 @@ def _cases() -> dict:
         cases[f"digging-{w}-K2"] = lambda a=a: C.digging(a, 2)
         cases[f"bierman_tensor-{w}-K2"] = lambda a=a: C.bierman_tensor(a, a, 2)
         cases[f"assoc_right-{w}"] = lambda a=a: C.assoc_right(a, a, a)
+        cases[f"eta-{w}"] = lambda a=a: C.eta(a)
+        cases[f"epsilon-{w}"] = lambda a=a: C.epsilon(a)
+        cases[f"list_roll-{w}-L2"] = lambda a=a: C.list_roll(a, 2)
+        cases[f"list_unroll-{w}-L2"] = lambda a=a: C.list_unroll(a, 2)
+        cases[f"injection-{w}"] = lambda a=a: C.injection((C.QUBIT_OBJ, a), 1)
+        cases[f"projection-{w}"] = lambda a=a: C.projection((C.QUBIT_OBJ, a), 1)
+        cases[f"distribute_left-{w}"] = (
+            lambda a=a: C.distribute_left(a, (WEBS["d2s"], WEBS["mixed"])))
+        cases[f"undistribute_left-{w}"] = (
+            lambda a=a: C.undistribute_left(a, (WEBS["d2s"], WEBS["mixed"])))
     cases["bierman_tensor-d2s-mixed-K2"] = (
         lambda: C.bierman_tensor(WEBS["d2s"], WEBS["mixed"], 2))
     return cases
