@@ -10,7 +10,6 @@ the serialized morphism.  Exit codes: 0 success, 1 type/semantic error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import adequacy as A
@@ -28,12 +27,10 @@ def _load_term(path: str) -> S.Term:
 
 
 def _trunc_config(args) -> D.TruncationConfig:
-    tol = float(os.environ.get("QLAM_TOL", D.DEFAULT_CONFIG.matrix_tol))
     return D.TruncationConfig(
         list_max=args.list_max,
         bang_max=args.bang_max,
         fix_iters=args.fix_iters,
-        matrix_tol=tol,
     )
 
 

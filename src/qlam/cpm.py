@@ -8,6 +8,12 @@ matrices acting on column-major vectorizations, stored dense or as scipy
 sparse arrays (relabellings, identities, eta and epsilon are built
 sparse), and morphism families are sparse: absent entries are zero.
 
+The inverse structural maps are transposes (:meth:`Morphism.transpose`):
+epsilon of eta, as the counit of a compact closed category is the transpose
+of its unit, and projection of injection, list_unroll of list_roll and
+undistribute_left of distribute_left, whose entries are symmetric
+group-average channels, so that there the transpose only reverses the keys.
+
 Every structural map is a relabelling of basis indices averaged over the
 group actions.  A relabelling is an index array ``tau`` with
 ``tau[in_flat] = out_flat`` over mixed-radix digits, the last digit
@@ -26,13 +32,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
 
 DROP_EPS = 1e-12  # entries below this sup-norm are dropped from families
+GROUP_CAP = 5040  # largest materialized permutation group
 MAGNITUDE_BOUND = 1e12
 
 
@@ -191,12 +198,6 @@ class PermGroup:
     def trivial(degree: int) -> "PermGroup":
         return PermGroup(degree, (tuple(range(degree)),))
 
-    @staticmethod
-    def symmetric(k: int, cap: int | None = None) -> "PermGroup":
-        if cap is not None and math.factorial(k) > cap:
-            raise GroupTooLargeError(f"S_{k} exceeds cap {cap}")
-        return PermGroup(k, tuple(sorted(itertools.permutations(range(k)))))
-
     @property
     def order(self) -> int:
         return len(self.perms)
@@ -222,34 +223,26 @@ def _product_group(g1: PermGroup, g2: PermGroup) -> PermGroup:
     return PermGroup(d1 * d2, tuple(sorted(perms)))
 
 
-@lru_cache(maxsize=256)
-def _group_channel_sparse(group: PermGroup):
-    """The group-average channel as a sparse symmetric matrix on vec space."""
+@lru_cache(maxsize=4096)
+def group_channel(group: PermGroup):
+    """The group-average channel (a sparse symmetric idempotent superoperator)."""
     dd = group.degree * group.degree
+    if group.is_trivial:
+        return sparse.eye_array(dd, dtype=complex, format="csr")
     idx = _group_vec_indices(group)  # (order, dd); row a of S_g has its 1 at idx[g, a]
     rows = np.tile(np.arange(dd), group.order)
-    cols = idx.reshape(-1)
-    data = np.full(rows.shape, 1.0 / group.order)
-    return sparse.csr_array((data.astype(complex), (rows, cols)), shape=(dd, dd))
+    data = np.full(rows.shape, 1.0 / group.order, dtype=complex)
+    return sparse.csr_array((data, (rows, idx.reshape(-1))), shape=(dd, dd))
 
 
-def average_pre(s: np.ndarray, group: PermGroup) -> np.ndarray:
-    """s composed after the group-average channel of the source."""
-    if group.is_trivial:
-        return s
-    chan = _group_channel_sparse(group)
-    # the channel is symmetric, so s @ chan == (chan @ s.T).T
-    out = (chan @ s.T).T
-    return out if sparse.issparse(out) else np.asarray(out)
-
-
-def average_post(s: np.ndarray, group: PermGroup) -> np.ndarray:
-    """the group-average channel of the target composed after s."""
-    if group.is_trivial:
-        return s
-    chan = _group_channel_sparse(group)
-    out = chan @ s
-    return out if sparse.issparse(out) else np.asarray(out)
+def average(s, g_src: PermGroup, g_dst: PermGroup):
+    """s between the group-average channels of the source and the target."""
+    if not g_src.is_trivial:
+        # the channel is symmetric, so s @ chan == (chan @ s.T).T
+        s = (group_channel(g_src) @ s.T).T
+    if not g_dst.is_trivial:
+        s = group_channel(g_dst) @ s
+    return s if sparse.issparse(s) else np.asarray(s)
 
 
 def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
@@ -260,7 +253,7 @@ def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
     s = sparse.csr_array(
         (np.ones(dd, dtype=complex), _vec_gather(tau), np.arange(dd + 1)), shape=(dd, dd)
     )
-    return average_post(average_pre(s, g_src), g_dst)
+    return average(s, g_src, g_dst)
 
 
 def group_average(group: PermGroup, x: np.ndarray) -> np.ndarray:
@@ -268,14 +261,6 @@ def group_average(group: PermGroup, x: np.ndarray) -> np.ndarray:
     v = vec(np.asarray(x, dtype=complex))
     idx = _group_vec_indices(group)
     return unvec(v[idx].mean(axis=0), group.degree)
-
-
-@lru_cache(maxsize=4096)
-def group_channel(group: PermGroup):
-    """The group-average channel (a sparse idempotent superoperator)."""
-    if group.is_trivial:
-        return sparse.eye_array(group.degree ** 2, dtype=complex, format="csr")
-    return _group_channel_sparse(group)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +396,12 @@ class Morphism:
             entries[k] = entries[k] + v if k in entries else v
         return Morphism(self.src, self.dst, entries)
 
+    def transpose(self) -> "Morphism":
+        """B -> A with every key reversed and every entry transposed."""
+        entries = {(lb, la): s.T.tocsr() if sparse.issparse(s) else s.T
+                   for (la, lb), s in self.entries.items()}
+        return Morphism(self.dst, self.src, entries)
+
     def scale(self, c: float) -> "Morphism":
         return Morphism(self.src, self.dst, {k: c * v for k, v in self.entries.items()})
 
@@ -421,12 +412,9 @@ class Morphism:
             worst = max(worst, _maxabs(self.entry(la, lb) - other.entry(la, lb)))
         return worst
 
-    def approx_eq(self, other: "Morphism", tol: float = 1e-9) -> bool:
-        return self.sup_distance(other) <= tol
-
     def is_invariant(self, tol: float = 1e-9) -> bool:
         for (la, lb), s in self.entries.items():
-            avg = average_post(average_pre(s, self.src.group(la)), self.dst.group(lb))
+            avg = average(s, self.src.group(la), self.dst.group(lb))
             if _maxabs(avg - s) > tol:
                 return False
         return True
@@ -484,11 +472,7 @@ def injection(parts, i: int) -> Morphism:
 
 
 def projection(parts, i: int) -> Morphism:
-    bp = biproduct(parts)
-    entries = {}
-    for l, d, g in parts[i].elems:
-        entries[(("inj", i, l), l)] = group_channel(g)
-    return Morphism(bp, parts[i], entries)
+    return injection(parts, i).transpose()
 
 
 def cotuple(parts, morphisms) -> Morphism:
@@ -517,10 +501,7 @@ def distribute_left(a: CpmObject, parts) -> Morphism:
 
 
 def undistribute_left(a: CpmObject, parts) -> Morphism:
-    # the distributor is a label retag with identical channels, so its
-    # inverse reuses each entry with the key reversed
-    d = distribute_left(a, parts)
-    return Morphism(d.dst, d.src, {(lb, la): s for (la, lb), s in d.entries.items()})
+    return distribute_left(a, parts).transpose()
 
 
 # structural (permutation) morphisms ----------------------------------------
@@ -655,28 +636,8 @@ def eta(a: CpmObject) -> Morphism:
 
 @lru_cache(maxsize=512)
 def epsilon(a: CpmObject) -> Morphism:
-    """A (x) A -> 1: E_ij (x) E_i'j' goes to (1/#G^2) sum_{g,g'} [g i = g' i'][g j = g' j']."""
-    src = tensor_obj(a, a)
-    entries = {}
-    for l, d, g in a.elems:
-        row = np.zeros((1, (d * d) ** 2), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                for i2 in range(d):
-                    for j2 in range(d):
-                        val = 0.0
-                        for gp in g.perms:
-                            for gq in g.perms:
-                                if gp[i] == gq[i2] and gp[j] == gq[j2]:
-                                    val += 1.0
-                        if val:
-                            # the coefficient of E_ij (x) E_i'j' sits at
-                            # matrix position (i*d+i', j*d+j') in vec order
-                            r = i * d + i2
-                            c = j * d + j2
-                            row[0, r + c * d * d] += val / (g.order * g.order)
-        entries[(("pair", l, l), STAR)] = sparse.csr_array(row)
-    return Morphism(src, UNIT_OBJ, entries)
+    """A (x) A -> 1: the transpose of eta."""
+    return eta(a).transpose()
 
 
 def curry(f: Morphism, c: CpmObject, a: CpmObject, b: CpmObject) -> Morphism:
@@ -740,18 +701,7 @@ def list_roll(a: CpmObject, list_max: int) -> Morphism:
 @lru_cache(maxsize=512)
 def list_unroll(a: CpmObject, list_max: int) -> Morphism:
     """A^list -> 1 (+) (A (x) A^list); total (the roll is its one-sided inverse)."""
-    lst = list_obj(a, list_max)
-    dst = biproduct([UNIT_OBJ, tensor_obj(a, lst)])
-    entries = {}
-    entries[(("inj", 0, STAR), ("inj", 0, STAR))] = np.eye(1, dtype=complex)
-    for n in range(1, list_max + 1):
-        for la, da, ga in a.elems:
-            for lw, dw, gw in tensor_power(a, n - 1).elems:
-                src_label = ("inj", n, ("pair", la, lw))
-                dst_label = ("inj", 1, ("pair", la, ("inj", n - 1, lw)))
-                g = ga.product(gw)
-                entries[(src_label, dst_label)] = group_channel(g)
-    return Morphism(lst, dst, entries)
+    return list_roll(a, list_max).transpose()
 
 
 # symmetric powers and the exponential ---------------------------------------
@@ -762,7 +712,7 @@ def _mset(labels) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def sym_power(a: CpmObject, k: int, cap: int = 5040) -> CpmObject:
+def sym_power(a: CpmObject, k: int) -> CpmObject:
     """k-th symmetric power: multisets of labels with wreath-product groups."""
     elems = []
     for combo in itertools.combinations_with_replacement(sorted(a.labels()), k):
@@ -770,7 +720,7 @@ def sym_power(a: CpmObject, k: int, cap: int = 5040) -> CpmObject:
         dim = 1
         for l in mu:
             dim *= a.dim(l)
-        group = _wreath_group(a, mu, cap)
+        group = _wreath_group(a, mu)
         elems.append((("mset", mu), dim, group))
     return CpmObject(tuple(elems))
 
@@ -782,12 +732,12 @@ def _mult(mu: tuple) -> dict:
     return out
 
 
-def _wreath_group(a: CpmObject, mu: tuple, cap: int) -> PermGroup:
+def _wreath_group(a: CpmObject, mu: tuple) -> PermGroup:
     """Permutations of mu-indexed digit tuples: permute equal-label copies
     and act with the per-copy groups.
 
     Labels of dimension 1 contribute nothing to the action and are skipped,
-    so only the effective part of the multiset counts against the cap.
+    so only the effective part of the multiset counts against ``GROUP_CAP``.
     """
     dims = [a.dim(l) for l in mu]
     total = 1
@@ -801,8 +751,8 @@ def _wreath_group(a: CpmObject, mu: tuple, cap: int) -> PermGroup:
     order = 1
     for l, m in mult.items():
         order *= math.factorial(m) * (a.group(l).order ** m)
-    if order > cap:
-        raise GroupTooLargeError(f"wreath group of {mu} has order {order} > cap {cap}")
+    if order > GROUP_CAP:
+        raise GroupTooLargeError(f"wreath group of {mu} has order {order} > cap {GROUP_CAP}")
 
     # slots of each effective label, in mu (sorted) order
     slots = {}
@@ -832,11 +782,11 @@ def _wreath_group(a: CpmObject, mu: tuple, cap: int) -> PermGroup:
 
 
 @lru_cache(maxsize=1024)
-def bang_obj(a: CpmObject, bang_max: int, cap: int = 5040) -> CpmObject:
+def bang_obj(a: CpmObject, bang_max: int) -> CpmObject:
     """!A truncated at multiset cardinality bang_max."""
     elems = []
     for k in range(bang_max + 1):
-        for l, d, g in sym_power(a, k, cap).elems:
+        for l, d, g in sym_power(a, k).elems:
             elems.append((("mset", l[1]), d, g))
     return CpmObject(tuple(elems))
 
@@ -858,16 +808,16 @@ def _reindex_channel(a: CpmObject, mu: tuple, seq, group_src: PermGroup, group_d
 
 
 @lru_cache(maxsize=512)
-def weakening(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
+def weakening(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> 1, supported on the empty multiset."""
-    bang = bang_obj(a, bang_max, cap)
+    bang = bang_obj(a, bang_max)
     return Morphism(bang, UNIT_OBJ, {(("mset", ()), STAR): np.eye(1, dtype=complex)})
 
 
 @lru_cache(maxsize=512)
-def dereliction(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
+def dereliction(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> A, supported on singleton multisets."""
-    bang = bang_obj(a, bang_max, cap)
+    bang = bang_obj(a, bang_max)
     entries = {}
     if bang_max >= 1:
         for l, d, g in a.elems:
@@ -876,9 +826,9 @@ def dereliction(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
 
 
 @lru_cache(maxsize=512)
-def contraction(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
+def contraction(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> !A (x) !A, summing over all splits of each multiset."""
-    bang = bang_obj(a, bang_max, cap)
+    bang = bang_obj(a, bang_max)
     dst = tensor_obj(bang, bang)
     entries = {}
     for lmu, dmu, gmu in bang.elems:
@@ -904,14 +854,14 @@ def contraction(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
 
 
 @lru_cache(maxsize=512)
-def digging(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
+def digging(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> !!A; a multiset of multisets receives their multiset union.
 
     The exponent is read multiplicatively: the union counts each inner
     multiset as many times as it occurs.
     """
-    bang = bang_obj(a, bang_max, cap)
-    bb = bang_obj(bang, bang_max, cap)
+    bang = bang_obj(a, bang_max)
+    bb = bang_obj(bang, bang_max)
     entries = {}
     for lM, dM, gM in bb.elems:
         msets = lM[1]  # tuple of ("mset", mu) labels
@@ -930,11 +880,11 @@ def digging(a: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
     return Morphism(bang, bb, entries)
 
 
-def promotion(f: Morphism, bang_max: int, cap: int = 5040) -> Morphism:
+def promotion(f: Morphism, bang_max: int) -> Morphism:
     """!f : !A -> !B from f : A -> B, acting multiset-pointwise."""
     a, b = f.src, f.dst
-    banga = bang_obj(a, bang_max, cap)
-    bangb = bang_obj(b, bang_max, cap)
+    banga = bang_obj(a, bang_max)
+    bangb = bang_obj(b, bang_max)
     entries = {}
     src_labels = sorted({la for la, _ in f.entries})
     for lnu, dnu, gnu in bangb.elems:
@@ -953,18 +903,19 @@ def promotion(f: Morphism, bang_max: int, cap: int = 5040) -> Morphism:
             lmu = ("mset", mu)
             # reorder source digits from mu order into seq order, then apply
             # the blockwise tensor, then average into the target symmetry
-            pre = _reindex_channel(a, mu, seq, banga.group(lmu), PermGroup.trivial(banga.dim(lmu)))
+            triv = PermGroup.trivial(banga.dim(lmu))
+            pre = _reindex_channel(a, mu, seq, banga.group(lmu), triv)
             block = reduce(so_tensor, blocks)
-            s = average_post(block @ pre, gnu)
+            s = average(block @ pre, triv, gnu)
             key = (lmu, lnu)
             entries[key] = entries.get(key, 0) + s
     return Morphism(banga, bangb, entries)
 
 
 @lru_cache(maxsize=512)
-def bierman_unit(bang_max: int, cap: int = 5040) -> Morphism:
+def bierman_unit(bang_max: int) -> Morphism:
     """m1 : 1 -> !1; hits the k-fold multiset of the unit label for every k."""
-    bang = bang_obj(UNIT_OBJ, bang_max, cap)
+    bang = bang_obj(UNIT_OBJ, bang_max)
     entries = {}
     for k in range(bang_max + 1):
         entries[(STAR, ("mset", (STAR,) * k))] = np.eye(1, dtype=complex)
@@ -972,17 +923,17 @@ def bierman_unit(bang_max: int, cap: int = 5040) -> Morphism:
 
 
 @lru_cache(maxsize=512)
-def bierman_tensor(a: CpmObject, b: CpmObject, bang_max: int, cap: int = 5040) -> Morphism:
+def bierman_tensor(a: CpmObject, b: CpmObject, bang_max: int) -> Morphism:
     """m(x) : !A (x) !B -> !(A (x) B).
 
     The target multiset eta determines the sources as its two projections;
     the entry matches the canonical label-respecting pairing of copies,
     averaged by all three symmetries.
     """
-    banga = bang_obj(a, bang_max, cap)
-    bangb = bang_obj(b, bang_max, cap)
+    banga = bang_obj(a, bang_max)
+    bangb = bang_obj(b, bang_max)
     ab = tensor_obj(a, b)
-    bangab = bang_obj(ab, bang_max, cap)
+    bangab = bang_obj(ab, bang_max)
     src = tensor_obj(banga, bangb)
     entries = {}
     for leta, deta, geta in bangab.elems:
@@ -1086,10 +1037,10 @@ def diff_entries(a: dict, b: dict) -> dict:
             d = _maxabs(y)
         elif y is None:
             d = _maxabs(x)
-        elif _dense(x).shape != _dense(y).shape:
+        elif x.shape != y.shape:
             d = float("inf")
         else:
-            d = float(np.max(np.abs(_dense(x) - _dense(y)))) if _dense(x).size else 0.0
+            d = _maxabs(_dense(x) - _dense(y))
         report[key] = d
         worst = max(worst, d)
     report[None] = worst

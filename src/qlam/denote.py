@@ -12,7 +12,7 @@ explicitly iterated fixpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +32,12 @@ class TruncationConfig:
     bang_max: int = 2          # K: multiset cardinalities 0..K
     fix_iters: int = 64        # N: fixpoint iteration cap
     fix_tol: float = 1e-10     # fixpoint convergence threshold (sup norm)
-    matrix_tol: float = 1e-9   # comparison tolerance for clients
-    group_cap: int = 5040      # largest materialized permutation group
 
     def __post_init__(self):
         if min(self.list_max, self.bang_max, self.fix_iters) < 0:
             raise DenotationError("truncation bounds must be nonnegative")
-        if self.fix_tol <= 0 or self.matrix_tol <= 0:
-            raise DenotationError("tolerances must be positive")
+        if self.fix_tol <= 0:
+            raise DenotationError("fix_tol must be positive")
 
 
 DEFAULT_CONFIG = TruncationConfig()
@@ -48,19 +46,8 @@ DEFAULT_CONFIG = TruncationConfig()
 # ---------------------------------------------------------------------------
 # types
 
-_TYPE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def denote_type(t: S.Type, cfg: TruncationConfig = DEFAULT_CONFIG) -> CpmObject:
-    key = (t, cfg)
-    obj = _TYPE_CACHE.get(key)
-    if obj is None:
-        obj = _denote_type(t, cfg)
-        _TYPE_CACHE[key] = obj
-    return obj
-
-
-def _denote_type(t: S.Type, cfg: TruncationConfig) -> CpmObject:
     match t:
         case S.QubitT():
             return C.QUBIT_OBJ
@@ -71,7 +58,7 @@ def _denote_type(t: S.Type, cfg: TruncationConfig) -> CpmObject:
             return C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
         case S.BangArrow(a, b):
             hom = C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
-            return C.bang_obj(hom, cfg.bang_max, cfg.group_cap)
+            return C.bang_obj(hom, cfg.bang_max)
         case S.TensorT(a, b):
             return C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
         case S.SumT(a, b):
@@ -116,7 +103,6 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
             counts[x] += 1
 
     # per-variable block morphisms, tensored in context order
-    blocks = []       # morphisms
     shapes = []       # leaf shapes of each block's destination
     leaf_objs = {}
     mor = None
@@ -130,14 +116,14 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
         elif n == 0:
             if not S.is_exponential(t):
                 raise DenotationError(f"cannot weaken linear variable {x}")
-            f = C.weakening(_hom_of_bang(t, cfg), cfg.bang_max, cfg.group_cap)
+            f = C.weakening(_hom_of_bang(t, cfg), cfg.bang_max)
             shapes.append(f"{x}#w")
             leaf_objs[f"{x}#w"] = C.UNIT_OBJ
         else:
             if not S.is_exponential(t):
                 raise DenotationError(f"cannot contract linear variable {x}")
             hom = _hom_of_bang(t, cfg)
-            contr = C.contraction(hom, cfg.bang_max, cfg.group_cap)
+            contr = C.contraction(hom, cfg.bang_max)
             # iterated contraction, left-nested: ((!H (x) !H) (x) !H) ...
             f = contr
             for _ in range(n - 2):
@@ -148,7 +134,6 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
             shapes.append(shape)
             for j in range(n):
                 leaf_objs[f"{x}#{j}"] = obj
-        blocks.append(f)
         mor = f if mor is None else mor.tensor(f)
 
     src_after = _nest(shapes)
@@ -236,9 +221,9 @@ def _curry_const(f: Morphism, a: CpmObject, b: CpmObject) -> Morphism:
 
 def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
     """``[[ctx]] -> !H`` from ``g : [[ctx]] -> H`` (ctx all-exponential)."""
-    K, cap = cfg.bang_max, cfg.group_cap
+    K = cfg.bang_max
     if not ctx:
-        return C.bierman_unit(K, cap).compose(C.promotion(g, K, cap))
+        return C.bierman_unit(K).compose(C.promotion(g, K))
     bases = []
     digs = None
     for x, t in ctx:
@@ -246,20 +231,20 @@ def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
             raise DenotationError(f"promotion under linear binding {x}")
         base = denote_type(t, cfg)  # already a ! object
         hom = _hom_of_bang(t, cfg)
-        d = C.digging(hom, K, cap)
+        d = C.digging(hom, K)
         bases.append(base)
         digs = d if digs is None else digs.tensor(d)
     mor = digs
     cur = bases[0]
     for i in range(1, len(bases)):
-        m = C.bierman_tensor(cur, bases[i], K, cap)
-        rest = [C.bang_obj(b, K, cap) for b in bases[i + 1:]]
+        m = C.bierman_tensor(cur, bases[i], K)
+        rest = [C.bang_obj(b, K) for b in bases[i + 1:]]
         lift = m
         for r in rest:
             lift = lift.tensor(C.identity(r))
         mor = mor.compose(lift)
         cur = C.tensor_obj(cur, bases[i])
-    return mor.compose(C.promotion(g, K, cap))
+    return mor.compose(C.promotion(g, K))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +275,7 @@ def fixpoint_iterate(exp_ctx: T.Ctx, chi: Morphism, bang_hom: CpmObject,
         else:
             nxt = f.compose(chi)
         if bound is None:
-            if not f.loewner_leq(nxt, cfg.matrix_tol):
+            if not f.loewner_leq(nxt):
                 raise C.NonMonotoneIteration("fixpoint iteration is not Löwner-increasing")
             if nxt.sup_distance(f) <= cfg.fix_tol:
                 return nxt
@@ -316,7 +301,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             t = T.ctx_lookup(ctx, x)
             hom = _hom_of_bang(t, cfg)
             return route(ctx, [((x, t),)], cfg).compose(
-                C.dereliction(hom, cfg.bang_max, cfg.group_cap)
+                C.dereliction(hom, cfg.bang_max)
             )
 
         case "ascribe":

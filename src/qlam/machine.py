@@ -345,12 +345,6 @@ def evaluate(c: Closure, max_steps: int = 10_000, prune_eps: float = 1e-12) -> D
     return dist
 
 
-def halt_probability(c: Closure, max_steps: int = 10_000, prune_eps: float = 1e-12):
-    """Lower bound on the halting probability plus the unresolved residual."""
-    d = evaluate(c, max_steps, prune_eps)
-    return d.halt_mass, d.residual
-
-
 @dataclass
 class Trace:
     steps: list  # list of (rule, prob, Closure)

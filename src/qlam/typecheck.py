@@ -59,10 +59,6 @@ def ctx_lookup(ctx: Ctx, name: str) -> Optional[Type]:
     return None
 
 
-def linear_part(ctx: Ctx) -> Ctx:
-    return tuple((x, t) for x, t in ctx if not is_exponential(t))
-
-
 def exponential_part(ctx: Ctx) -> Ctx:
     return tuple((x, t) for x, t in ctx if is_exponential(t))
 
@@ -81,21 +77,11 @@ def split_ctx(ctx: Ctx, fv_left: frozenset, fv_right: frozenset):
             continue
         in_l, in_r = x in fv_left, x in fv_right
         if in_l and in_r:
-            raise TypingError("LinearVarSharedAcrossSplit", f"linear variable {x} used on both sides of a split")
+            raise TypingError("LinearVarDuplicated", f"linear variable {x} used on both sides of a split")
         if not in_l and not in_r:
             raise TypingError("LinearVarUnused", f"linear variable {x} is never used")
         (left if in_l else right).append((x, t))
     return tuple(left), tuple(right)
-
-
-def _split(ctx: Ctx, fv_left: frozenset, fv_right: frozenset):
-    """Context split as used by the checker; reports duplication as such."""
-    try:
-        return split_ctx(ctx, fv_left, fv_right)
-    except TypingError as e:
-        if e.code == "LinearVarSharedAcrossSplit":
-            raise TypingError("LinearVarDuplicated", e.msg) from None
-        raise
 
 
 def _require_exponential(ctx: Ctx, what: str):
@@ -233,7 +219,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             return Derivation("loli_I", ctx, m, LinArrow(tx, d.type), (d,))
 
         case App(f, a):
-            c1, c2 = _split(ctx, free_vars(f), free_vars(a))
+            c1, c2 = split_ctx(ctx, free_vars(f), free_vars(a))
             df = check(c1, f, None)
             if not isinstance(df.type, LinArrow):
                 raise TypingError(
@@ -245,13 +231,13 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             return _finish(d, expected)
 
         case LetUnit(s, b):
-            c1, c2 = _split(ctx, free_vars(s), free_vars(b))
+            c1, c2 = split_ctx(ctx, free_vars(s), free_vars(b))
             ds = check(c1, s, UNIT)
             db = check(c2, b, expected)
             return Derivation("unit_E", ctx, m, db.type, (ds, db), {"split": (c1, c2)})
 
         case Pair(l, r):
-            c1, c2 = _split(ctx, free_vars(l), free_vars(r))
+            c1, c2 = split_ctx(ctx, free_vars(l), free_vars(r))
             if expected is not None and not isinstance(expected, TensorT):
                 # no structural retry: pairs only inhabit tensor types here
                 dl = check(c1, l, None)
@@ -264,7 +250,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
 
         case LetPair(x, tx, y, ty, s, b):
             fv_b = free_vars(b) - {x, y}
-            c1, c2 = _split(ctx, free_vars(s), fv_b)
+            c1, c2 = split_ctx(ctx, free_vars(s), fv_b)
             ds = check(c1, s, TensorT(tx, ty))
             if x == y:
                 raise TypingError("TypeMismatch", f"tensor pattern binds {x} twice")
@@ -296,7 +282,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
 
         case Match(s, x, tx, lb, y, ty, rb):
             fv_branches = (free_vars(lb) - {x}) | (free_vars(rb) - {y})
-            c1, c2 = _split(ctx, free_vars(s), fv_branches)
+            c1, c2 = split_ctx(ctx, free_vars(s), fv_branches)
             ds = check(c1, s, SumT(tx, ty))
             if ctx_lookup(c2, x) is not None:
                 x2 = _fresh_binder(x, ctx, lb)

@@ -5,6 +5,8 @@ multiset truncation K <= 3) and requires equality within 1e-9 in the
 entrywise sup norm.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ def rand_mor(rng, a: C.CpmObject, b: C.CpmObject) -> C.Morphism:
             if rng.random() < 0.15:
                 continue  # leave some entries structurally zero
             s = rng.normal(size=(db * db, da * da)) + 1j * rng.normal(size=(db * db, da * da))
-            entries[(la, lb)] = C.average_post(C.average_pre(s, ga), gb)
+            entries[(la, lb)] = C.average(s, ga, gb)
     return C.Morphism(a, b, entries)
 
 
@@ -194,6 +196,63 @@ def test_snake_equations():
         assert_close(rhs, ida)
 
 
+def _epsilon_reference(a: C.CpmObject) -> dict:
+    """E_ij (x) E_i'j' goes to (1/#G^2) sum_{g,g'} [g i = g' i'][g j = g' j']."""
+    entries = {}
+    for l, d, g in a.elems:
+        row = np.zeros((1, (d * d) ** 2), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                for i2 in range(d):
+                    for j2 in range(d):
+                        val = 0.0
+                        for gp in g.perms:
+                            for gq in g.perms:
+                                if gp[i] == gq[i2] and gp[j] == gq[j2]:
+                                    val += 1.0
+                        # the coefficient of E_ij (x) E_i'j' sits at
+                        # matrix position (i*d+i', j*d+j') in vec order
+                        r = i * d + i2
+                        c = j * d + j2
+                        row[0, r + c * d * d] += val / (g.order * g.order)
+        entries[(("pair", l, l), C.STAR)] = row
+    return entries
+
+
+def test_epsilon_matches_reference():
+    s3 = C.PermGroup(3, tuple(sorted(itertools.permutations(range(3)))))
+    webs = POOL + POOL_DIM1 + [
+        C.CpmObject(((C.STAR, 3, s3),)),
+        C.bang_obj(D2, 2),
+        C.bang_obj(TWO_S, 2),
+        C.tensor_obj(D2S, TWO_S),
+    ]
+    for a in webs:
+        eps = C.epsilon(a)
+        assert (eps.src, eps.dst) == (C.tensor_obj(a, a), U1)
+        ref = _epsilon_reference(a)
+        assert set(eps.entries) == set(ref)
+        for key, row in ref.items():
+            # the two sum thirds and sixths in different orders on S3
+            assert np.max(np.abs(eps.entry(*key) - row)) <= 1e-15
+
+
+def test_transpose_laws():
+    for rng in seeds():
+        a, b, c = (rand_obj(rng) for _ in range(3))
+        f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
+        ft = f.transpose()
+        assert (ft.src, ft.dst) == (b, a)
+        for la, lb in f.entries:
+            assert np.array_equal(ft.entry(lb, la), f.entry(la, lb).T)  # not the adjoint
+        assert ft.transpose().entries.keys() == f.entries.keys()
+        assert f.transpose().transpose().sup_distance(f) == 0.0
+        assert_close(f.compose(g).transpose(), g.transpose().compose(ft))
+    # sparse entries stay in CSR form
+    eps = C.epsilon(D2S).entries[(("pair", C.STAR, C.STAR), C.STAR)]
+    assert eps.format == "csr"
+
+
 def test_curry_eval_adjunction():
     for rng in seeds():
         c, a, b = rand_obj(rng), rand_obj(rng), rand_obj(rng)
@@ -221,6 +280,14 @@ def test_list_roll_unroll():
 
 # ---------------------------------------------------------------------------
 # exponential: comonoid, comonad, promotion, bierman
+
+
+def test_group_cap():
+    # S8 acting on eight qubit copies has order 40320 > GROUP_CAP
+    with pytest.raises(C.GroupTooLargeError):
+        C.sym_power(D2, 8)
+    assert len(C.sym_power(D2, 7).elems) == 1  # 7! = GROUP_CAP fits
+
 
 # K = 3 instances use 1-dimensional webs; 2-dimensional bases use K = 2 to
 # keep the triple-tensor structural morphisms desk-scale
@@ -378,7 +445,7 @@ def test_cp_preserved_by_constructors():
         for la, da, ga in a.elems:
             kraus = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
             s = C.so_conjugation(kraus)
-            entries[(la, la)] = C.average_post(C.average_pre(s, ga), ga)
+            entries[(la, la)] = C.average(s, ga, ga)
         f = C.Morphism(a, a, entries)
         if not f.is_completely_positive():
             continue  # group averaging can leave CP; only test when it does

@@ -108,10 +108,10 @@ def test_sample_frequency_band():
 
 
 def test_halt_probability():
-    lower, residual = M.halt_probability(M.load(load("cointoss")))
-    assert lower == pytest.approx(1.0, abs=1e-12) and residual == 0.0
-    lower, residual = M.halt_probability(M.load(load("omega")), max_steps=50)
-    assert lower == 0.0 and residual == pytest.approx(1.0)
+    dist = M.evaluate(M.load(load("cointoss")))
+    assert dist.halt_mass == pytest.approx(1.0, abs=1e-12) and dist.residual == 0.0
+    dist = M.evaluate(M.load(load("omega")), max_steps=50)
+    assert dist.halt_mass == 0.0 and dist.residual == pytest.approx(1.0)
 
 
 def test_dimension_bookkeeping():
