@@ -4,9 +4,18 @@ An object is a finite web: a family of pairs (dimension, permutation
 group), one per label.  A morphism is a label-indexed family of
 superoperators, each invariant under the source and target group actions
 (conjugation by permutation matrices).  Superoperators are complex
-matrices acting on column-major vectorizations, stored dense or as scipy
-sparse arrays (relabellings, identities, eta and epsilon are built
-sparse), and morphism families are sparse: absent entries are zero.
+matrices acting on column-major vectorizations, and morphism families are
+sparse: absent entries are zero.
+
+An entry has one storage form, fixed by its shape alone: a complex128
+``ndarray`` when it has at most ``DENSE_MAX`` rows and columns, a complex128
+CSR array otherwise (:func:`_stored`).  Almost every entry of a denotation is
+tiny, and for those scipy's per-object cost dwarfs the arithmetic; the large
+entries (relabellings and channels on big labels) are mostly zero.
+:func:`so_tensor`, ``compose`` and the relabelling and group channels choose
+their path from the shape of the result, and a sum or multiple keeps the
+form of its same-shaped operands; ``Morphism`` puts whatever else it is
+given (a transpose, a hand-built array) into the form of its shape.
 
 The inverse structural maps are transposes (:meth:`Morphism.transpose`):
 epsilon of eta, as the counit of a compact closed category is the transpose
@@ -32,13 +41,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
 
 DROP_EPS = 1e-12  # entries below this sup-norm are dropped from families
+# Entries with at most this many rows and columns are stored dense.  Entry
+# sides are squared label dimensions (1, 4, 16, 64, ...), so 16 and 64 are the
+# choices; 64 ran the finitary fuzz faster, but with 10% more peak memory.
+DENSE_MAX = 16
 GROUP_CAP = 5040  # largest materialized permutation group
 MAGNITUDE_BOUND = 1e12
 
@@ -75,10 +88,54 @@ def _dense(v) -> np.ndarray:
     return v.toarray() if sparse.issparse(v) else np.asarray(v)
 
 
+def _is_small(rows: int, cols: int) -> bool:
+    return rows <= DENSE_MAX and cols <= DENSE_MAX
+
+
+def _csr(v) -> sparse.csr_array:
+    """v as a complex128 CSR array; v itself when it already is one."""
+    if isinstance(v, sparse.csr_array) and v.dtype == np.complex128:
+        return v
+    return sparse.csr_array(v, dtype=complex)
+
+
+def _stored(v):
+    """The storage form of an entry: a complex128 ndarray when it has at most
+    ``DENSE_MAX`` rows and columns, a complex128 CSR array otherwise.  A value
+    already in that form is returned as it is, not copied."""
+    if not _is_small(*v.shape):
+        return _csr(v)
+    if sparse.issparse(v):
+        v = v.toarray()
+    return np.asarray(v, dtype=complex)
+
+
+def _matmul(a, b):
+    """a @ b in the storage form of the product's shape."""
+    if _is_small(a.shape[0], b.shape[1]):
+        return _stored(a @ b)
+    return _csr(a) @ _csr(b)
+
+
+def _gather_channel(idx: np.ndarray, weight: float):
+    """The square entry whose row ``a`` holds ``weight`` at each column
+    ``idx[g, a]``, repeated columns summed, in storage form."""
+    k, n = idx.shape
+    if _is_small(n, n):
+        out = np.zeros((n, n), dtype=complex)
+        np.add.at(out, (np.tile(np.arange(n), k), idx.reshape(-1)), weight)
+        return out
+    # the rows come in order, k columns each, so the CSR arrays are direct
+    data = np.full(k * n, weight, dtype=complex)
+    out = sparse.csr_array((data, idx.T.reshape(-1), np.arange(0, k * n + 1, k)), shape=(n, n))
+    out.sum_duplicates()
+    return out
+
+
 def _maxabs(v) -> float:
     # implicit zeros of a sparse entry never raise the maximum
-    data = v.data if sparse.issparse(v) else np.asarray(v)
-    return float(np.max(np.abs(data))) if data.size else 0.0
+    data = v.data if sparse.issparse(v) else v
+    return float(np.abs(data).max()) if data.size else 0.0
 
 
 def so_conjugation(a: np.ndarray) -> np.ndarray:
@@ -95,11 +152,6 @@ def so_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _to_tensor(s: np.ndarray, dout: int, din: int) -> np.ndarray:
     # S[i + j*dout, k + l*din] -> T[i,j,k,l]
     return s.reshape((dout, dout, din, din), order="F")
-
-
-def _from_tensor(t: np.ndarray) -> np.ndarray:
-    dout, _, din, _ = t.shape
-    return t.transpose(1, 0, 3, 2).reshape(dout * dout, din * din)
 
 
 def digit_permutation(dims, order, acts=None) -> np.ndarray:
@@ -127,7 +179,7 @@ def _vec_gather(perm) -> np.ndarray:
 
 @lru_cache(maxsize=4096)
 def _vec_pair_perm(d1: int, d2: int) -> np.ndarray:
-    """Combined vec index -> Kronecker vec index, for the sparse tensor path."""
+    """Combined vec index -> Kronecker vec index, for the tensor of superoperators."""
     # combined digits (c1, c2, r1, r2) -> Kronecker digits (c1, r1, c2, r2)
     out = digit_permutation((d1, d2, d1, d2), (0, 2, 1, 3))
     out.setflags(write=False)
@@ -135,21 +187,18 @@ def _vec_pair_perm(d1: int, d2: int) -> np.ndarray:
 
 
 def so_tensor(s1, s2):
-    """Tensor of superoperators under lexicographic pairing of indices."""
-    d1o = int(math.isqrt(s1.shape[0]))
-    d1i = int(math.isqrt(s1.shape[1]))
-    d2o = int(math.isqrt(s2.shape[0]))
-    d2i = int(math.isqrt(s2.shape[1]))
-    if sparse.issparse(s1) or sparse.issparse(s2):
-        # keep the result sparse: one sparse factor keeps the product sparse
-        k = sparse.kron(sparse.csr_array(s1), sparse.csr_array(s2), format="csr")
-        return k[_vec_pair_perm(d1o, d2o), :][:, _vec_pair_perm(d1i, d2i)]
-    t1 = _to_tensor(s1, d1o, d1i)
-    t2 = _to_tensor(s2, d2o, d2i)
-    t = np.einsum("abcd,efgh->aebfcgdh", t1, t2).reshape(
-        d1o * d2o, d1o * d2o, d1i * d2i, d1i * d2i
-    )
-    return _from_tensor(t)
+    """Tensor of superoperators under lexicographic pairing of indices: their
+    Kronecker product, regathered into the paired vec order.  The product is
+    built dense when it is small (its factors then are small, so dense too)
+    and sparse otherwise, whatever the form of the factors."""
+    (r1, c1), (r2, c2) = s1.shape, s2.shape
+    if _is_small(r1 * r2, c1 * c2):
+        k = np.multiply.outer(s1, s2).transpose(0, 2, 1, 3).reshape(r1 * r2, c1 * c2)
+    else:
+        k = sparse.kron(_csr(s1), _csr(s2), format="csr")
+    rows = _vec_pair_perm(math.isqrt(r1), math.isqrt(r2))
+    cols = _vec_pair_perm(math.isqrt(c1), math.isqrt(c2))
+    return k[rows, :][:, cols]
 
 
 def choi(s) -> np.ndarray:
@@ -225,34 +274,32 @@ def _product_group(g1: PermGroup, g2: PermGroup) -> PermGroup:
 
 @lru_cache(maxsize=4096)
 def group_channel(group: PermGroup):
-    """The group-average channel (a sparse symmetric idempotent superoperator)."""
-    dd = group.degree * group.degree
+    """The group-average channel (a symmetric idempotent superoperator), in
+    storage form; a small one is read-only, as the cache shares it."""
     if group.is_trivial:
-        return sparse.eye_array(dd, dtype=complex, format="csr")
-    idx = _group_vec_indices(group)  # (order, dd); row a of S_g has its 1 at idx[g, a]
-    rows = np.tile(np.arange(dd), group.order)
-    data = np.full(rows.shape, 1.0 / group.order, dtype=complex)
-    return sparse.csr_array((data, (rows, idx.reshape(-1))), shape=(dd, dd))
+        idx = np.arange(group.degree ** 2).reshape(1, -1)  # the identity
+    else:
+        idx = _group_vec_indices(group)  # (order, dd); row a of S_g has its 1 at idx[g, a]
+    out = _gather_channel(idx, 1.0 / group.order)
+    if isinstance(out, np.ndarray):
+        out.setflags(write=False)
+    return out
 
 
 def average(s, g_src: PermGroup, g_dst: PermGroup):
     """s between the group-average channels of the source and the target."""
     if not g_src.is_trivial:
-        # the channel is symmetric, so s @ chan == (chan @ s.T).T
-        s = (group_channel(g_src) @ s.T).T
+        s = _matmul(s, group_channel(g_src))
     if not g_dst.is_trivial:
-        s = group_channel(g_dst) @ s
-    return s if sparse.issparse(s) else np.asarray(s)
+        s = _matmul(group_channel(g_dst), s)
+    return s
 
 
 def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
     """Conjugation by P (P[tau[i], i] = 1), averaged by the source group
-    before and the target group after, as a sparse matrix."""
-    dd = len(tau) ** 2
+    before and the target group after."""
     # row a holds a single 1, at the vec-gather index of a
-    s = sparse.csr_array(
-        (np.ones(dd, dtype=complex), _vec_gather(tau), np.arange(dd + 1)), shape=(dd, dd)
-    )
+    s = _gather_channel(_vec_gather(tau).reshape(1, -1), 1.0)
     return average(s, g_src, g_dst)
 
 
@@ -337,14 +384,17 @@ def tensor_fold(objs) -> CpmObject:
 class Morphism:
     src: CpmObject
     dst: CpmObject
-    entries: dict  # (src_label, dst_label) -> superoperator ndarray
+    entries: dict  # (src_label, dst_label) -> superoperator, in storage form
+    # the largest sup-norm of an entry dropped as zero (at most DROP_EPS)
+    dropped: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self):
         entries = {}
         for k, v in self.entries.items():
-            v = v.astype(complex) if sparse.issparse(v) else np.asarray(v, dtype=complex)
+            v = _stored(v)
             m = _maxabs(v)
             if m <= DROP_EPS:
+                self.dropped = max(self.dropped, m)
                 continue
             if m > MAGNITUDE_BOUND:
                 raise DivergentDenotation(f"entry {k} exceeds magnitude bound")
@@ -374,7 +424,7 @@ class Morphism:
         for (la, lb), s1 in self.entries.items():
             for lc, s2 in by_mid.get(lb, ()):
                 key = (la, lc)
-                prod = s2 @ s1
+                prod = _matmul(s2, s1)
                 if key in acc:
                     acc[key] = acc[key] + prod
                 else:
@@ -398,8 +448,7 @@ class Morphism:
 
     def transpose(self) -> "Morphism":
         """B -> A with every key reversed and every entry transposed."""
-        entries = {(lb, la): s.T.tocsr() if sparse.issparse(s) else s.T
-                   for (la, lb), s in self.entries.items()}
+        entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
         return Morphism(self.dst, self.src, entries)
 
     def scale(self, c: float) -> "Morphism":
@@ -630,7 +679,7 @@ def eta(a: CpmObject) -> Morphism:
                 e[i, j] = 1.0
                 avg = group_average(g, e)
                 col += vec_kron(avg, avg)
-        entries[(STAR, ("pair", l, l))] = sparse.csr_array(col.reshape(-1, 1))
+        entries[(STAR, ("pair", l, l))] = col.reshape(-1, 1)
     return Morphism(UNIT_OBJ, dst, entries)
 
 
@@ -906,7 +955,7 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
             triv = PermGroup.trivial(banga.dim(lmu))
             pre = _reindex_channel(a, mu, seq, banga.group(lmu), triv)
             block = reduce(so_tensor, blocks)
-            s = average(block @ pre, triv, gnu)
+            s = average(_matmul(block, pre), triv, gnu)
             key = (lmu, lnu)
             entries[key] = entries.get(key, 0) + s
     return Morphism(banga, bangb, entries)

@@ -10,7 +10,7 @@ Born probabilities.  Bounded ``letrec^n`` unfolds at most n times, with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -150,32 +150,37 @@ def _discard_orphans(prob, state, link, term):
 
 
 # Call-by-value evaluation order: the fields of each node that reduce to
-# values, left to right, before the node itself is a redex or a value.
+# values, left to right, before the node itself is a redex or a value.  Each
+# field comes with the constructor call that rebuilds the node around a new
+# value of it (``dataclasses.replace`` would walk every field on every step).
 _EVAL_ORDER = {
-    App: ("fn", "arg"),
-    Pair: ("left", "right"),
-    InL: ("body",),
-    InR: ("body",),
-    LetUnit: ("subject",),
-    LetPair: ("subject",),
-    Match: ("subject",),
+    App: (("fn", lambda m, v: App(v, m.arg)), ("arg", lambda m, v: App(m.fn, v))),
+    Pair: (("left", lambda m, v: Pair(v, m.right)), ("right", lambda m, v: Pair(m.left, v))),
+    InL: (("body", lambda m, v: InL(v, m.ann)),),
+    InR: (("body", lambda m, v: InR(v, m.ann)),),
+    LetUnit: (("subject", lambda m, v: LetUnit(v, m.body)),),
+    LetPair: (("subject", lambda m, v: LetPair(m.lvar, m.ltype, m.rvar, m.rtype, v, m.body)),),
+    Match: (("subject", lambda m, v: Match(v, m.lvar, m.ltype, m.lbody,
+                                           m.rvar, m.rtype, m.rbody)),),
 }
 
 
-def _focus(m: Term) -> Optional[str]:
-    """The field that holds the next redex of ``m``; None when no field does."""
-    for name in _EVAL_ORDER.get(type(m), ()):
-        if not is_value(getattr(m, name)):
-            return name
+def _focus(m: Term):
+    """The (field, rebuild) pair of the field that holds the next redex of
+    ``m``; None when no field does."""
+    for focus in _EVAL_ORDER.get(type(m), ()):
+        if not is_value(getattr(m, focus[0])):
+            return focus
     return None
 
 
 def _step_term(state, link, m):
     """Returns a list of (prob, state, linking-dict, term, rule)."""
-    name = _focus(m)
-    if name is not None:
+    focus = _focus(m)
+    if focus is not None:
+        name, rebuild = focus
         steps = _step_term(state, link, getattr(m, name))
-        return [(p, q2, l2, replace(m, **{name: m2}), rule) for p, q2, l2, m2, rule in steps]
+        return [(p, q2, l2, rebuild(m, m2), rule) for p, q2, l2, m2, rule in steps]
     match m:
         case App(f, a):
             return _apply(state, link, f, a)
@@ -243,8 +248,8 @@ def _apply(state, link, f, a):
 
 def is_blocked(m: Term) -> bool:
     """A term is omega-blocked when the next redex is an exhausted letrec."""
-    while (name := _focus(m)) is not None:
-        m = getattr(m, name)
+    while (focus := _focus(m)) is not None:
+        m = getattr(m, focus[0])
     return isinstance(m, Omega)
 
 

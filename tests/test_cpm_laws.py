@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qlam import cpm as C
 
@@ -123,7 +124,8 @@ def test_digit_permutation_and_perm_channel():
         p[tau, np.arange(tau.size)] = 1.0
         triv = C.PermGroup.trivial(tau.size)
         chan = C.perm_channel(tau, triv, triv)
-        assert np.array_equal(chan.toarray(), C.so_conjugation(p))
+        chan = chan.toarray() if sparse.issparse(chan) else chan
+        assert np.array_equal(chan, C.so_conjugation(p))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +250,15 @@ def test_transpose_laws():
         assert ft.transpose().entries.keys() == f.entries.keys()
         assert f.transpose().transpose().sup_distance(f) == 0.0
         assert_close(f.compose(g).transpose(), g.transpose().compose(ft))
-    # sparse entries stay in CSR form
-    eps = C.epsilon(D2S).entries[(("pair", C.STAR, C.STAR), C.STAR)]
-    assert eps.format == "csr"
+    # a transposed entry keeps the storage rule: dense at or below
+    # DENSE_MAX rows and columns, CSR above
+    small = C.epsilon(D2S).entries[(("pair", C.STAR, C.STAR), C.STAR)]
+    assert small.shape == (1, 16) and max(small.shape) <= C.DENSE_MAX
+    assert type(small) is np.ndarray
+    d4 = C.tensor_obj(D2, D2)
+    (large,) = C.epsilon(d4).entries.values()
+    assert large.shape == (1, 256) and max(large.shape) > C.DENSE_MAX
+    assert type(large) is sparse.csr_array
 
 
 def test_curry_eval_adjunction():
@@ -452,3 +460,115 @@ def test_cp_preserved_by_constructors():
         assert C.promotion(f, k).is_completely_positive()
         assert C.contraction(a, k).is_completely_positive()
         assert C.digging(a, k).is_completely_positive()
+
+
+# ---------------------------------------------------------------------------
+# storage: one form per entry shape, and the mass dropped as zero
+
+D4 = C.tensor_obj(D2, D2)
+D8 = C.tensor_obj(D2, D4)
+# webs with entries on both sides of DENSE_MAX: D8's superoperators are
+# 64 x 64, and eta on D4 or on !D2S's 4-dimensional label is 256 x 1
+STORAGE_POOL = POOL + [D4, D8, C.bang_obj(D2S, 2)]
+
+
+def assert_entry_stored(s):
+    assert s.dtype == np.complex128
+    small = max(s.shape) <= C.DENSE_MAX
+    assert type(s) is (np.ndarray if small else sparse.csr_array), (s.shape, type(s))
+
+
+def assert_stored(m: C.Morphism):
+    for s in m.entries.values():
+        assert_entry_stored(s)
+
+
+def dense_so_tensor(s1, s2):
+    """so_tensor from its definition: E_ij (x) E_kl goes to S1(E_ij) (x) S2(E_kl)."""
+    s1, s2 = (s.toarray() if sparse.issparse(s) else s for s in (s1, s2))
+    d1, d2 = (int(np.sqrt(s.shape[1])) for s in (s1, s2))
+    cols = {}
+    for i, j, k, l in itertools.product(range(d1), range(d1), range(d2), range(d2)):
+        e1 = np.zeros((d1, d1)); e1[i, j] = 1
+        e2 = np.zeros((d2, d2)); e2[k, l] = 1
+        col = C.vec(np.kron(e1, e2)).argmax()
+        cols[col] = C.vec(np.kron(C.so_apply(s1, e1), C.so_apply(s2, e2)))
+    return np.stack([cols[c] for c in range(len(cols))], axis=1)
+
+
+def test_storage_rule():
+    for rng in seeds()[:30]:
+        a, b, c = (rand_obj(rng, STORAGE_POOL) for _ in range(3))
+        f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
+        ka, k = rand_bang_obj(rng)
+        for m in (
+            f, f.compose(g), f.tensor(g), f.add(f), f.scale(0.5), f.transpose(),
+            C.curry(C.lunit_elim(a).compose(f), U1, a, b),
+            C.identity(a), C.eta(a), C.epsilon(a), C.eval_mor(a, b),
+            C.swap(a, b), C.assoc_left(a, b, c), C.assoc_right(a, b, c),
+            C.lunit_intro(a), C.lunit_elim(a), C.runit_intro(a), C.runit_elim(a),
+            C.injection((a, b), 1), C.projection((a, b), 0),
+            C.distribute_left(a, (b, c)), C.undistribute_left(a, (b, c)),
+            C.list_roll(a, 2), C.list_unroll(a, 2),
+            C.weakening(ka, k), C.dereliction(ka, k), C.contraction(ka, k),
+            C.digging(ka, k), C.promotion(rand_mor(rng, ka, ka), k),
+            C.bierman_unit(k), C.bierman_tensor(ka, ka, k),
+        ):
+            assert_stored(m)
+    # both forms occur; the cached dense channel is shared, so read-only
+    small = C.identity(D4).entries[(D4.labels()[0],) * 2]
+    assert type(small) is np.ndarray and not small.flags.writeable
+    assert type(C.identity(D8).entries[(D8.labels()[0],) * 2]) is sparse.csr_array
+
+
+def test_storage_across_the_threshold():
+    rng = np.random.default_rng(3)
+    # products leaving and entering the dense range, with dense, sparse and
+    # mixed operands: 4 x 64 @ 64 x 4, 64 x 4 @ 4 x 64, 64 x 16 @ 16 x 4,
+    # 4 x 16 @ 16 x 64
+    for a, b, c in ((D2, D8, D2), (D8, D2, D8), (D2, D4, D8), (D8, D4, D2)):
+        f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
+        fg = f.compose(g)
+        assert_stored(fg)
+        (la,), (lb,), (lc,) = a.labels(), b.labels(), c.labels()
+        ref = g.entry(lb, lc) @ f.entry(la, lb)
+        assert np.max(np.abs(fg.entry(la, lc) - ref)) <= 1e-12
+        s = f.add(f.scale(2.0))
+        assert_stored(s)
+        assert np.max(np.abs(s.entry(la, lb) - 3 * f.entry(la, lb))) <= 1e-12
+    # tensors on both sides of the threshold: 4 x 4 by 4 x 1 is dense,
+    # 16 x 4 by 4 x 1 and 16 x 16 by 4 x 4 have dense factors and a CSR
+    # result, and the last two a CSR factor
+    for sa, sb in (((4, 4), (4, 1)), ((16, 4), (4, 1)), ((16, 16), (4, 4)),
+                   ((1, 64), (4, 4)), ((4, 4), (64, 4))):
+        s1 = rng.normal(size=sa) + 1j * rng.normal(size=sa)
+        s2 = rng.normal(size=sb) + 1j * rng.normal(size=sb)
+        s1, s2 = C._stored(s1), C._stored(s2)
+        t = C.so_tensor(s1, s2)
+        assert_entry_stored(t)
+        got = t.toarray() if sparse.issparse(t) else t
+        assert np.max(np.abs(got - dense_so_tensor(s1, s2))) <= 1e-12
+
+
+def test_dense_tensor_with_large_result_is_sparse():
+    # two dense 16 x 16 entries: the 256 x 256 product is built sparse, not
+    # as a dense 1 MiB array
+    s1 = C.identity(D4).entries[(D4.labels()[0],) * 2]
+    assert type(s1) is np.ndarray and s1.shape == (16, 16)
+    s = C.so_tensor(s1, s1)
+    assert type(s) is sparse.csr_array and s.shape == (256, 256) and s.nnz == 256
+
+
+def test_dropped_entries_are_recorded():
+    m = C.Morphism(D2, TWO, {
+        (C.STAR, ("a",)): np.full((1, 4), 3e-13),
+        (C.STAR, ("b",)): np.full((4, 4), 1.0),
+    })
+    assert set(m.entries) == {(C.STAR, ("b",))}
+    assert m.dropped == 3e-13
+    assert C.identity(D2).dropped == 0.0
+    # a sum whose entries cancel records what it dropped
+    f = rand_mor(np.random.default_rng(0), D2, D2)
+    g = f.add(f.scale(-1.0 + 1e-14))
+    assert g.entries == {}
+    assert 0.0 < g.dropped <= C.DROP_EPS

@@ -1,5 +1,6 @@
 """Abstract machine: steps, distributions, sampling, finitary machinery."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,20 @@ def test_is_blocked_follows_the_evaluation_order():
     assert not M.is_blocked(S.Abs("x", S.UNIT, omega))
     assert not M.is_blocked(S.Pair(S.App(S.New(), S.ff()), omega))
     assert not M.is_blocked(S.UnitVal())
+
+
+def test_focus_rebuild_changes_only_its_field():
+    # every field of each node distinct, so a swapped argument shows
+    a, b, c = S.Var("a"), S.Var("b"), S.Var("c")
+    nodes = [
+        S.App(a, b), S.Pair(a, b), S.InL(a, S.BIT), S.InR(a, S.BIT), S.LetUnit(a, b),
+        S.LetPair("x", S.QUBIT, "y", S.UNIT, a, b),
+        S.Match(a, "x", S.QUBIT, b, "y", S.UNIT, S.Var("d")),
+    ]
+    assert {type(m) for m in nodes} == set(M._EVAL_ORDER)
+    for m in nodes:
+        for name, rebuild in M._EVAL_ORDER[type(m)]:
+            assert rebuild(m, c) == replace(m, **{name: c})
 
 
 def test_sample_frequency_band():
