@@ -151,7 +151,8 @@ def main(argv=None) -> int:
     except P.QlamSyntaxError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except (T.TypingError, A.AdequacyError, M.MachineError, C.CpmError) as e:
+    except (T.TypingError, A.AdequacyError, M.MachineError, C.CpmError,
+            D.DenotationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except OSError as e:

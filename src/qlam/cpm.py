@@ -691,12 +691,17 @@ def epsilon(a: CpmObject) -> Morphism:
 
 def curry(f: Morphism, c: CpmObject, a: CpmObject, b: CpmObject) -> Morphism:
     """Lambda(f) : C -> A -o B given f : C (x) A -> B."""
-    # C -> 1 (x) C -> (A (x) A) (x) C -> A (x) (A (x) C) -> A (x) (C (x) A) -> A (x) B
+    return _curry_prefix(c, a).compose(identity(a).tensor(f))
+
+
+@lru_cache(maxsize=512)
+def _curry_prefix(c: CpmObject, a: CpmObject) -> Morphism:
+    """The part of ``curry`` before ``f``: C -> A (x) (C (x) A)."""
+    # C -> 1 (x) C -> (A (x) A) (x) C -> A (x) (A (x) C) -> A (x) (C (x) A)
     m = lunit_intro(c)
     m = m.compose(eta(a).tensor(identity(c)))
     m = m.compose(assoc_right(a, a, c))
     m = m.compose(identity(a).tensor(swap(a, c)))
-    m = m.compose(identity(a).tensor(f))
     return m
 
 

@@ -7,6 +7,22 @@ biproducts of the untruncated semantics — lists and the exponential — are
 cut at configurable bounds, so every computed denotation is a lower
 approximant (in the Löwner order) of the true one, and letrec is an
 explicitly iterated fixpoint.
+
+At each derivation node only the children's denotations depend on the term;
+the plumbing around them is a function of types and ``cfg`` alone.  That
+plumbing is built once per process, in bounded ``lru_cache``s: ``route``'s
+weakening/contraction/exchange map (``_route``, keyed by the context's types
+and each destination's positions in the context, so alpha-renamed contexts
+share an entry), the digging/Bierman prefix of promotion
+(``_promotion_prefix``, keyed by the context's types), each constant's
+curried morphism (``_const_mor``, keyed by the constant and its type), all
+three also keyed by ``cfg``, and in :mod:`qlam.cpm` the part of ``curry``
+before its argument (``_curry_prefix``).  Equal keys give equal morphisms, so reusing one is
+sound; only left prefixes of composites are cached, so every ``compose``
+runs in the same order as an uncached build and the results are
+bit-identical.  The checks that name a variable (linear weakening or
+contraction, promotion under a linear binding) run before the lookup.
+Cached morphisms are shared and must not be mutated.
 """
 
 from __future__ import annotations
@@ -95,45 +111,60 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
 
     Each destination is itself a context; linear variables must occur
     exactly once across all destinations, exponential variables any number
-    of times (0 = weakening, >1 = contraction).
+    of times (0 = weakening, >1 = contraction).  The morphism depends only
+    on the context's types and each destination's positions in it, so it is
+    built once per such key by ``_route``.
     """
-    counts = {x: 0 for x, _ in ctx}
+    pos = {x: i for i, (x, _) in enumerate(ctx)}
+    if len(pos) != len(ctx):
+        raise DenotationError(f"context names are not distinct: {[x for x, _ in ctx]}")
+    key = tuple(tuple(pos[x] for x, _ in dest) for dest in dests)
+    counts = [0] * len(ctx)
+    for dest in key:
+        for i in dest:
+            counts[i] += 1
+    for (x, t), n in zip(ctx, counts):
+        if n != 1 and not S.is_exponential(t):
+            verb = "weaken" if n == 0 else "contract"
+            raise DenotationError(f"cannot {verb} linear variable {x}")
+    return _route(tuple(t for _, t in ctx), key, cfg)
+
+
+@lru_cache(maxsize=512)
+def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
+    """``route`` on context positions: ``dests`` index into ``types``."""
+    counts = [0] * len(types)
     for dest in dests:
-        for x, _ in dest:
-            counts[x] += 1
+        for i in dest:
+            counts[i] += 1
 
     # per-variable block morphisms, tensored in context order
     shapes = []       # leaf shapes of each block's destination
     leaf_objs = {}
     mor = None
-    for x, t in ctx:
-        n = counts[x]
+    for i, (t, n) in enumerate(zip(types, counts)):
         obj = denote_type(t, cfg)
         if n == 1:
             f = C.identity(obj)
-            shapes.append(f"{x}#0")
-            leaf_objs[f"{x}#0"] = obj
+            shapes.append(f"{i}#0")
+            leaf_objs[f"{i}#0"] = obj
         elif n == 0:
-            if not S.is_exponential(t):
-                raise DenotationError(f"cannot weaken linear variable {x}")
             f = C.weakening(_hom_of_bang(t, cfg), cfg.bang_max)
-            shapes.append(f"{x}#w")
-            leaf_objs[f"{x}#w"] = C.UNIT_OBJ
+            shapes.append(f"{i}#w")
+            leaf_objs[f"{i}#w"] = C.UNIT_OBJ
         else:
-            if not S.is_exponential(t):
-                raise DenotationError(f"cannot contract linear variable {x}")
             hom = _hom_of_bang(t, cfg)
             contr = C.contraction(hom, cfg.bang_max)
             # iterated contraction, left-nested: ((!H (x) !H) (x) !H) ...
             f = contr
             for _ in range(n - 2):
                 f = f.compose(contr.tensor(C.identity(obj)))
-            shape = f"{x}#0"
+            shape = f"{i}#0"
             for j in range(1, n):
-                shape = (shape, f"{x}#{j}")
+                shape = (shape, f"{i}#{j}")
             shapes.append(shape)
             for j in range(n):
-                leaf_objs[f"{x}#{j}"] = obj
+                leaf_objs[f"{i}#{j}"] = obj
         mor = f if mor is None else mor.tensor(f)
 
     src_after = _nest(shapes)
@@ -142,13 +173,13 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
         src_after = "u"
 
     # destination shape: consume copies of each variable in reading order
-    next_copy = {x: 0 for x, _ in ctx}
+    next_copy = [0] * len(types)
     dest_shapes = []
     for dest in dests:
         ids = []
-        for x, _ in dest:
-            ids.append(f"{x}#{next_copy[x]}")
-            next_copy[x] += 1
+        for i in dest:
+            ids.append(f"{i}#{next_copy[i]}")
+            next_copy[i] += 1
         dest_shapes.append(_nest(ids))
     dst_shape = _nest(dest_shapes)
 
@@ -195,24 +226,23 @@ def _gate_mor(g: S.Gate, cfg: TruncationConfig) -> Morphism:
     return Morphism(qt, qt, {(label, label): C.so_conjugation(g.as_array())})
 
 
-def _const_body(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphism:
-    """The underlying direct morphism [[A]] -> [[B]] of a constant."""
+@lru_cache(maxsize=512)
+def _const_mor(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphism:
+    """``1 -> (A -o B)``: a constant's direct morphism ``A -> B``, curried."""
+    a = denote_type(arrow.arg, cfg)
+    b = denote_type(arrow.res, cfg)
     match term:
         case S.Meas():
-            return _meas_mor()
+            f = _meas_mor()
         case S.New():
-            return _new_mor()
+            f = _new_mor()
         case S.Gate():
-            return _gate_mor(term, cfg)
-        case S.Split(a):
-            return C.list_unroll(denote_type(a, cfg), cfg.list_max)
-    raise DenotationError(f"unknown constant {S.pretty(term)}")
-
-
-def _curry_const(f: Morphism, a: CpmObject, b: CpmObject) -> Morphism:
-    """1 -> (A -o B) packaging a direct morphism f : A -> B."""
-    body = C.lunit_elim(a).compose(f)
-    return C.curry(body, C.UNIT_OBJ, a, b)
+            f = _gate_mor(term, cfg)
+        case S.Split(elem):
+            f = C.list_unroll(denote_type(elem, cfg), cfg.list_max)
+        case _:
+            raise DenotationError(f"unknown constant {S.pretty(term)}")
+    return C.curry(C.lunit_elim(a).compose(f), C.UNIT_OBJ, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +251,25 @@ def _curry_const(f: Morphism, a: CpmObject, b: CpmObject) -> Morphism:
 
 def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
     """``[[ctx]] -> !H`` from ``g : [[ctx]] -> H`` (ctx all-exponential)."""
-    K = cfg.bang_max
-    if not ctx:
-        return C.bierman_unit(K).compose(C.promotion(g, K))
-    bases = []
-    digs = None
     for x, t in ctx:
         if not S.is_exponential(t):
             raise DenotationError(f"promotion under linear binding {x}")
+    prefix = _promotion_prefix(tuple(t for _, t in ctx), cfg)
+    return prefix.compose(C.promotion(g, cfg.bang_max))
+
+
+@lru_cache(maxsize=512)
+def _promotion_prefix(types: tuple, cfg: TruncationConfig) -> Morphism:
+    """``!A1 (x) ... (x) !An -> !(A1 (x) ... (x) An)``: digging on every
+    factor, then the Bierman maps, left to right (``!1``'s unit when empty)."""
+    K = cfg.bang_max
+    if not types:
+        return C.bierman_unit(K)
+    bases = []
+    digs = None
+    for t in types:
         base = denote_type(t, cfg)  # already a ! object
-        hom = _hom_of_bang(t, cfg)
-        d = C.digging(hom, K)
+        d = C.digging(_hom_of_bang(t, cfg), K)
         bases.append(base)
         digs = d if digs is None else digs.tensor(d)
     mor = digs
@@ -244,7 +282,7 @@ def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
             lift = lift.tensor(C.identity(r))
         mor = mor.compose(lift)
         cur = C.tensor_obj(cur, bases[i])
-    return mor.compose(C.promotion(g, K))
+    return mor
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +349,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             return route(ctx, [()], cfg)
 
         case "const":
-            arrow = d.type
-            a = denote_type(arrow.arg, cfg)
-            b = denote_type(arrow.res, cfg)
-            f = _const_body(d.term, arrow, cfg)
-            return route(ctx, [()], cfg).compose(_curry_const(f, a, b))
+            return route(ctx, [()], cfg).compose(_const_mor(d.term, d.type, cfg))
 
         case "omega":
             return C.zero(ctx_obj(ctx, cfg), denote_type(d.type, cfg))

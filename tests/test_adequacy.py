@@ -166,3 +166,18 @@ def test_approximant_denotations_nondecreasing():
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
     assert vals[-1] <= A.scalar_denotation(term, cfg) + 1e-9
+
+
+def test_truncation_monotone():
+    # a closed unit program's truncated denotation is a sum of positive
+    # terms, so it cannot decrease as the list, ! and fixpoint bounds grow
+    finitary = [D.TruncationConfig(list_max=l, bang_max=k)
+                for l, k in ((0, 0), (1, 1), (2, 1), (2, 2), (3, 2))]
+    letrec = [D.TruncationConfig(list_max=l, bang_max=k, fix_iters=n)
+              for l, k, n in ((1, 1, 2), (2, 1, 8), (2, 2, 32), (2, 2, 128))]
+    cases = ([(A.random_finitary_program(s), finitary) for s in range(20)]
+             + [(A.random_letrec_program(s), letrec) for s in range(10)])
+    for term, cfgs in cases:
+        vals = [A.scalar_denotation(term, cfg) for cfg in cfgs]
+        for cfg, lo, hi in zip(cfgs[1:], vals, vals[1:]):
+            assert hi >= lo - 1e-12, (S.pretty(term), cfg, vals)

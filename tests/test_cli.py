@@ -114,3 +114,14 @@ def test_missing_file_io_error():
     code, _, err = run_cli("check", "no-such-file.qlam")
     assert code == 1
     assert "io error" in err
+
+
+@pytest.mark.parametrize("args", [
+    ("denote", str(PROGRAMS / "coin-unit.qlam"), "--list-max", "-1"),
+    ("adequacy", str(PROGRAMS / "coin-unit.qlam"), "--fix-iters", "-1"),
+])
+def test_bad_truncation_bound_is_an_error_line(args):
+    code, out, err = run_cli(*args)
+    assert code == 1
+    assert err == "error: truncation bounds must be nonnegative\n"
+    assert out == ""

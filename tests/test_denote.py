@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qlam.adequacy as A
 import qlam.cpm as C
 import qlam.denote as D
 import qlam.machine as M
@@ -106,7 +107,6 @@ def test_denote_type_shapes():
 
 def test_fixpoint_geometric_loop():
     # letrec f(u) = if coin then () else f(), applied: denotation 1
-    import qlam.adequacy as A
     term = A.random_letrec_program(0)
     val = A.scalar_denotation(
         term, D.TruncationConfig(fix_iters=500, fix_tol=1e-14))
@@ -115,7 +115,6 @@ def test_fixpoint_geometric_loop():
 
 def test_fixpoint_omega_is_zero():
     term = P.parse_term((PROGRAMS / "omega.qlam").read_text())
-    import qlam.adequacy as A
     assert A.scalar_denotation(term, CFG) == 0.0
 
 
@@ -144,3 +143,151 @@ def test_contraction_route():
                                  S.App(S.Var("f"), S.App(S.New(), S.ff()))))
     mor = den(term)
     assert mor.max_abs() > 0
+
+
+# ---------------------------------------------------------------------------
+# the type-indexed plumbing built once per process (route, the curry and
+# promotion prefixes, the curried constants)
+
+BANG_UQ = S.BangArrow(S.UNIT, S.QUBIT)
+
+
+def fuzz_terms():
+    return ([A.random_finitary_program(s) for s in range(20)]
+            + [A.random_letrec_program(s) for s in range(10)])
+
+
+def record_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def recorder(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, recorder)
+    return calls
+
+
+def assert_same(m1, m2):
+    assert m1.src == m2.src and m1.dst == m2.dst
+    assert set(m1.entries) == set(m2.entries)
+    assert C.diff_entries(m1.entries, m2.entries)[None] == 0.0
+
+
+def uncached_route(ctx, dests, cfg):
+    pos = {x: i for i, (x, _) in enumerate(ctx)}
+    key = tuple(tuple(pos[x] for x, _ in dest) for dest in dests)
+    return D._route.__wrapped__(tuple(t for _, t in ctx), key, cfg)
+
+
+def test_cached_route_equals_uncached_build(monkeypatch):
+    calls = record_calls(monkeypatch, D, "route")
+    for term in fuzz_terms():
+        A.scalar_denotation(term, D.DEFAULT_CONFIG)
+    monkeypatch.undo()
+    assert len(calls) > 1000
+    for ctx, dests, cfg in calls:
+        assert_same(D.route(ctx, dests, cfg), uncached_route(ctx, dests, cfg))
+
+
+def test_route_is_keyed_by_positions_not_names():
+    ctx = (("f", BANG_UQ), ("q", S.QUBIT))
+    renamed = (("g", BANG_UQ), ("p", S.QUBIT))
+    m = D.route(ctx, [(ctx[1],), (ctx[0], ctx[0])], CFG)
+    assert D.route(renamed, [(renamed[1],), (renamed[0], renamed[0])], CFG) is m
+    # the same names in another order are another key
+    swapped = (ctx[1], ctx[0])
+    m2 = D.route(swapped, [(ctx[1],), (ctx[0], ctx[0])], CFG)
+    assert m2.src != m.src
+    assert_same(m2, uncached_route(swapped, [(ctx[1],), (ctx[0], ctx[0])], CFG))
+
+
+def test_plumbing_is_keyed_by_cfg():
+    ctx = (("f", BANG_UQ), ("q", S.QUBIT))
+    dests = [(ctx[1],), (ctx[0], ctx[0])]
+    promoted = T.typecheck(S.Abs("u", S.UNIT, S.App(S.Var("f"), S.Var("u"))),
+                           BANG_UQ, ctx[:1])
+    const = T.typecheck(S.Split(S.QUBIT))
+    webs = []
+    for k in (1, 2):
+        cfg = D.TruncationConfig(list_max=k, bang_max=k)
+        m = D.route(ctx, dests, cfg)
+        assert_same(m, uncached_route(ctx, dests, cfg))
+        webs.append(m.src)
+        for d in (promoted, const):
+            m = D.denote(d, cfg)
+            assert (m.src, m.dst) == (D.ctx_obj(d.ctx, cfg), D.denote_type(d.type, cfg))
+    assert webs[0] != webs[1]
+
+
+def test_route_errors_name_the_variable():
+    cfg = CFG
+    for name in ("alpha", "beta"):
+        ctx = ((name, S.QUBIT),)
+        with pytest.raises(D.DenotationError, match=f"cannot weaken linear variable {name}$"):
+            D.route(ctx, [()], cfg)
+        with pytest.raises(D.DenotationError, match=f"cannot contract linear variable {name}$"):
+            D.route(ctx, [ctx, ctx], cfg)
+        with pytest.raises(D.DenotationError, match=f"promotion under linear binding {name}$"):
+            D._promote_ctx((("f", BANG_UQ), (name, S.QUBIT)), C.identity(C.UNIT_OBJ), cfg)
+    with pytest.raises(D.DenotationError, match="not distinct"):
+        D.route((("f", BANG_UQ), ("f", BANG_UQ)), [()], cfg)
+
+
+def five_step_curry(f, c, a, b):
+    m = C.lunit_intro(c)
+    m = m.compose(C.eta(a).tensor(C.identity(c)))
+    m = m.compose(C.assoc_right(a, a, c))
+    m = m.compose(C.identity(a).tensor(C.swap(a, c)))
+    return m.compose(C.identity(a).tensor(f))
+
+
+def test_curry_equals_unfactored_chain(monkeypatch):
+    calls = record_calls(monkeypatch, C, "curry")
+    for term in fuzz_terms()[::3]:
+        A.scalar_denotation(term, D.DEFAULT_CONFIG)
+    monkeypatch.undo()
+    assert len({(c, a) for _, c, a, _ in calls}) > 5
+    for f, c, a, b in calls:
+        assert_same(C.curry(f, c, a, b), five_step_curry(f, c, a, b))
+
+
+def test_cached_plumbing_is_not_mutated(monkeypatch):
+    builders = [(D, "route"), (C, "_curry_prefix"), (D, "_promotion_prefix"),
+                (D, "_const_mor")]
+    calls = [(getattr(mod, name), record_calls(monkeypatch, mod, name))
+             for mod, name in builders]
+    terms = fuzz_terms()
+    for term in terms:
+        A.scalar_denotation(term, D.DEFAULT_CONFIG)
+    monkeypatch.undo()
+    cached = {}
+    for fn, args in calls:
+        assert args, fn
+        for a in args:
+            m = fn(*a)
+            cached[id(m)] = (fn, a, m, C.serialize_morphism(m))
+    for term in terms:
+        A.scalar_denotation(term, D.DEFAULT_CONFIG)
+    for fn, a, m, text in cached.values():
+        assert fn(*a) is m
+        assert C.serialize_morphism(m) == text
+
+
+def clear_caches():
+    for mod in (C, D):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def test_outputs_do_not_depend_on_process_history():
+    from test_golden import PROGRAM_NAMES, _program
+
+    clear_caches()
+    cold = [C.serialize_morphism(_program(n)) for n in PROGRAM_NAMES]
+    for s in range(40):
+        A.scalar_denotation(A.random_finitary_program(s), D.DEFAULT_CONFIG)
+    warm = [C.serialize_morphism(_program(n)) for n in PROGRAM_NAMES]
+    assert warm == cold
