@@ -28,7 +28,10 @@ group actions.  A relabelling is an index array ``tau`` with
 ``tau[in_flat] = out_flat`` over mixed-radix digits, the last digit
 varying fastest (:func:`digit_permutation`); :func:`perm_channel` turns it
 into conjugation by ``P`` with ``P[tau[i], i] = 1``, whose vec form sends
-``vec(X)`` to ``vec(P X P^T)``.
+``vec(X)`` to ``vec(P X P^T)``.  The groups come from the same helper: a
+product group relabels digit pairs, a wreath group acts per copy after
+permuting equal-label copies, and :func:`_vec_gather` turns a permutation or
+a stacked group into the vec gathers behind every channel, ``eta``'s too.
 
 The exponential is the biproduct of symmetric powers up to a truncation
 bound; lists are the biproduct of tensor powers up to a bound.  All
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -171,10 +175,13 @@ def digit_permutation(dims, order, acts=None) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _vec_gather(perm) -> np.ndarray:
-    """Index c with vec(P X P^T) = vec(X)[c], where P[perm[i], i] = 1."""
-    inv = np.argsort(perm)
-    return digit_permutation((len(perm), len(perm)), (0, 1), (inv, inv))
+def _vec_gather(perms) -> np.ndarray:
+    """Index c with vec(P X P^T) = vec(X)[c], where P[perm[i], i] = 1: the
+    relabelling ``digit_permutation((n, n), (0, 1), (inv, inv))`` of the
+    inverse; for a stack of permutations, shape (order, n), one row each."""
+    inv = np.argsort(perms, axis=-1)
+    n = inv.shape[-1]
+    return (inv[..., :, None] * n + inv[..., None, :]).reshape(*inv.shape[:-1], n * n)
 
 
 @lru_cache(maxsize=4096)
@@ -218,22 +225,6 @@ def is_cp(s: np.ndarray, tol: float = 1e-9) -> bool:
     return float(np.linalg.eigvalsh(c)[0]) >= -tol
 
 
-@lru_cache(maxsize=65536)
-def _perm_vec_index(perm: tuple) -> np.ndarray:
-    """The vec gather of one group element, cached and read-only."""
-    out = _vec_gather(perm)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _group_vec_indices(group: "PermGroup") -> np.ndarray:
-    """Stacked vec-gather index arrays for all group elements, shape (order, d^2)."""
-    out = np.stack([_perm_vec_index(g) for g in group.perms])
-    out.setflags(write=False)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Permutation groups
 
@@ -265,10 +256,12 @@ def _product_group(g1: PermGroup, g2: PermGroup) -> PermGroup:
     d1, d2 = g1.degree, g2.degree
     if g1.is_trivial and g2.is_trivial:
         return PermGroup.trivial(d1 * d2)
-    perms = set()
-    for g in g1.perms:
-        for h in g2.perms:
-            perms.add(tuple(g[i] * d2 + h[j] for i in range(d1) for j in range(d2)))
+    order = g1.order * g2.order
+    if order > GROUP_CAP:
+        raise GroupTooLargeError(f"product group has order {order} > cap {GROUP_CAP}")
+    # (g, h) sends the digit pair (i, j) to (g[i], h[j])
+    perms = {tuple(digit_permutation((d1, d2), (0, 1), (g, h)).tolist())
+             for g in g1.perms for h in g2.perms}
     return PermGroup(d1 * d2, tuple(sorted(perms)))
 
 
@@ -276,10 +269,7 @@ def _product_group(g1: PermGroup, g2: PermGroup) -> PermGroup:
 def group_channel(group: PermGroup):
     """The group-average channel (a symmetric idempotent superoperator), in
     storage form; a small one is read-only, as the cache shares it."""
-    if group.is_trivial:
-        idx = np.arange(group.degree ** 2).reshape(1, -1)  # the identity
-    else:
-        idx = _group_vec_indices(group)  # (order, dd); row a of S_g has its 1 at idx[g, a]
+    idx = _vec_gather(np.array(group.perms))  # row a of S_g has its 1 at idx[g, a]
     out = _gather_channel(idx, 1.0 / group.order)
     if isinstance(out, np.ndarray):
         out.setflags(write=False)
@@ -305,9 +295,7 @@ def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
 
 def group_average(group: PermGroup, x: np.ndarray) -> np.ndarray:
     """The action of the group-average channel on a single matrix."""
-    v = vec(np.asarray(x, dtype=complex))
-    idx = _group_vec_indices(group)
-    return unvec(v[idx].mean(axis=0), group.degree)
+    return so_apply(group_channel(group), np.asarray(x, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -659,27 +647,17 @@ def runit_intro(a: CpmObject) -> Morphism:
 # compact closure ------------------------------------------------------------
 
 
-def vec_kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """vec (under lexicographic index pairing) of the tensor x (x) y."""
-    dx, dy = x.shape[0], y.shape[0]
-    t = np.einsum("ik,jl->ijkl", x, y).reshape(dx * dy, dx * dy)
-    return vec(t)
-
-
 @lru_cache(maxsize=512)
 def eta(a: CpmObject) -> Morphism:
-    """1 -> A (x) A: the scalar p goes to p * sum_ij S(E_ij) (x) S(E_ij)."""
+    """1 -> A (x) A: the scalar p goes to p * sum_ij S(E_ij) (x) S(E_ij), the
+    0/1 column vec(sum_ij E_ij (x) E_ij) averaged over the product group."""
     dst = tensor_obj(a, a)
     entries = {}
     for l, d, g in a.elems:
-        col = np.zeros(((d * d) ** 2,), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[i, j] = 1.0
-                avg = group_average(g, e)
-                col += vec_kron(avg, avg)
-        entries[(STAR, ("pair", l, l))] = col.reshape(-1, 1)
+        # sum_ij E_ij (x) E_ij is the outer square of the flattened identity
+        v = np.eye(d).reshape(-1)
+        col = np.kron(v, v).reshape(-1, 1)
+        entries[(STAR, ("pair", l, l))] = average(col, PermGroup.trivial(1), g.product(g))
     return Morphism(UNIT_OBJ, dst, entries)
 
 
@@ -771,67 +749,39 @@ def sym_power(a: CpmObject, k: int) -> CpmObject:
     elems = []
     for combo in itertools.combinations_with_replacement(sorted(a.labels()), k):
         mu = _mset(combo)
-        dim = 1
-        for l in mu:
-            dim *= a.dim(l)
-        group = _wreath_group(a, mu)
-        elems.append((("mset", mu), dim, group))
+        elems.append((("mset", mu), math.prod(a.dim(l) for l in mu), _wreath_group(a, mu)))
     return CpmObject(tuple(elems))
 
 
-def _mult(mu: tuple) -> dict:
-    out = {}
-    for l in mu:
-        out[l] = out.get(l, 0) + 1
-    return out
-
-
 def _wreath_group(a: CpmObject, mu: tuple) -> PermGroup:
-    """Permutations of mu-indexed digit tuples: permute equal-label copies
-    and act with the per-copy groups.
+    """Permutations of mu-indexed digit tuples: the per-copy action after a
+    permutation of equal-label copies, ``b[s]`` for every ``b`` in the product
+    of the copies' groups and every copy permutation ``s``.
 
     Labels of dimension 1 contribute nothing to the action and are skipped,
     so only the effective part of the multiset counts against ``GROUP_CAP``.
     """
     dims = [a.dim(l) for l in mu]
-    total = 1
-    for d in dims:
-        total *= d
+    total = math.prod(dims)
     if total == 1:
         return PermGroup.trivial(1)
-
-    eff = [l for l in mu if a.dim(l) > 1]
-    mult = _mult(eff)
-    order = 1
-    for l, m in mult.items():
-        order *= math.factorial(m) * (a.group(l).order ** m)
+    slots = {}  # the positions of each effective label in mu
+    for pos, l in enumerate(mu):
+        if dims[pos] > 1:
+            slots.setdefault(l, []).append(pos)
+    order = math.prod(math.factorial(len(p)) * a.group(l).order ** len(p) for l, p in slots.items())
     if order > GROUP_CAP:
         raise GroupTooLargeError(f"wreath group of {mu} has order {order} > cap {GROUP_CAP}")
 
-    # slots of each effective label, in mu (sorted) order
-    slots = {}
-    for pos, l in enumerate(mu):
-        if a.dim(l) > 1:
-            slots.setdefault(l, []).append(pos)
-
+    base = np.array(reduce(PermGroup.product, (a.group(l) for l in mu)).perms)
     perms = set()
-    label_list = sorted(mult)
-    copy_perm_choices = [list(itertools.permutations(range(mult[l]))) for l in label_list]
-    trivial_act = {d: tuple(range(d)) for d in set(dims)}
-    for copy_perms in itertools.product(*copy_perm_choices):
-        group_choices = [
-            itertools.product(a.group(l).perms, repeat=mult[l]) for l in label_list
-        ]
-        for gs in itertools.product(*group_choices):
-            # digit map: out digit at slot (l, t) = g_l^t(in digit at slot (l, h_l(t)))
-            digit_src = list(range(len(mu)))
-            digit_act = [trivial_act[d] for d in dims]
-            for li, l in enumerate(label_list):
-                h = copy_perms[li]
-                for t in range(mult[l]):
-                    digit_src[slots[l][t]] = slots[l][h[t]]
-                    digit_act[slots[l][t]] = gs[li][t]
-            perms.add(tuple(digit_permutation(dims, digit_src, digit_act).tolist()))
+    for shuffles in itertools.product(*map(itertools.permutations, slots.values())):
+        # output digit at slot t is input digit src[t]; copies swap slots
+        src = list(range(len(mu)))
+        for p, q in zip(slots.values(), shuffles):
+            for t, u in zip(p, q):
+                src[t] = u
+        perms.update(map(tuple, base[:, digit_permutation(dims, src)].tolist()))
     return PermGroup(total, tuple(sorted(perms)))
 
 
@@ -887,7 +837,7 @@ def contraction(a: CpmObject, bang_max: int) -> Morphism:
     entries = {}
     for lmu, dmu, gmu in bang.elems:
         mu = lmu[1]
-        mult = _mult(mu)
+        mult = Counter(mu)
         keys = sorted(mult)
         choices = [range(mult[l] + 1) for l in keys]
         for take in itertools.product(*choices):

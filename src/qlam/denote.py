@@ -72,9 +72,8 @@ def denote_type(t: S.Type, cfg: TruncationConfig = DEFAULT_CONFIG) -> CpmObject:
         case S.LinArrow(a, b):
             # the internal hom via compact closure: A -o B has the web of A (x) B
             return C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
-        case S.BangArrow(a, b):
-            hom = C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
-            return C.bang_obj(hom, cfg.bang_max)
+        case S.BangArrow():
+            return C.bang_obj(denote_type(t.underlying, cfg), cfg.bang_max)
         case S.TensorT(a, b):
             return C.tensor_obj(denote_type(a, cfg), denote_type(b, cfg))
         case S.SumT(a, b):
@@ -82,10 +81,6 @@ def denote_type(t: S.Type, cfg: TruncationConfig = DEFAULT_CONFIG) -> CpmObject:
         case S.ListT(a):
             return C.list_obj(denote_type(a, cfg), cfg.list_max)
     raise DenotationError(f"unknown type {t}")
-
-
-def _hom_of_bang(t: S.BangArrow, cfg: TruncationConfig) -> CpmObject:
-    return C.tensor_obj(denote_type(t.arg, cfg), denote_type(t.res, cfg))
 
 
 def ctx_obj(ctx: T.Ctx, cfg: TruncationConfig) -> CpmObject:
@@ -149,11 +144,11 @@ def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
             shapes.append(f"{i}#0")
             leaf_objs[f"{i}#0"] = obj
         elif n == 0:
-            f = C.weakening(_hom_of_bang(t, cfg), cfg.bang_max)
+            f = C.weakening(denote_type(t.underlying, cfg), cfg.bang_max)
             shapes.append(f"{i}#w")
             leaf_objs[f"{i}#w"] = C.UNIT_OBJ
         else:
-            hom = _hom_of_bang(t, cfg)
+            hom = denote_type(t.underlying, cfg)
             contr = C.contraction(hom, cfg.bang_max)
             # iterated contraction, left-nested: ((!H (x) !H) (x) !H) ...
             f = contr
@@ -269,7 +264,7 @@ def _promotion_prefix(types: tuple, cfg: TruncationConfig) -> Morphism:
     digs = None
     for t in types:
         base = denote_type(t, cfg)  # already a ! object
-        d = C.digging(_hom_of_bang(t, cfg), K)
+        d = C.digging(denote_type(t.underlying, cfg), K)
         bases.append(base)
         digs = d if digs is None else digs.tensor(d)
     mor = digs
@@ -337,7 +332,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
         case "axd":
             x = d.term.name
             t = T.ctx_lookup(ctx, x)
-            hom = _hom_of_bang(t, cfg)
+            hom = denote_type(t.underlying, cfg)
             return route(ctx, [((x, t),)], cfg).compose(
                 C.dereliction(hom, cfg.bang_max)
             )
@@ -454,7 +449,7 @@ def _denote_rec(d: T.Derivation, cfg: TruncationConfig) -> Morphism:
     bound = d.info["bound"]
     m: S.LetRec = d.term
     ft = S.BangArrow(m.arg_type, m.res_type)
-    hom = _hom_of_bang(ft, cfg)
+    hom = denote_type(ft.underlying, cfg)
     bang_hom = denote_type(ft, cfg)
 
     # one recursion step chi : [[exp]] (x) !H -> !H

@@ -23,7 +23,17 @@ from .syntax import (
 )
 
 
+# The most qubits a closure may hold.  A state of n qubits is a dense vector
+# of 2^n amplitudes, and ``evaluate`` keeps one per frontier branch, so the
+# ``new`` rule refuses to go past this instead of exhausting memory.
+MAX_QUBITS = 20
+
+
 class MachineError(Exception):
+    pass
+
+
+class TooManyQubits(MachineError):
     pass
 
 
@@ -217,6 +227,9 @@ def _apply(state, link, f, a):
             return [(1.0, state, link, a, "split")]
         case New():
             bit = _bit_value(a)
+            if state.num_qubits >= MAX_QUBITS:
+                raise TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
+                                    f"beyond the cap of {MAX_QUBITS}")
             y = S.fresh_name(f"q{state.num_qubits + 1}", link)
             state2 = QS.append_qubit(state, bit)
             link2 = dict(link)

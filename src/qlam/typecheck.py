@@ -104,6 +104,15 @@ def _fresh_binder(name: str, ctx: Ctx, *terms: Term) -> str:
     return S.fresh_name(name, avoid)
 
 
+def _unshadow(x: str, clash: bool, ctx: Ctx, *terms: Term) -> tuple:
+    """The binder ``x`` and the ``terms`` in its scope; when ``clash``, ``x``
+    is renamed to a name fresh for ``ctx`` and the terms, in the terms too."""
+    if not clash:
+        return (x, *terms)
+    x2 = _fresh_binder(x, ctx, *terms)
+    return (x2, *(S.subst(t, x, Var(x2)) for t in terms))
+
+
 def _qubits_tensor(k: int) -> Type:
     t: Type = QUBIT
     for _ in range(k - 1):
@@ -211,9 +220,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
                 if expected.arg != tx:
                     _mismatch(m, expected.arg, tx)
             if ctx_lookup(ctx, x) is not None:
-                x2 = _fresh_binder(x, ctx, body)
-                body = S.subst(body, x, Var(x2))
-                x = x2
+                x, body = _unshadow(x, True, ctx, body)
                 m = Abs(x, tx, body)
             d = check(ctx + ((x, tx),), body, expected.res if expected else None)
             return Derivation("loli_I", ctx, m, LinArrow(tx, d.type), (d,))
@@ -254,15 +261,11 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             ds = check(c1, s, TensorT(tx, ty))
             if x == y:
                 raise TypingError("TypeMismatch", f"tensor pattern binds {x} twice")
-            for name in (x, y):
-                if ctx_lookup(c2, name) is not None:
-                    fresh = _fresh_binder(name, ctx, b)
-                    b = S.subst(b, name, Var(fresh))
-                    if name == x:
-                        x = fresh
-                    else:
-                        y = fresh
-                    m = LetPair(x, tx, y, ty, s, b)
+            clash_x, clash_y = ctx_lookup(c2, x) is not None, ctx_lookup(c2, y) is not None
+            x, b = _unshadow(x, clash_x, ctx, b)
+            y, b = _unshadow(y, clash_y, ctx, b)
+            if clash_x or clash_y:
+                m = LetPair(x, tx, y, ty, s, b)
             db = check(c2 + ((x, tx), (y, ty)), b, expected)
             return Derivation("tensor_E", ctx, m, db.type, (ds, db), {"split": (c1, c2)})
 
@@ -284,14 +287,8 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             fv_branches = (free_vars(lb) - {x}) | (free_vars(rb) - {y})
             c1, c2 = split_ctx(ctx, free_vars(s), fv_branches)
             ds = check(c1, s, SumT(tx, ty))
-            if ctx_lookup(c2, x) is not None:
-                x2 = _fresh_binder(x, ctx, lb)
-                lb = S.subst(lb, x, Var(x2))
-                x = x2
-            if ctx_lookup(c2, y) is not None:
-                y2 = _fresh_binder(y, ctx, rb)
-                rb = S.subst(rb, y, Var(y2))
-                y = y2
+            x, lb = _unshadow(x, ctx_lookup(c2, x) is not None, ctx, lb)
+            y, rb = _unshadow(y, ctx_lookup(c2, y) is not None, ctx, rb)
             m = Match(s, x, tx, lb, y, ty, rb)
             dl = check(c2 + ((x, tx),), lb, expected)
             dr = check(c2 + ((y, ty),), rb, expected if expected is not None else dl.type)
@@ -302,18 +299,11 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
         case LetRec(f, ta, tb, x, body, cont, bound):
             ft = BangArrow(ta, tb)
             exp = exponential_part(ctx)
-            if ctx_lookup(ctx, f) is not None or f == x:
-                f2 = _fresh_binder(f, ctx, body, cont)
-                body = S.subst(body, f, Var(f2))
-                cont = S.subst(cont, f, Var(f2))
-                f = f2
+            f, body, cont = _unshadow(f, ctx_lookup(ctx, f) is not None or f == x, ctx, body, cont)
             # machine unfoldings yield `letrec f x = M in M`; detect the
             # shape before the renaming below touches only the body
             cont_is_body = cont == body
-            if ctx_lookup(ctx, x) is not None:
-                x2 = _fresh_binder(x, ctx, body)
-                body = S.subst(body, x, Var(x2))
-                x = x2
+            x, body = _unshadow(x, ctx_lookup(ctx, x) is not None, ctx, body)
             m = LetRec(f, ta, tb, x, body, cont, bound)
             dbody = check(exp + ((f, ft), (x, ta)), body, tb)
             if expected is None and cont_is_body:

@@ -125,3 +125,15 @@ def test_bad_truncation_bound_is_an_error_line(args):
     assert code == 1
     assert err == "error: truncation bounds must be nonnegative\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("extra", [(), ("--mode", "sample")])
+def test_qubit_cap_is_an_error_line(monkeypatch, capsys, extra):
+    # teleport-roundtrip allocates three qubits
+    monkeypatch.setattr(cli.M, "MAX_QUBITS", 2)
+    rc = cli.main(["run", str(PROGRAMS / "teleport-roundtrip.qlam"), *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: new would allocate qubit 3 beyond the cap of 2\n"
+    monkeypatch.setattr(cli.M, "MAX_QUBITS", 3)
+    assert cli.main(["run", str(PROGRAMS / "teleport-roundtrip.qlam"), *extra]) == 0

@@ -290,11 +290,118 @@ def test_list_roll_unroll():
 # exponential: comonoid, comonad, promotion, bierman
 
 
-def test_group_cap():
+def test_group_cap(monkeypatch):
     # S8 acting on eight qubit copies has order 40320 > GROUP_CAP
     with pytest.raises(C.GroupTooLargeError):
         C.sym_power(D2, 8)
-    assert len(C.sym_power(D2, 7).elems) == 1  # 7! = GROUP_CAP fits
+    s7 = C.sym_power(D2, 7)
+    assert len(s7.elems) == 1  # 7! = GROUP_CAP fits
+    g7 = s7.elems[0][2]
+    # a product group over the cap fails before any element is built, and
+    # so do the webs whose labels would carry it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("permutation built above the cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(C, "digit_permutation", unreachable)
+        for g1, g2 in ((g7, S2), (S2, g7), (g7, g7)):
+            with pytest.raises(C.GroupTooLargeError):
+                g1.product(g2)
+    with pytest.raises(C.GroupTooLargeError):
+        C.tensor_obj(s7, D2S)
+    assert g7.product(C.PermGroup.trivial(2)).order == C.GROUP_CAP
+
+
+# ---------------------------------------------------------------------------
+# permutation groups against brute-force builders
+
+
+S3 = C.PermGroup(3, tuple(sorted(itertools.permutations(range(3)))))
+D3S = C.CpmObject(((C.STAR, 3, S3),))
+
+
+def _product_group_reference(g1: C.PermGroup, g2: C.PermGroup) -> C.PermGroup:
+    """(g, h) sends the lexicographic pair i*d2 + j to g[i]*d2 + h[j]."""
+    d1, d2 = g1.degree, g2.degree
+    perms = set()
+    for g in g1.perms:
+        for h in g2.perms:
+            perms.add(tuple(g[i] * d2 + h[j] for i in range(d1) for j in range(d2)))
+    return C.PermGroup(d1 * d2, tuple(sorted(perms)))
+
+
+def _wreath_group_reference(a: C.CpmObject, mu: tuple) -> C.PermGroup:
+    """Every choice of a permutation of each label's copies and of a group
+    element per copy, each relabelling built digit by digit."""
+    dims = [a.dim(l) for l in mu]
+    slots = {}
+    for pos, l in enumerate(mu):
+        if dims[pos] > 1:
+            slots.setdefault(l, []).append(pos)
+    labels = sorted(slots)
+    perms = set()
+    copy_perm_choices = [list(itertools.permutations(range(len(slots[l])))) for l in labels]
+    for copy_perms in itertools.product(*copy_perm_choices):
+        group_choices = [itertools.product(a.group(l).perms, repeat=len(slots[l])) for l in labels]
+        for gs in itertools.product(*group_choices):
+            # out digit at slot (l, t) = g_l^t(in digit at slot (l, h_l(t)))
+            src = list(range(len(mu)))
+            acts = [tuple(range(d)) for d in dims]
+            for li, l in enumerate(labels):
+                for t, pos in enumerate(slots[l]):
+                    src[pos] = slots[l][copy_perms[li][t]]
+                    acts[pos] = gs[li][t]
+            perms.add(tuple(_digit_permutation_reference(dims, src, acts)))
+    return C.PermGroup(int(np.prod(dims)), tuple(sorted(perms)))
+
+
+# webs with S2 and S3 labels, 1-dimensional labels beside larger ones, and
+# ! objects, each with the largest multiset size checked on it
+MIXED = C.CpmObject(((("a",), 1, C.PermGroup.trivial(1)), (("b",), 2, S2),
+                     (("c",), 3, C.PermGroup.trivial(3))))
+WREATH_CASES = [(D2, 3), (D2S, 3), (D3S, 2), (TWO, 3), (TWO_S, 3), (MIXED, 3),
+                (C.bang_obj(D2S, 2), 2), (C.bang_obj(TWO_S, 1), 2)]
+
+
+def test_wreath_group_matches_reference():
+    for base, k in WREATH_CASES:
+        for j in range(k + 1):
+            for mu in itertools.combinations_with_replacement(sorted(base.labels()), j):
+                assert C._wreath_group(base, mu) == _wreath_group_reference(base, mu), mu
+    # a bang_obj of a bang_obj carries the same groups
+    inner = C.bang_obj(D2S, 2)
+    outer = C.bang_obj(inner, 2)
+    assert max(g.order for _, _, g in outer.elems) == 2 * 8 * 8
+    for l, _, g in outer.elems:
+        assert g == _wreath_group_reference(inner, l[1]), l
+
+
+def test_product_group_matches_reference():
+    webs = [C.sym_power(base, k) for base, kmax in WREATH_CASES for k in range(1, kmax + 1)]
+    groups = {g for a in webs for _, _, g in a.elems}
+    checked = 0
+    for g1, g2 in itertools.product(sorted(groups, key=lambda g: (g.degree, g.perms)), repeat=2):
+        if g1.degree * g2.degree <= 64 and g1.order * g2.order <= 64:
+            got = g1.product(g2)
+            assert got == _product_group_reference(g1, g2), (g1, g2)
+            checked += not got.is_trivial
+    assert checked > 100
+
+
+def test_stacked_vec_gather():
+    for rng in seeds():
+        n = int(rng.integers(1, 6))
+        stack = np.array([rng.permutation(n) for _ in range(int(rng.integers(1, 5)))])
+        got = C._vec_gather(stack)
+        assert got.shape == (len(stack), n * n)
+        x = rng.normal(size=(n, n))
+        for row, perm in zip(got, stack):
+            assert np.array_equal(row, C._vec_gather(perm))
+            inv = np.argsort(perm)
+            assert row.tolist() == _digit_permutation_reference((n, n), (0, 1), (inv, inv))
+            p = np.zeros((n, n))
+            p[perm, np.arange(n)] = 1.0
+            assert np.array_equal(C.vec(x)[row], C.vec(p @ x @ p.T))
 
 
 # K = 3 instances use 1-dimensional webs; 2-dimensional bases use K = 2 to

@@ -192,3 +192,17 @@ def test_four_masses_sum_to_one():
     for i, term in enumerate(terms):
         dist = M.evaluate(M.load(term), max_steps=2000)
         assert abs(_total_mass(dist) - 1.0) <= 1e-12, i
+
+
+def test_qubit_cap(monkeypatch):
+    term = P.parse_term("<new ff, <new tt, new ff>>")
+    monkeypatch.setattr(M, "MAX_QUBITS", 2)
+    for run in (M.evaluate, lambda c: M.sample(c, 0)):
+        with pytest.raises(M.TooManyQubits, match="qubit 3 beyond the cap of 2"):
+            run(M.load(term))
+    # reaching the cap is allowed
+    assert M.sample(M.load(P.parse_term("<new ff, new tt>")), 0).final.num_qubits == 2
+    monkeypatch.setattr(M, "MAX_QUBITS", 3)
+    (_, outcome), = M.evaluate(M.load(term)).outcomes.items()
+    assert outcome.closure.num_qubits == 3
+    assert M.sample(M.load(term), 0).final.num_qubits == 3
