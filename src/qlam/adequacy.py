@@ -27,6 +27,8 @@ from . import syntax as S
 from . import typecheck as T
 from .denote import DEFAULT_CONFIG, TruncationConfig, denote
 
+TOL = 1e-6  # how far the denotation may miss the machine's halting mass
+
 
 class AdequacyError(Exception):
     pass
@@ -186,11 +188,11 @@ def scalar_denotation(m: S.Term, cfg: TruncationConfig = DEFAULT_CONFIG) -> floa
 
 
 def check_adequacy(m: S.Term, cfg: TruncationConfig = DEFAULT_CONFIG,
-                   max_steps: int = 2000, tol: float = 1e-6) -> AdequacyReport:
+                   max_steps: int = 2000) -> AdequacyReport:
     """Compare a closed unit-type program's denotation with its halting mass.
 
-    Finitary programs must match exactly (up to ``tol``); general programs
-    must satisfy ``halt_lower - tol <= denot <= halt_lower + residual + tol``.
+    Finitary programs must match exactly (up to ``TOL``); general programs
+    must satisfy ``halt_lower - TOL <= denot <= halt_lower + residual + TOL``.
     """
     denot = scalar_denotation(m, cfg)
     dist = M.evaluate(M.load(m), max_steps=max_steps)
@@ -198,9 +200,9 @@ def check_adequacy(m: S.Term, cfg: TruncationConfig = DEFAULT_CONFIG,
     residual = dist.residual
     fin = is_finitary(m)
     if fin:
-        ok = residual <= tol and abs(denot - halt) <= tol
+        ok = residual <= TOL and abs(denot - halt) <= TOL
     else:
-        ok = halt - tol <= denot <= halt + residual + tol
+        ok = halt - TOL <= denot <= halt + residual + TOL
     src_hash = hashlib.sha256(S.pretty(m).encode()).hexdigest()[:12]
     return AdequacyReport(src_hash, denot, halt, residual, fin,
                           "PASS" if ok else "FAIL")

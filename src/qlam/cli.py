@@ -88,6 +88,8 @@ def cmd_denote(args) -> int:
 def cmd_adequacy(args) -> int:
     cfg = _trunc_config(args)
     if args.fuzz is not None:
+        if args.fuzz < 0:
+            raise A.AdequacyError(f"--fuzz must be nonnegative, got {args.fuzz}")
         failures = 0
         for i in range(args.fuzz):
             term = A.random_finitary_program(args.seed + i)

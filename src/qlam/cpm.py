@@ -23,8 +23,13 @@ of its unit, and projection of injection, list_unroll of list_roll and
 undistribute_left of distribute_left, whose entries are symmetric
 group-average channels, so that there the transpose only reverses the keys.
 
-Every structural map is a relabelling of basis indices averaged over the
-group actions.  A relabelling is an index array ``tau`` with
+Maps that only rename labels (identities, injections, distributivity, the
+list fold, weakening, dereliction, the Bierman unit, associators, unitors)
+come from :func:`relabel`, whose entries are the source group-average
+channels.  Maps that move digits (``swap``, ``denote``'s routing, the
+exponential's maps) use :func:`structural` or :func:`perm_channel`: a
+relabelling of basis indices averaged over the group actions.  A
+relabelling is an index array ``tau`` with
 ``tau[in_flat] = out_flat`` over mixed-radix digits, the last digit
 varying fastest (:func:`digit_permutation`); :func:`perm_channel` turns it
 into conjugation by ``P`` with ``P[tau[i], i] = 1``, whose vec form sends
@@ -480,13 +485,17 @@ class Morphism:
         return max((_maxabs(s) for s in self.entries.values()), default=0.0)
 
 
+def relabel(src: CpmObject, dst: CpmObject, pairs) -> Morphism:
+    """The map sending each source label ``l`` of ``pairs`` to its partner
+    ``m``, with the group-average channel of ``l`` as the entry: a renaming
+    of labels that moves no digit.  Entries follow the order of ``pairs``."""
+    return Morphism(src, dst, {(l, m): group_channel(src.group(l)) for l, m in pairs})
+
+
 @lru_cache(maxsize=512)
 def identity(a: CpmObject) -> Morphism:
     # the identity entry is the group-average channel (idempotent projection)
-    entries = {
-        (l, l): group_channel(g) for l, _, g in a.elems
-    }
-    return Morphism(a, a, entries)
+    return relabel(a, a, ((l, l) for l in a.labels()))
 
 
 def zero(a: CpmObject, b: CpmObject) -> Morphism:
@@ -501,11 +510,7 @@ def scalar(value: complex) -> Morphism:
 
 
 def injection(parts, i: int) -> Morphism:
-    bp = biproduct(parts)
-    entries = {}
-    for l, d, g in parts[i].elems:
-        entries[(l, ("inj", i, l))] = group_channel(g)
-    return Morphism(parts[i], bp, entries)
+    return relabel(parts[i], biproduct(parts), ((l, ("inj", i, l)) for l in parts[i].labels()))
 
 
 def projection(parts, i: int) -> Morphism:
@@ -525,16 +530,10 @@ def cotuple(parts, morphisms) -> Morphism:
 
 def distribute_left(a: CpmObject, parts) -> Morphism:
     """(biproduct B_i) (x) A  ->  biproduct (B_i (x) A), label identity."""
-    bp = biproduct(parts)
-    src = tensor_obj(bp, a)
-    dst = biproduct([tensor_obj(p, a) for p in parts])
-    entries = {}
-    for la, da, ga in a.elems:
-        for i, part in enumerate(parts):
-            for lb, db, gb in part.elems:
-                g = gb.product(ga)
-                entries[(("pair", ("inj", i, lb), la), ("inj", i, ("pair", lb, la)))] = group_channel(g)
-    return Morphism(src, dst, entries)
+    pairs = ((("pair", ("inj", i, lb), la), ("inj", i, ("pair", lb, la)))
+             for la in a.labels() for i, part in enumerate(parts) for lb in part.labels())
+    return relabel(tensor_obj(biproduct(parts), a),
+                   biproduct([tensor_obj(p, a) for p in parts]), pairs)
 
 
 def undistribute_left(a: CpmObject, parts) -> Morphism:
@@ -610,38 +609,37 @@ def swap(a: CpmObject, b: CpmObject) -> Morphism:
     return structural(tensor_obj(a, b), (0, 1), (1, 0), {0: a, 1: b})
 
 
-@lru_cache(maxsize=512)
 def assoc_right(a: CpmObject, b: CpmObject, c: CpmObject) -> Morphism:
     """(A (x) B) (x) C -> A (x) (B (x) C)."""
-    src = tensor_obj(tensor_obj(a, b), c)
-    return structural(src, ((0, 1), 2), (0, (1, 2)), {0: a, 1: b, 2: c})
+    return relabel(tensor_obj(tensor_obj(a, b), c), tensor_obj(a, tensor_obj(b, c)),
+                   ((("pair", ("pair", la, lb), lc), ("pair", la, ("pair", lb, lc)))
+                    for la, lb, lc in itertools.product(a.labels(), b.labels(), c.labels())))
 
 
 @lru_cache(maxsize=512)
 def assoc_left(a: CpmObject, b: CpmObject, c: CpmObject) -> Morphism:
-    src = tensor_obj(a, tensor_obj(b, c))
-    return structural(src, (0, (1, 2)), ((0, 1), 2), {0: a, 1: b, 2: c})
+    return relabel(tensor_obj(a, tensor_obj(b, c)), tensor_obj(tensor_obj(a, b), c),
+                   ((("pair", la, ("pair", lb, lc)), ("pair", ("pair", la, lb), lc))
+                    for la, lb, lc in itertools.product(a.labels(), b.labels(), c.labels())))
 
 
 @lru_cache(maxsize=512)
 def lunit_elim(a: CpmObject) -> Morphism:
     """1 (x) A -> A."""
-    return structural(tensor_obj(UNIT_OBJ, a), ("u0", 0), 0, {0: a, "u0": UNIT_OBJ})
+    return relabel(tensor_obj(UNIT_OBJ, a), a, ((("pair", STAR, l), l) for l in a.labels()))
 
 
 @lru_cache(maxsize=512)
 def lunit_intro(a: CpmObject) -> Morphism:
-    return structural(a, 0, ("u", 0), {0: a})
+    return relabel(a, tensor_obj(UNIT_OBJ, a), ((l, ("pair", STAR, l)) for l in a.labels()))
 
 
-@lru_cache(maxsize=512)
 def runit_elim(a: CpmObject) -> Morphism:
-    return structural(tensor_obj(a, UNIT_OBJ), (0, "u0"), 0, {0: a, "u0": UNIT_OBJ})
+    return relabel(tensor_obj(a, UNIT_OBJ), a, ((("pair", l, STAR), l) for l in a.labels()))
 
 
-@lru_cache(maxsize=512)
 def runit_intro(a: CpmObject) -> Morphism:
-    return structural(a, 0, (0, "u"), {0: a})
+    return relabel(a, tensor_obj(a, UNIT_OBJ), ((l, ("pair", l, STAR)) for l in a.labels()))
 
 
 # compact closure ------------------------------------------------------------
@@ -716,21 +714,12 @@ def list_roll(a: CpmObject, list_max: int) -> Morphism:
     """1 (+) (A (x) A^list) -> A^list; the length list_max+1 part is dropped."""
     lst = list_obj(a, list_max)
     src = biproduct([UNIT_OBJ, tensor_obj(a, lst)])
-    entries = {}
-    entries[((("inj", 0, STAR)), ("inj", 0, STAR))] = np.eye(1, dtype=complex)
-    for la, da, ga in a.elems:
-        for n in range(list_max + 1):
-            for lw, dw, gw in tensor_power(a, n).elems:
-                if n + 1 > list_max:
-                    continue  # truncation: overflowing lists vanish
-                src_label = ("inj", 1, ("pair", la, ("inj", n, lw)))
-                dst_label = ("inj", n + 1, ("pair", la, lw))
-                g = ga.product(gw)
-                entries[(src_label, dst_label)] = group_channel(g)
-    return Morphism(src, lst, entries)
+    # n stops below list_max: a cons onto a list of length list_max vanishes
+    conses = ((("inj", 1, ("pair", la, ("inj", n, lw))), ("inj", n + 1, ("pair", la, lw)))
+              for la in a.labels() for n in range(list_max) for lw in tensor_power(a, n).labels())
+    return relabel(src, lst, itertools.chain([(("inj", 0, STAR), ("inj", 0, STAR))], conses))
 
 
-@lru_cache(maxsize=512)
 def list_unroll(a: CpmObject, list_max: int) -> Morphism:
     """A^list -> 1 (+) (A (x) A^list); total (the roll is its one-sided inverse)."""
     return list_roll(a, list_max).transpose()
@@ -743,7 +732,6 @@ def _mset(labels) -> tuple:
     return tuple(sorted(labels))
 
 
-@lru_cache(maxsize=1024)
 def sym_power(a: CpmObject, k: int) -> CpmObject:
     """k-th symmetric power: multisets of labels with wreath-product groups."""
     elems = []
@@ -814,19 +802,14 @@ def _reindex_channel(a: CpmObject, mu: tuple, seq, group_src: PermGroup, group_d
 @lru_cache(maxsize=512)
 def weakening(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> 1, supported on the empty multiset."""
-    bang = bang_obj(a, bang_max)
-    return Morphism(bang, UNIT_OBJ, {(("mset", ()), STAR): np.eye(1, dtype=complex)})
+    return relabel(bang_obj(a, bang_max), UNIT_OBJ, [(("mset", ()), STAR)])
 
 
 @lru_cache(maxsize=512)
 def dereliction(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> A, supported on singleton multisets."""
-    bang = bang_obj(a, bang_max)
-    entries = {}
-    if bang_max >= 1:
-        for l, d, g in a.elems:
-            entries[(("mset", (l,)), l)] = group_channel(g)
-    return Morphism(bang, a, entries)
+    return relabel(bang_obj(a, bang_max), a,
+                   ((("mset", (l,)), l) for l in a.labels() if bang_max >= 1))
 
 
 @lru_cache(maxsize=512)
@@ -857,7 +840,6 @@ def contraction(a: CpmObject, bang_max: int) -> Morphism:
     return Morphism(bang, dst, entries)
 
 
-@lru_cache(maxsize=512)
 def digging(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> !!A; a multiset of multisets receives their multiset union.
 
@@ -916,17 +898,12 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
     return Morphism(banga, bangb, entries)
 
 
-@lru_cache(maxsize=512)
 def bierman_unit(bang_max: int) -> Morphism:
     """m1 : 1 -> !1; hits the k-fold multiset of the unit label for every k."""
-    bang = bang_obj(UNIT_OBJ, bang_max)
-    entries = {}
-    for k in range(bang_max + 1):
-        entries[(STAR, ("mset", (STAR,) * k))] = np.eye(1, dtype=complex)
-    return Morphism(UNIT_OBJ, bang, entries)
+    return relabel(UNIT_OBJ, bang_obj(UNIT_OBJ, bang_max),
+                   ((STAR, ("mset", (STAR,) * k)) for k in range(bang_max + 1)))
 
 
-@lru_cache(maxsize=512)
 def bierman_tensor(a: CpmObject, b: CpmObject, bang_max: int) -> Morphism:
     """m(x) : !A (x) !B -> !(A (x) B).
 

@@ -286,7 +286,7 @@ def _promotion_prefix(types: tuple, cfg: TruncationConfig) -> Morphism:
 
 def _bang_point(dst_bang: CpmObject) -> Morphism:
     """1 -> !B supported on the empty multiset: the promotion of 0."""
-    return Morphism(C.UNIT_OBJ, dst_bang, {(C.STAR, ("mset", ())): np.eye(1, dtype=complex)})
+    return C.relabel(C.UNIT_OBJ, dst_bang, [(C.STAR, ("mset", ()))])
 
 
 def fixpoint_iterate(exp_ctx: T.Ctx, chi: Morphism, bang_hom: CpmObject,

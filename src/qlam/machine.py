@@ -27,6 +27,7 @@ from .syntax import (
 # of 2^n amplitudes, and ``evaluate`` keeps one per frontier branch, so the
 # ``new`` rule refuses to go past this instead of exhausting memory.
 MAX_QUBITS = 20
+PRUNE_EPS = 1e-12  # ``evaluate`` drops branches this unlikely as pruned mass
 
 
 class MachineError(Exception):
@@ -309,7 +310,7 @@ class Distribution:
     accumulated probability; ``blocked`` is the mass that reached an
     omega-blocked normal form; ``residual`` is mass still unreduced when
     the step budget ran out (an under-approximation witness); ``pruned`` is
-    the mass of the branches dropped at or below ``prune_eps``.  The halting
+    the mass of the branches dropped at or below ``PRUNE_EPS``.  The halting
     mass and these three sum to 1.
     """
 
@@ -329,8 +330,10 @@ class Distribution:
                    if S.pretty(S.alpha_canonical(o.closure.term)) == want)
 
 
-def evaluate(c: Closure, max_steps: int = 10_000, prune_eps: float = 1e-12) -> Distribution:
+def evaluate(c: Closure, max_steps: int = 10_000) -> Distribution:
     """Exhaustive breadth-first evaluation of the branching reduction tree."""
+    if max_steps < 0:
+        raise MachineError(f"step budget must be nonnegative, got {max_steps}")
     dist = Distribution()
     frontier = [(1.0, c)]
     steps = 0
@@ -353,7 +356,7 @@ def evaluate(c: Closure, max_steps: int = 10_000, prune_eps: float = 1e-12) -> D
                 continue
             for s in succs:
                 p2 = prob * s.prob
-                if p2 > prune_eps:
+                if p2 > PRUNE_EPS:
                     next_frontier.append((p2, s.closure))
                 else:
                     dist.pruned += p2
@@ -372,6 +375,8 @@ class Trace:
 
 def sample(c: Closure, seed: int, max_steps: int = 10_000) -> Trace:
     """Sample one run, resolving probabilistic branches with the given seed."""
+    if max_steps < 0:
+        raise MachineError(f"step budget must be nonnegative, got {max_steps}")
     rng = random.Random(seed)
     trace = []
     cur = c

@@ -46,6 +46,12 @@ _KEYWORDS = {
     "omega", "qubit", "unit", "bit", "list",
 }
 
+_BASE_TYPES = {"qubit": S.QUBIT, "unit": S.UNIT, "bit": S.BIT}
+# keyword atoms that stand for a fixed term
+_CONSTANTS = {"tt": S.tt, "ff": S.ff, "nil": S.nil, "meas": S.Meas, "new": S.New}
+# every keyword that starts an atom
+_ATOM_KEYWORDS = set(_CONSTANTS) | {"split", "omega", "inl", "inr", "cons"}
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+|//[^\n]*)
@@ -157,27 +163,25 @@ class _Parser:
         return t
 
     def _type_atom(self) -> S.Type:
-        if self._at_kw("qubit"):
+        t = self.cur
+        if t.kind == "kw" and t.text in _BASE_TYPES:
             self._advance()
-            return S.QUBIT
-        if self._at_kw("unit"):
-            self._advance()
-            return S.UNIT
-        if self._at_kw("bit"):
-            self._advance()
-            return S.BIT
+            return _BASE_TYPES[t.text]
         if self._at_kw("list"):
             self._advance()
-            self._eat("[")
-            t = self.type_()
-            self._eat("]")
-            return S.ListT(t)
+            return S.ListT(self._bracket_type())
         if self._at("("):
             self._advance()
             t = self.type_()
             self._eat(")")
             return t
         self._err(f"expected a type, found {self.cur.text!r}")
+
+    def _bracket_type(self) -> S.Type:
+        self._eat("[")
+        t = self.type_()
+        self._eat("]")
+        return t
 
     # -- terms ---------------------------------------------------------------
 
@@ -216,11 +220,7 @@ class _Parser:
 
     def _starts_atom(self) -> bool:
         t = self.cur
-        if t.kind in ("id", "(", "<", "#"):
-            return True
-        return t.kind == "kw" and t.text in (
-            "tt", "ff", "nil", "meas", "new", "split", "omega", "inl", "inr", "cons",
-        )
+        return t.kind in ("id", "(", "<", "#") or (t.kind == "kw" and t.text in _ATOM_KEYWORDS)
 
     def _atom(self) -> S.Term:
         t = self.cur
@@ -244,49 +244,20 @@ class _Parser:
             return S.Pair(left, right)
         if self._at("#"):
             return self._gate()
-        if t.kind == "kw":
-            word = t.text
-            if word == "tt":
-                self._advance()
-                return S.tt()
-            if word == "ff":
-                self._advance()
-                return S.ff()
-            if word == "nil":
-                self._advance()
-                return S.nil()
-            if word == "meas":
-                self._advance()
-                return S.Meas()
-            if word == "new":
-                self._advance()
-                return S.New()
+        if t.kind == "kw" and t.text in _ATOM_KEYWORDS:
+            word = self._advance().text
+            if word in _CONSTANTS:
+                return _CONSTANTS[word]()
             if word == "split":
-                self._advance()
-                self._eat("[")
-                ty = self.type_()
-                self._eat("]")
-                return S.Split(ty)
+                return S.Split(self._bracket_type())
             if word == "omega":
-                self._advance()
-                self._eat("[")
-                ty = self.type_()
-                self._eat("]")
-                return S.Omega(ty)
+                return S.Omega(self._bracket_type())
             if word in ("inl", "inr"):
-                self._advance()
-                ann = None
-                if self._at("["):
-                    self._advance()
-                    ann = self.type_()
-                    self._eat("]")
+                ann = self._bracket_type() if self._at("[") else None
                 body = self._atom()
                 return S.InL(body, ann) if word == "inl" else S.InR(body, ann)
-            if word == "cons":
-                self._advance()
-                head = self._atom()
-                tail = self._atom()
-                return S.cons(head, tail)
+            # the one atom keyword left is cons
+            return S.cons(self._atom(), self._atom())
         self._err(f"expected a term, found {t.text!r}")
 
     def _gate(self) -> S.Term:
@@ -350,6 +321,15 @@ class _Parser:
         self._eat(":")
         return name, self.type_()
 
+    def _pair_binder(self):
+        """``<x:A, y:B>`` as ``(x, A, y, B)``."""
+        self._eat("<")
+        x, tx = self._binder_var()
+        self._eat(",")
+        y, ty = self._binder_var()
+        self._eat(">")
+        return x, tx, y, ty
+
     def _lam(self) -> S.Term:
         self._eat("kw", "lam")
         if self._at("("):
@@ -358,13 +338,9 @@ class _Parser:
             self._eat(".")
             return S.lam_unit(self.term())
         if self._at("<"):
-            self._advance()
-            x, tx = self._binder_var()
-            self._eat(",")
-            y, ty = self._binder_var()
-            self._eat(">")
+            binder = self._pair_binder()
             self._eat(".")
-            return S.lam_pair(x, tx, y, ty, self.term())
+            return S.lam_pair(*binder, self.term())
         x, tx = self._binder_var()
         self._eat(".")
         return S.Abs(x, tx, self.term())
@@ -379,15 +355,11 @@ class _Parser:
             self._eat("kw", "in")
             return S.LetUnit(subject, self.term())
         if self._at("<"):
-            self._advance()
-            x, tx = self._binder_var()
-            self._eat(",")
-            y, ty = self._binder_var()
-            self._eat(">")
+            binder = self._pair_binder()
             self._eat("=")
             subject = self.term()
             self._eat("kw", "in")
-            return S.LetPair(x, tx, y, ty, subject, self.term())
+            return S.LetPair(*binder, subject, self.term())
         x, tx = self._binder_var()
         self._eat("=")
         subject = self.term()

@@ -368,13 +368,15 @@ def seq(first: Term, second: Term) -> Term:
     return LetUnit(first, second)
 
 
-def lam_unit(body: Term, fresh: str = "_u") -> Term:
+def lam_unit(body: Term) -> Term:
+    fresh = "_u"
     while fresh in free_vars(body):
         fresh += "'"
     return Abs(fresh, UNIT, LetUnit(Var(fresh), body))
 
 
-def lam_pair(x: str, tx: Type, y: str, ty: Type, body: Term, fresh: str = "_p") -> Term:
+def lam_pair(x: str, tx: Type, y: str, ty: Type, body: Term) -> Term:
+    fresh = "_p"
     while fresh in free_vars(body) or fresh in (x, y):
         fresh += "'"
     return Abs(fresh, TensorT(tx, ty), LetPair(x, tx, y, ty, Var(fresh), body))

@@ -137,3 +137,25 @@ def test_qubit_cap_is_an_error_line(monkeypatch, capsys, extra):
     assert captured.err == "error: new would allocate qubit 3 beyond the cap of 2\n"
     monkeypatch.setattr(cli.M, "MAX_QUBITS", 3)
     assert cli.main(["run", str(PROGRAMS / "teleport-roundtrip.qlam"), *extra]) == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (("run", str(PROGRAMS / "cointoss.qlam"), "--max-steps", "-5"),
+     "step budget must be nonnegative, got -5"),
+    (("run", str(PROGRAMS / "cointoss.qlam"), "--mode", "sample", "--max-steps", "-5"),
+     "step budget must be nonnegative, got -5"),
+    (("adequacy", str(PROGRAMS / "coin-unit.qlam"), "--max-steps", "-1"),
+     "step budget must be nonnegative, got -1"),
+    (("adequacy", "--fuzz", "-3"), "--fuzz must be nonnegative, got -3"),
+])
+def test_negative_budget_is_an_error_line(capsys, args, message):
+    rc = cli.main(list(args))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_zero_step_budget_is_valid(capsys):
+    assert cli.main(["run", str(PROGRAMS / "cointoss.qlam"), "--max-steps", "0"]) == 0
+    assert "residual 1.000000000" in capsys.readouterr().out

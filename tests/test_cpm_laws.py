@@ -679,3 +679,38 @@ def test_dropped_entries_are_recorded():
     g = f.add(f.scale(-1.0 + 1e-14))
     assert g.entries == {}
     assert 0.0 < g.dropped <= C.DROP_EPS
+
+
+# ---------------------------------------------------------------------------
+# label-only maps against their digit-permutation builds
+
+BIG = C.bang_obj(D2S, 3)  # an 8-dimensional label under a wreath group
+
+
+def _structural_references(a, b, c):
+    """Each associator and unitor beside its ``structural`` build, which runs
+    the digit-permutation machinery although no digit moves."""
+    return [
+        (C.assoc_right(a, b, c), C.structural(
+            C.tensor_obj(C.tensor_obj(a, b), c), ((0, 1), 2), (0, (1, 2)), {0: a, 1: b, 2: c})),
+        (C.assoc_left(a, b, c), C.structural(
+            C.tensor_obj(a, C.tensor_obj(b, c)), (0, (1, 2)), ((0, 1), 2), {0: a, 1: b, 2: c})),
+        (C.lunit_elim(a), C.structural(C.tensor_obj(U1, a), ("u0", 0), 0, {0: a, "u0": U1})),
+        (C.lunit_intro(a), C.structural(a, 0, ("u", 0), {0: a})),
+        (C.runit_elim(a), C.structural(C.tensor_obj(a, U1), (0, "u0"), 0, {0: a, "u0": U1})),
+        (C.runit_intro(a), C.structural(a, 0, (0, "u"), {0: a})),
+    ]
+
+
+def test_relabel_maps_equal_their_structural_builds():
+    triples = list(itertools.product(POOL, repeat=3))
+    triples += [(BIG, D2S, TWO), (TWO_S, BIG, D2), (D2, U1, BIG)]
+    sparse_entries = 0
+    for a, b, c in triples:
+        for f, ref in _structural_references(a, b, c):
+            assert (f.src, f.dst) == (ref.src, ref.dst)
+            # the same keys in the same order, so composites sum alike
+            assert list(f.entries) == list(ref.entries)
+            assert C.diff_entries(f.entries, ref.entries)[None] == 0.0
+            sparse_entries += sum(sparse.issparse(s) for s in f.entries.values())
+    assert sparse_entries > 0  # entries above DENSE_MAX are covered

@@ -175,7 +175,7 @@ def _total_mass(dist) -> float:
 
 
 def test_pruned_branches_are_accounted():
-    # the tt branch of the measurement has probability 1e-13 <= prune_eps
+    # the tt branch of the measurement has probability 1e-13 <= M.PRUNE_EPS
     s = 1e-13 ** 0.5
     c = (1 - 1e-13) ** 0.5
     term = P.parse_term(
