@@ -5,6 +5,18 @@ qubit positions and a term to reduce.  Reduction is call-by-value, left to
 right; classical steps have probability 1, measurement branches carry the
 Born probabilities.  Bounded ``letrec^n`` unfolds at most n times, with
 ``letrec^0`` substituting the explicitly divergent function.
+
+``evaluate`` runs the branching reduction as a Markov chain over shared
+closures: one table per call maps each distinct closure to its successor
+steps, or, for a normal form, to its ``canonical_key`` or the fact that it is
+blocked, so a frontier entry that revisits a closure costs one lookup instead
+of a step.  The key is ``(term, linking, amplitude bytes)`` with exact
+equality, so the result is bit for bit the one plain stepping gives.  The
+table holds at most ``MAX_TABLE_AMPS`` amplitudes and is emptied when the
+next entry would pass that.  ``sample`` follows one path, where a per-call
+table would not hit, and steps plainly.  Runaway growth raises a typed
+error: ``new`` past ``MAX_QUBITS`` qubits, or a frontier past
+``MAX_FRONTIER`` branches.
 """
 
 from __future__ import annotations
@@ -27,6 +39,12 @@ from .syntax import (
 # of 2^n amplitudes, and ``evaluate`` keeps one per frontier branch, so the
 # ``new`` rule refuses to go past this instead of exhausting memory.
 MAX_QUBITS = 20
+# The most amplitudes one ``evaluate`` call's closure table holds (see
+# ``_ClosureTable``); unbounded, it more than tripled the peak memory of
+# ``qlist-run`` at 200 steps.
+MAX_TABLE_AMPS = 1 << 16
+# The most branches ``evaluate`` keeps in one frontier.
+MAX_FRONTIER = 1 << 14
 PRUNE_EPS = 1e-12  # ``evaluate`` drops branches this unlikely as pruned mass
 
 
@@ -35,6 +53,10 @@ class MachineError(Exception):
 
 
 class TooManyQubits(MachineError):
+    pass
+
+
+class FrontierTooLarge(MachineError):
     pass
 
 
@@ -330,29 +352,73 @@ class Distribution:
                    if S.pretty(S.alpha_canonical(o.closure.term)) == want)
 
 
+def _resolve(c: Closure):
+    """What ``evaluate`` needs of a closure: ``(successors, outcome key)``.
+
+    A closure that steps has its successor list and no key; a value has no
+    successors and its ``canonical_key``; a blocked term has neither.
+    """
+    succs = step(c)
+    if succs:
+        return succs, None
+    if is_value(c.term):
+        return succs, canonical_key(c)
+    if is_blocked(c.term):
+        return succs, None
+    raise StuckTerm(f"stuck non-value {S.pretty(c.term)}")
+
+
+class _ClosureTable:
+    """One ``evaluate`` call's ``_resolve`` entries, keyed by exact closure.
+
+    The amplitudes held are counted over the keys' states, their successors'
+    states and their outcome keys.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.held = 0
+
+    def resolve(self, c: Closure):
+        if c.state.amps.size > MAX_TABLE_AMPS:  # its entry could never be held
+            return _resolve(c)
+        key = (c.term, c.linking, c.state.amps.tobytes())
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = _resolve(c)
+            succs, out_key = entry
+            amps = (c.state.amps.size + sum(s.closure.state.amps.size for s in succs)
+                    + (len(out_key[3]) if out_key is not None else 0))
+            if self.held + amps > MAX_TABLE_AMPS:
+                self.entries.clear()
+                self.held = 0
+            if amps <= MAX_TABLE_AMPS:
+                self.entries[key] = entry
+                self.held += amps
+        return entry
+
+
 def evaluate(c: Closure, max_steps: int = 10_000) -> Distribution:
-    """Exhaustive breadth-first evaluation of the branching reduction tree."""
+    """Exhaustive breadth-first evaluation of the branching reduction tree,
+    resolving each distinct closure once through a ``_ClosureTable``."""
     if max_steps < 0:
         raise MachineError(f"step budget must be nonnegative, got {max_steps}")
     dist = Distribution()
     frontier = [(1.0, c)]
+    table = _ClosureTable()
     steps = 0
     while frontier and steps < max_steps:
         steps += 1
         next_frontier = []
         for prob, cl in frontier:
-            succs = step(cl)
+            succs, key = table.resolve(cl)
             if not succs:
-                if is_value(cl.term):
-                    key = canonical_key(cl)
-                    if key in dist.outcomes:
-                        dist.outcomes[key].prob += prob
-                    else:
-                        dist.outcomes[key] = Outcome(prob, cl)
-                elif is_blocked(cl.term):
+                if key is None:
                     dist.blocked += prob
+                elif key in dist.outcomes:
+                    dist.outcomes[key].prob += prob
                 else:
-                    raise StuckTerm(f"stuck non-value {S.pretty(cl.term)}")
+                    dist.outcomes[key] = Outcome(prob, cl)
                 continue
             for s in succs:
                 p2 = prob * s.prob
@@ -360,6 +426,9 @@ def evaluate(c: Closure, max_steps: int = 10_000) -> Distribution:
                     next_frontier.append((p2, s.closure))
                 else:
                     dist.pruned += p2
+        if len(next_frontier) > MAX_FRONTIER:
+            raise FrontierTooLarge(f"step {steps} would keep {len(next_frontier)} branches "
+                                   f"beyond the cap of {MAX_FRONTIER}")
         frontier = next_frontier
     dist.residual = sum(p for p, _ in frontier)
     dist.steps_used = steps

@@ -16,14 +16,18 @@ spells out every constructor because each prints differently, and
 ``free_vars`` does so too because on a fresh term the table lookup would
 cost more than the set operations.
 
-Free variables are cached per node: ``free_vars`` fills a node's ``_fv`` slot
-from the cached sets of its immediate subterms the first time it is asked,
-so a term shared between machine steps is scanned once.  Nodes are never
-mutated otherwise, and a node built by a constructor, ``replace``,
-``map_subterms`` or ``subst`` starts with an empty slot, so no cached set can
-go stale.  ``subst`` returns every subterm in which the variable is not free
-as it is, so it rebuilds only the paths down to the occurrences and the rest
-of the term, caches included, is shared with the result.
+Free variables and hashes are cached per node: ``free_vars`` fills a node's
+``_fv`` slot from the cached sets of its immediate subterms the first time it
+is asked, and ``hash`` fills its ``_hash`` slot with the dataclass hash of its
+fields, which reads the subterms' cached hashes.  So a term shared between
+machine steps is scanned once, and keying ``machine.evaluate``'s closure
+table on a term costs one node.  Nodes are never mutated otherwise, and a
+node built by a constructor, ``replace``, ``map_subterms`` or ``subst`` starts
+with both slots empty, so no cached value can go stale.  A hash depends on
+the process's string-hash seed, so a pickled term leaves its hash behind.
+``subst`` returns every subterm in which the variable is not free as it is,
+so it rebuilds only the paths down to the occurrences and the rest of the
+term, caches included, is shared with the result.
 """
 
 from __future__ import annotations
@@ -139,9 +143,11 @@ def is_exponential(t: Type) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    # the free-variable set, filled in by ``free_vars`` on first use; it is not
-    # an ``__init__`` argument, so every new node, ``replace``'s too, starts empty
+    # the free-variable set and the hash, filled in by ``free_vars`` and
+    # ``hash`` on first use; they are not ``__init__`` arguments, so every new
+    # node, ``replace``'s too, starts with both empty
     _fv: Optional[frozenset] = field(default=None, init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,6 +283,26 @@ _SUBTERMS = {
     for cls in (Var, Abs, App, UnitVal, LetUnit, Pair, LetPair, InL, InR, Match,
                 LetRec, Omega, Meas, New, Split, Gate, Ascribe)
 }
+
+
+def _cached_hash(m: Term) -> int:
+    """The dataclass hash of ``m``'s fields, computed once per node."""
+    h = m._hash
+    if h is None:
+        h = _FIELD_HASH[type(m)](m)
+        object.__setattr__(m, "_hash", h)
+    return h
+
+
+def _getstate(m: Term) -> list:
+    return [None if f.name == "_hash" else getattr(m, f.name) for f in fields(m)]
+
+
+# each class's generated field hash, which ``_cached_hash`` replaces
+_FIELD_HASH = {cls: cls.__hash__ for cls in _SUBTERMS}
+for _cls in _SUBTERMS:
+    _cls.__hash__ = _cached_hash
+    _cls.__getstate__ = _getstate
 
 
 def _subterm_fields(m: Term) -> tuple:

@@ -159,3 +159,15 @@ def test_negative_budget_is_an_error_line(capsys, args, message):
 def test_zero_step_budget_is_valid(capsys):
     assert cli.main(["run", str(PROGRAMS / "cointoss.qlam"), "--max-steps", "0"]) == 0
     assert "residual 1.000000000" in capsys.readouterr().out
+
+
+def test_frontier_cap_is_an_error_line(monkeypatch, capsys):
+    # cointoss's measurement leaves two branches
+    monkeypatch.setattr(cli.M, "MAX_FRONTIER", 1)
+    rc = cli.main(["run", str(PROGRAMS / "cointoss.qlam")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: step 3 would keep 2 branches beyond the cap of 1\n"
+    assert captured.out == ""
+    monkeypatch.setattr(cli.M, "MAX_FRONTIER", 2)
+    assert cli.main(["run", str(PROGRAMS / "cointoss.qlam")]) == 0

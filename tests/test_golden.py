@@ -15,8 +15,10 @@ every runnable program, each sorted ``canonical_key`` of
 entries) with its probability, and the blocked and residual mass and steps
 used; the halting mass and ``is_finitary`` of the
 first fifty finitary fuzz programs; ``is_finitary`` and the pretty-printed
-``lower_approximant(t, 3)`` of the first thirty letrec fuzz programs; and the
-traces of ``sample(load(p), seed)`` for seeds 0..9 of four programs, each step
+``lower_approximant(t, 3)`` of the first thirty letrec fuzz programs; the
+unbounded ``evaluate(load(t), max_steps=300)`` of the same thirty programs,
+as the SHA-256 of each sorted key's ``repr`` with its probability, and the
+blocked, residual and pruned mass and steps used; and the traces of ``sample(load(p), seed)`` for seeds 0..9 of four programs, each step
 as its rule, probability, qubit count and ``pretty(alpha_canonical(term))``
 (bound names are not frozen, free qubit names are), plus the final term and
 the timeout flag.  Keys and text must match exactly, masses and step
@@ -59,6 +61,7 @@ N_SCALAR_SEEDS = 50
 MACHINE_PROGRAMS = PROGRAM_NAMES + ["qlist", "qlist-run"]
 MACHINE_STEPS = 200
 N_LETREC_SEEDS = 30
+LETREC_STEPS = 300
 SAMPLE_PROGRAMS = ["teleport-roundtrip", "teleport-applied", "cointoss", "entangle"]
 N_SAMPLE_SEEDS = 10
 
@@ -131,6 +134,15 @@ def _letrec(seed: int) -> list:
     return [A.is_finitary(term), S.pretty(S.lower_approximant(term, 3))]
 
 
+def _letrec_evaluation(seed: int) -> dict:
+    dist = M.evaluate(M.load(A.random_letrec_program(seed)), max_steps=LETREC_STEPS)
+    keys = sorted(dist.outcomes, key=repr)
+    return {"outcomes": [[hashlib.sha256(repr(k).encode()).hexdigest(),
+                          dist.outcomes[k].prob] for k in keys],
+            "blocked": dist.blocked, "residual": dist.residual,
+            "pruned": dist.pruned, "steps_used": dist.steps_used}
+
+
 def _canon_text(term: S.Term) -> str:
     return S.pretty(S.alpha_canonical(term))
 
@@ -151,6 +163,7 @@ def _machine() -> dict:
     return {"programs": {n: _evaluation(n) for n in MACHINE_PROGRAMS},
             "finitary": [_finitary(s) for s in range(N_SCALAR_SEEDS)],
             "letrec": [_letrec(s) for s in range(N_LETREC_SEEDS)],
+            "letrec_evaluation": [_letrec_evaluation(s) for s in range(N_LETREC_SEEDS)],
             "samples": {n: _samples(n) for n in SAMPLE_PROGRAMS}}
 
 
@@ -203,6 +216,19 @@ def test_golden_letrec_approximants():
     assert len(golden) == N_LETREC_SEEDS
     for seed, want in enumerate(golden):
         assert _letrec(seed) == want, seed
+
+
+def test_golden_letrec_evaluation():
+    golden = _golden_machine()["letrec_evaluation"]
+    assert len(golden) == N_LETREC_SEEDS
+    for seed, want in enumerate(golden):
+        got = _letrec_evaluation(seed)
+        assert [k for k, _ in got["outcomes"]] == [k for k, _ in want["outcomes"]], seed
+        for (_, p), (_, q) in zip(want["outcomes"], got["outcomes"]):
+            assert abs(p - q) <= TOL, seed
+        for mass in ("blocked", "residual", "pruned"):
+            assert abs(want[mass] - got[mass]) <= TOL, (seed, mass)
+        assert got["steps_used"] == want["steps_used"], seed
 
 
 @pytest.mark.parametrize("name", SAMPLE_PROGRAMS)

@@ -206,3 +206,107 @@ def test_qubit_cap(monkeypatch):
     (_, outcome), = M.evaluate(M.load(term)).outcomes.items()
     assert outcome.closure.num_qubits == 3
     assert M.sample(M.load(term), 0).final.num_qubits == 3
+
+
+def _reference_evaluate(c, max_steps):
+    """Breadth-first evaluation with plain ``step`` and ``canonical_key``, no table."""
+    dist = M.Distribution()
+    frontier = [(1.0, c)]
+    steps = 0
+    while frontier and steps < max_steps:
+        steps += 1
+        next_frontier = []
+        for prob, cl in frontier:
+            succs = M.step(cl)
+            if not succs:
+                if S.is_value(cl.term):
+                    key = M.canonical_key(cl)
+                    if key in dist.outcomes:
+                        dist.outcomes[key].prob += prob
+                    else:
+                        dist.outcomes[key] = M.Outcome(prob, cl)
+                else:
+                    assert M.is_blocked(cl.term)
+                    dist.blocked += prob
+                continue
+            for s in succs:
+                p2 = prob * s.prob
+                if p2 > M.PRUNE_EPS:
+                    next_frontier.append((p2, s.closure))
+                else:
+                    dist.pruned += p2
+        frontier = next_frontier
+    dist.residual = sum(p for p, _ in frontier)
+    dist.steps_used = steps
+    return dist
+
+
+def _closure_record(c):
+    return c.term, c.linking, c.state.amps.tobytes()
+
+
+def _assert_same_distribution(got, want):
+    # exact equality, outcome order included
+    assert list(got.outcomes) == list(want.outcomes)
+    for key, o in want.outcomes.items():
+        assert got.outcomes[key].prob == o.prob
+        assert _closure_record(got.outcomes[key].closure) == _closure_record(o.closure)
+    assert (got.blocked, got.residual, got.pruned, got.steps_used) == \
+        (want.blocked, want.residual, want.pruned, want.steps_used)
+
+
+# a qubit is flipped on one branch of a coin toss and not on the other, so the
+# two branches end on equal terms and linkings with different amplitudes
+_CONVERGING = "let q:qubit = new ff in if meas (#H (new ff)) then #X q else q"
+
+
+def _equivalence_cases():
+    cases = [(A.random_finitary_program(seed, 10), 2000) for seed in range(50)]
+    cases += [(A.random_letrec_program(seed), 300) for seed in range(30)]
+    cases += [(load(name), 200) for name in sorted(p.stem for p in PROGRAMS.glob("*.qlam"))
+              if not name.startswith("ill-")]
+    cases.append((P.parse_term(_CONVERGING), 100))
+    return cases
+
+
+def test_evaluate_equals_plain_stepping():
+    for term, max_steps in _equivalence_cases():
+        c = M.load(term)
+        _assert_same_distribution(M.evaluate(c, max_steps), _reference_evaluate(c, max_steps))
+
+
+def test_each_distinct_closure_is_stepped_once(monkeypatch):
+    stepped = []
+    plain = M.step
+
+    def recording(c):
+        stepped.append(_closure_record(c))
+        return plain(c)
+
+    monkeypatch.setattr(M, "step", recording)
+    for seed in range(10):
+        stepped.clear()
+        dist = M.evaluate(M.load(A.random_letrec_program(seed)), max_steps=300)
+        assert len(stepped) == len(set(stepped)), seed
+        assert len(stepped) < dist.steps_used
+
+
+def test_table_amplitude_cap_keeps_the_distribution(monkeypatch):
+    term = load("qlist-run")
+    want = M.evaluate(M.load(term), max_steps=200)
+    for cap in (64, 1024):
+        monkeypatch.setattr(M, "MAX_TABLE_AMPS", cap)
+        _assert_same_distribution(M.evaluate(M.load(term), max_steps=200), want)
+    _assert_same_distribution(want, _reference_evaluate(M.load(term), 200))
+
+
+def test_frontier_cap(monkeypatch):
+    # cointoss's frontier holds two branches after its measurement
+    monkeypatch.setattr(M, "MAX_FRONTIER", 1)
+    with pytest.raises(M.FrontierTooLarge, match="would keep 2 branches beyond the cap of 1"):
+        M.evaluate(M.load(load("cointoss")))
+    monkeypatch.setattr(M, "MAX_FRONTIER", 2)
+    assert M.evaluate(M.load(load("cointoss"))).halt_mass == pytest.approx(1.0)
+    # sample follows one branch, so the cap does not apply to it
+    monkeypatch.setattr(M, "MAX_FRONTIER", 1)
+    assert not M.sample(M.load(load("cointoss")), 0).timed_out

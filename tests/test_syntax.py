@@ -1,6 +1,7 @@
-"""AST, desugaring, substitution, free-variable caching, pretty-printer round-trips."""
+"""AST, desugaring, substitution, free-variable and hash caching, pretty-printer round-trips."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,66 @@ def test_rebuilt_nodes_carry_no_stale_free_vars():
     assert S.free_vars(swapped) == {"w", "y"}
     assert S.free_vars(S.map_subterms(m, lambda t: swapped)) == {"w"}
     assert S.free_vars(S.subst(m, "x", S.Var("v"))) == {"v"}
+
+
+class _Uncached:
+    """Stands for a term inside a field tuple with the term's hash recomputed."""
+
+    def __init__(self, m: S.Term):
+        self.m = m
+
+    def __hash__(self) -> int:
+        return _reference_hash(self.m)
+
+
+def _reference_hash(m: S.Term) -> int:
+    """The dataclass hash of ``m``'s compared fields, reading no cached hash."""
+    return hash(tuple(_Uncached(v) if isinstance(v, S.Term) else v
+                      for v in (getattr(m, f.name) for f in fields(m) if f.compare)))
+
+
+def test_cached_hash_matches_reference():
+    for term in _fuzz_terms():
+        for reached in [term] + _reached_terms(term, limit=100):
+            for u in _all_subterms(reached):
+                assert hash(u) == _reference_hash(u), S.pretty(u)
+                assert u._hash == hash(u)
+
+
+def test_equal_terms_built_separately_hash_equal():
+    text = (PROGRAMS / "qlist.qlam").read_text()
+    a, b = P.parse_term(text), P.parse_term(text)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    # reached by substitution or built directly, before or after hashing a part
+    m = S.Abs("y", S.QUBIT, S.Pair(S.Var("x"), S.Var("y")))
+    hash(m.body)
+    built = S.Abs("y", S.QUBIT, S.Pair(S.Var("z"), S.Var("y")))
+    assert hash(S.subst(m, "x", S.Var("z"))) == hash(built)
+    assert len({S.subst(m, "x", S.Var("z")), built, m}) == 2
+
+
+def test_rebuilt_nodes_carry_no_stale_hash():
+    m = S.Abs("y", S.QUBIT, S.Pair(S.Var("x"), S.Var("y")))
+    hash(m)
+    assert m._hash is not None and m.body._hash is not None
+    rebuilt = [
+        replace(m, var="x"),
+        replace(m.body, left=S.Var("z")),
+        S.map_subterms(m.body, lambda t: S.Var("w") if t == S.Var("x") else t),
+        S.subst(m, "x", S.Var("v")),
+    ]
+    for r in rebuilt:
+        assert r._hash is None
+        assert hash(r) == _reference_hash(r)
+    # a pickled copy recomputes its hash, which may differ in another process
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m and again._hash is None and again.body._hash is None
+    assert hash(again) == hash(m)
+    # subst rebuilds the path to the occurrence and shares the rest, caches included
+    out = S.subst(m, "x", S.Var("v"))
+    assert out.body._hash is None and out.body.right is m.body.right
+    assert out.body.right._hash is not None
 
 
 def _binder_names(m: S.Term) -> set:
@@ -295,6 +356,18 @@ def test_subst_and_free_vars_on_random_terms(term, x):
     assert S.free_vars(out) == _reference_free_vars(out)
     want = _naive_subst(S.alpha_canonical(term), x, v)
     assert S.alpha_canonical(out) == S.alpha_canonical(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms(), st.sampled_from(["x", "y"]))
+def test_cached_hash_on_random_terms(term, x):
+    out = S.subst(term, x, S.Pair(S.Var("y"), S.Var("z")))
+    for m in (term, out):
+        for u in _all_subterms(m):
+            assert hash(u) == _reference_hash(u)
+    # a separately built copy hashes the same
+    again = P.parse_term(S.pretty(term))
+    assert again == term and hash(again) == hash(term)
 
 
 @settings(max_examples=200, deadline=None)
