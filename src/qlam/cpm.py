@@ -17,6 +17,13 @@ their path from the shape of the result, and a sum or multiple keeps the
 form of its same-shaped operands; ``Morphism`` puts whatever else it is
 given (a transpose, a hand-built array) into the form of its shape.
 
+The tensor of two entries (:func:`so_tensor`) pairs vec indices by digit
+arithmetic.  A vec index of a side-``d`` matrix has digits (column, row), and
+the pair of (c1, r1) and (c2, r2) is ``((c1*d2 + c2)*d1 + r1)*d2 + r2``.  A
+small result is one transpose of the outer product of the factors; a large
+one is CSR, built straight from the factors' nonzeros, with no Kronecker
+product and no regather.
+
 The inverse structural maps are transposes (:meth:`Morphism.transpose`):
 epsilon of eta, as the counit of a compact closed category is the transpose
 of its unit, and projection of injection, list_unroll of list_roll and
@@ -189,28 +196,64 @@ def _vec_gather(perms) -> np.ndarray:
     return (inv[..., :, None] * n + inv[..., None, :]).reshape(*inv.shape[:-1], n * n)
 
 
-@lru_cache(maxsize=4096)
-def _vec_pair_perm(d1: int, d2: int) -> np.ndarray:
-    """Combined vec index -> Kronecker vec index, for the tensor of superoperators."""
-    # combined digits (c1, c2, r1, r2) -> Kronecker digits (c1, r1, c2, r2)
-    out = digit_permutation((d1, d2, d1, d2), (0, 2, 1, 3))
-    out.setflags(write=False)
-    return out
+def _vec_pair_parts(n1: int, n2: int):
+    """Index arrays u, w with u[a1] + w[a2] the paired vec index of the vec
+    indices a1 < n1 and a2 < n2 of two factors of sides d1, d2.  A vec index
+    has digits (column, row), so the pair is ((c1*d2 + c2)*d1 + r1)*d2 + r2."""
+    d1, d2 = math.isqrt(n1), math.isqrt(n2)
+    c1, r1 = np.divmod(np.arange(n1), d1)
+    c2, r2 = np.divmod(np.arange(n2), d2)
+    return (c1 * d1 * d2 + r1) * d2, c2 * d1 * d2 + r2
+
+
+def _nonzeros(s):
+    """Rows, columns and values of the stored entries of s, row by row with
+    columns ascending, with each entry's offset within its row and the row
+    counts."""
+    if isinstance(s, np.ndarray):
+        rows, cols = np.nonzero(s)
+        vals = s[rows, cols]
+    else:
+        if not s.has_sorted_indices:
+            s = s.sorted_indices()
+        rows = np.repeat(np.arange(s.shape[0]), np.diff(s.indptr))
+        cols, vals = s.indices, s.data
+    counts = np.bincount(rows, minlength=s.shape[0])
+    offsets = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    return rows, cols, vals, offsets, counts
 
 
 def so_tensor(s1, s2):
-    """Tensor of superoperators under lexicographic pairing of indices: their
-    Kronecker product, regathered into the paired vec order.  The product is
-    built dense when it is small (its factors then are small, so dense too)
-    and sparse otherwise, whatever the form of the factors."""
-    (r1, c1), (r2, c2) = s1.shape, s2.shape
-    if _is_small(r1 * r2, c1 * c2):
-        k = np.multiply.outer(s1, s2).transpose(0, 2, 1, 3).reshape(r1 * r2, c1 * c2)
-    else:
-        k = sparse.kron(_csr(s1), _csr(s2), format="csr")
-    rows = _vec_pair_perm(math.isqrt(r1), math.isqrt(r2))
-    cols = _vec_pair_perm(math.isqrt(c1), math.isqrt(c2))
-    return k[rows, :][:, cols]
+    """Tensor of superoperators under lexicographic pairing of indices.
+
+    Entry (a1, b1) of s1 times entry (a2, b2) of s2 lands at row pair(a1, a2)
+    and column pair(b1, b2), with ``pair`` the digit arithmetic of
+    :func:`_vec_pair_parts`.  A small product (its factors then are small, so
+    dense too) is one transpose of the outer product of the factors' 4-d
+    forms.  A large one is CSR, built once from the factors' nonzeros: row
+    pair(a1, a2) holds row a1's entries times row a2's, ordered by (b1, b2),
+    the order of the CSR Kronecker product with its rows and columns
+    regathered, so that later sums over a row run in that order."""
+    (m1, n1), (m2, n2) = s1.shape, s2.shape
+    if _is_small(m1 * m2, n1 * n2):
+        o1, o2, i1, i2 = map(math.isqrt, (m1, m2, n1, n2))
+        # axes (out col, out row, in col, in row) of s1, then of s2
+        t = np.multiply.outer(s1.reshape(o1, o1, i1, i1), s2.reshape(o2, o2, i2, i2))
+        return t.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(m1 * m2, n1 * n2)
+    ra, ca, va, off1, _ = _nonzeros(s1)
+    rb, cb, vb, off2, count2 = _nonzeros(s2)
+    u, w = _vec_pair_parts(m1, m2)
+    rows = np.add.outer(u[ra], w[rb])
+    indptr = np.zeros(m1 * m2 + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows.reshape(-1), minlength=m1 * m2), out=indptr[1:])
+    # entry (i, j) sits at its row's start + off1[i] * len(row rb[j]) + off2[j]
+    pos = (indptr[rows] + np.multiply.outer(off1, count2[rb]) + off2).reshape(-1)
+    u, w = _vec_pair_parts(n1, n2)
+    cols = np.empty(pos.size, dtype=np.intp)
+    cols[pos] = np.add.outer(u[ca], w[cb]).reshape(-1)
+    data = np.empty(pos.size, dtype=complex)
+    data[pos] = np.multiply.outer(va, vb).reshape(-1)
+    return sparse.csr_array((data, cols, indptr), shape=(m1 * m2, n1 * n2))
 
 
 def choi(s) -> np.ndarray:
@@ -296,11 +339,6 @@ def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
     # row a holds a single 1, at the vec-gather index of a
     s = _gather_channel(_vec_gather(tau).reshape(1, -1), 1.0)
     return average(s, g_src, g_dst)
-
-
-def group_average(group: PermGroup, x: np.ndarray) -> np.ndarray:
-    """The action of the group-average channel on a single matrix."""
-    return so_apply(group_channel(group), np.asarray(x, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +540,6 @@ def zero(a: CpmObject, b: CpmObject) -> Morphism:
     return Morphism(a, b, {})
 
 
-def scalar(value: complex) -> Morphism:
-    return Morphism(UNIT_OBJ, UNIT_OBJ, {(STAR, STAR): np.array([[value]], dtype=complex)})
-
-
 # biproduct structure -------------------------------------------------------
 
 
@@ -566,13 +600,16 @@ def _shape_leaf_ids(shape):
     return [] if shape == "u" else [shape]
 
 
-def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict) -> Morphism:
+def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict,
+               labels=None) -> Morphism:
     """Reassociate / permute / add-drop unit factors between tensor shapes.
 
     Shapes are nested 2-tuples whose leaves are ids into ``leaf_objs``; the
     special leaf ``"u"`` in the destination inserts a unit factor, and ids
     present in the source but absent from the destination must denote
-    1-dimensional labels (they are silently dropped).
+    1-dimensional labels (they are silently dropped).  With ``labels`` set,
+    only the entries of those source labels are built: the map restricted to
+    them, for a composite whose first factor reaches no other label.
     """
     src_ids = _shape_leaf_ids(src_shape)
     dst_ids = _shape_leaf_ids(dst_shape)
@@ -591,6 +628,8 @@ def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict) -> Morphis
 
     entries = {}
     for la, da, ga in src.elems:
+        if labels is not None and la not in labels:
+            continue
         leaves = dict(_label_leaves(la, src_shape))
         dims = {i: leaf_objs[i].dim(leaves[i]) for i in src_ids}
         for i in src_ids:

@@ -23,6 +23,13 @@ runs in the same order as an uncached build and the results are
 bit-identical.  The checks that name a variable (linear weakening or
 contraction, promotion under a linear binding) run before the lookup.
 Cached morphisms are shared and must not be mutated.
+
+``_route`` builds its exchange permutation only on the labels that its
+identity, weakening and contraction blocks reach.  ``compose`` reads no other
+entry, so the route is the same, and the rest of that permutation can be
+huge: for qlist's ``[!H, qubit, qubit]`` context at ``list_max=4,
+bang_max=1``, its unreached labels have up to 16,777,216 vec indices, the
+reached ones at most 16,384.
 """
 
 from __future__ import annotations
@@ -178,8 +185,9 @@ def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
         dest_shapes.append(_nest(ids))
     dst_shape = _nest(dest_shapes)
 
-    perm = C.structural(mor.dst, src_after, dst_shape, leaf_objs)
-    return mor.compose(perm)
+    # compose reads only the labels mor reaches, so build the map on those
+    reached = {lb for _, lb in mor.entries}
+    return mor.compose(C.structural(mor.dst, src_after, dst_shape, leaf_objs, labels=reached))
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_05_group_average_golden():
     # averaging CNOT over {id, qubit-swap} gives the displayed matrix
     nc = S.STANDARD_GATES["CNOT"].as_array()
     group = C.PermGroup(4, ((0, 1, 2, 3), (0, 2, 1, 3)))
-    got = C.group_average(group, nc)
+    got = C.so_apply(C.group_channel(group), nc.astype(complex))
     expect = 0.5 * np.array([
         [2, 0, 0, 0],
         [0, 1, 0, 1],

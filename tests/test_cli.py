@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, and the morphism diff tool."""
 
+import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -171,3 +173,17 @@ def test_frontier_cap_is_an_error_line(monkeypatch, capsys):
     assert captured.out == ""
     monkeypatch.setattr(cli.M, "MAX_FRONTIER", 2)
     assert cli.main(["run", str(PROGRAMS / "cointoss.qlam")]) == 0
+
+
+def test_denote_qlist_at_bang_max_2():
+    # under a 1 GiB address cap: an out-of-memory regression fails here
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlam.cli", "denote", str(PROGRAMS / "qlist.qlam"),
+         "--list-max", "2", "--bang-max", "2"],
+        capture_output=True, text=True, cwd=ROOT, preexec_fn=cap,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""

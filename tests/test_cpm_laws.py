@@ -6,6 +6,7 @@ entrywise sup norm.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -664,6 +665,70 @@ def test_dense_tensor_with_large_result_is_sparse():
     assert type(s1) is np.ndarray and s1.shape == (16, 16)
     s = C.so_tensor(s1, s1)
     assert type(s) is sparse.csr_array and s.shape == (256, 256) and s.nnz == 256
+
+
+def kron_so_tensor(s1, s2):
+    """so_tensor as a Kronecker product: the CSR ``kron`` of the factors,
+    its rows and columns regathered from digits (c1, r1, c2, r2) into the
+    paired order (c1, c2, r1, r2)."""
+    def regather(n1, n2):
+        d1, d2 = math.isqrt(n1), math.isqrt(n2)
+        return C.digit_permutation((d1, d2, d1, d2), (0, 2, 1, 3))
+
+    (m1, n1), (m2, n2) = s1.shape, s2.shape
+    k = sparse.kron(sparse.csr_array(s1, dtype=complex), sparse.csr_array(s2, dtype=complex),
+                    format="csr")
+    return k[regather(m1, m2), :][:, regather(n1, n2)]
+
+
+def sparse_entry(rng, shape, density):
+    """A random complex entry in storage form, with about ``1 - density`` of
+    it exactly zero."""
+    s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return C._stored(s * (rng.random(shape) < density))
+
+
+def test_so_tensor_equals_regathered_kron():
+    rng = np.random.default_rng(11)
+    cases = [
+        # dense x dense, at or below DENSE_MAX: 16 x 16, 16 x 4, 4 x 16, row
+        # and column vectors, a 1 x 1 factor
+        ((4, 4), (4, 4)), ((4, 4), (4, 1)), ((1, 4), (16, 4)), ((1, 4), (1, 4)),
+        ((4, 1), (4, 1)), ((16, 16), (1, 1)),
+        # dense x dense just above: 64 x 16, 16 x 64, 64 x 1, 1 x 64, 64 x 64
+        ((16, 4), (4, 4)), ((4, 16), (4, 4)), ((16, 1), (4, 1)), ((1, 16), (1, 4)),
+        ((16, 16), (4, 4)), ((16, 16), (16, 16)),
+        # dense x CSR and CSR x dense
+        ((4, 4), (64, 64)), ((64, 4), (4, 16)), ((1, 4), (1, 64)), ((64, 1), (4, 1)),
+        # CSR x CSR
+        ((64, 64), (64, 4)), ((1, 64), (64, 64)), ((64, 16), (16, 64)),
+    ]
+    for (sa, sb), density in itertools.product(cases, (1.0, 0.4, 0.0)):
+        s1, s2 = sparse_entry(rng, sa, density), sparse_entry(rng, sb, 0.5)
+        t, ref = C.so_tensor(s1, s2), kron_so_tensor(s1, s2)
+        assert_entry_stored(t)
+        assert t.shape == ref.shape
+        if isinstance(t, np.ndarray):
+            assert np.array_equal(t, ref.toarray()), (sa, sb)
+            continue
+        # the same entries in the same order within each row, so that sums
+        # over them run in the same order
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(t, part), getattr(ref, part)), (sa, sb, part)
+
+
+def test_so_tensor_of_unsorted_csr_and_stored_zeros():
+    rng = np.random.default_rng(12)
+    a, b = sparse_entry(rng, (64, 64), 0.1), sparse_entry(rng, (64, 64), 0.1)
+    prod = C._matmul(a, b)  # scipy leaves a product's columns unsorted
+    assert not prod.has_sorted_indices
+    held = sparse_entry(rng, (64, 4), 0.5)
+    held.data[::3] = 0.0  # zeros kept as stored entries
+    for s1, s2 in ((prod, held), (held, prod), (prod, sparse_entry(rng, (4, 4), 0.5))):
+        t, ref = C.so_tensor(s1, s2), kron_so_tensor(s1, s2)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(t, part), getattr(ref, part)), part
+    assert not prod.has_sorted_indices  # the factor is left as it was
 
 
 def test_dropped_entries_are_recorded():

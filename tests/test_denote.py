@@ -1,5 +1,8 @@
 """Denotational semantics: constants, structural rules, fixpoints."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +139,52 @@ def test_denote_closure_matches_direct():
     assert C._dense(out[("inj", 1, ("star",))])[0, 0] == pytest.approx(0.64)
 
 
+def qlist_applied(cfg):
+    term = P.parse_term((PROGRAMS / "qlist.qlam").read_text())
+    return D.denote(T.typecheck(S.App(term, S.Var("x")), None, (("x", S.QUBIT),)), cfg)
+
+
+@pytest.mark.parametrize("list_max, bang_max", [(2, 2), (4, 1)])
+def test_qlist_closed_form(list_max, bang_max):
+    # applied to a density (a b; c d), the length-n component is 2^-n times
+    # the n-qubit matrix with a, b, c, d in its corners; length 0 is zero
+    mor = qlist_applied(D.TruncationConfig(list_max=list_max, bang_max=bang_max))
+    a, b, c, d = 0.7, 0.2 - 0.1j, 0.2 + 0.1j, 0.3
+    rho = np.array([[a, b], [c, d]])
+    lengths = []
+    for dl in mor.dst.labels():
+        n = dl[1]
+        lengths.append(n)
+        expect = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        if n > 0:
+            expect[0, 0], expect[0, -1], expect[-1, 0], expect[-1, -1] = a, b, c, d
+            expect *= 2.0 ** -n
+        out = mor.apply(C.STAR, rho).get(dl, np.zeros_like(expect))
+        assert np.max(np.abs(out - expect)) <= 1e-12, dl
+    assert lengths == list(range(list_max + 1))
+
+
+QLIST_UNDER_1GIB = """
+import resource
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import qlam.denote as D, qlam.parser as P, qlam.syntax as S, qlam.typecheck as T
+term = P.parse_term(Path("programs/qlist.qlam").read_text())
+deriv = T.typecheck(S.App(term, S.Var("x")), None, (("x", S.QUBIT),))
+print(len(D.denote(deriv, D.TruncationConfig(list_max=4, bang_max=1)).entries))
+"""
+
+
+def test_qlist_denotes_in_1gib():
+    # with route's permutation built on every label, this denotation peaked
+    # at 1.1 GB
+    proc = subprocess.run([sys.executable, "-c", QLIST_UNDER_1GIB], capture_output=True,
+                          text=True, cwd=PROGRAMS.parent,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "4\n"
+
+
 def test_contraction_route():
     # a !-variable used twice denotes through contraction without error
     ft = S.BangArrow(S.QUBIT, S.QUBIT)
@@ -189,6 +238,58 @@ def test_cached_route_equals_uncached_build(monkeypatch):
     assert len(calls) > 1000
     for ctx, dests, cfg in calls:
         assert_same(D.route(ctx, dests, cfg), uncached_route(ctx, dests, cfg))
+
+
+ORIG_STRUCTURAL = C.structural
+
+
+def full_structural(src, src_shape, dst_shape, leaf_objs, labels=None, extra_side=None):
+    """``structural`` on every label (``extra_side=None``), or on ``labels``
+    plus every other label of at most ``extra_side`` dimensions."""
+    if extra_side is None:
+        labels = None
+    else:
+        labels = set(labels) | {l for l, d, _ in src.elems if d <= extra_side}
+    return ORIG_STRUCTURAL(src, src_shape, dst_shape, leaf_objs, labels=labels)
+
+
+@pytest.mark.parametrize("case", ["qlist-L3K1", "qlist-L2K2", "teleport",
+                                  "teleport-applied", "teleport-roundtrip"])
+def test_route_builds_only_reached_labels(monkeypatch, case):
+    # _route composes its blocks with a structural map built only on the
+    # labels the blocks reach; compose reads no other entry, so the route
+    # equals the composite with the unrestricted map
+    calls = record_calls(monkeypatch, D, "route")
+    if case.startswith("qlist"):
+        list_max, bang_max = int(case[-3]), int(case[-1])
+        qlist_applied(D.TruncationConfig(list_max=list_max, bang_max=bang_max))
+    else:
+        term = P.parse_term((PROGRAMS / f"{case}.qlam").read_text())
+        D.denote(T.typecheck(term), D.DEFAULT_CONFIG)
+    monkeypatch.undo()
+    # at L2/K2 the unrestricted map has 5.4e8 rows over 100 labels and does
+    # not fit in memory, so there the reference adds every unreached label of
+    # side <= 256 (30 to 56 of the 72 in the largest routes) instead
+    extra = 256 if case == "qlist-L2K2" else None
+    seen = set()
+    for ctx, dests, cfg in calls:
+        key = (tuple(t for _, t in ctx),
+               tuple(tuple(ctx.index(v) for v in dest) for dest in dests), cfg)
+        if key in seen:
+            continue
+        seen.add(key)
+        got = D._route.__wrapped__(*key)
+        monkeypatch.setattr(C, "structural", lambda *a, labels=None: full_structural(
+            *a, labels=labels, extra_side=extra))
+        want = D._route.__wrapped__(*key)
+        monkeypatch.undo()
+        # entries compared without densifying: some have 16384 rows
+        assert (got.src, got.dst) == (want.src, want.dst)
+        assert got.entries.keys() == want.entries.keys()
+        for k, e in got.entries.items():
+            assert type(e) is type(want.entries[k])
+            assert abs(e - want.entries[k]).max() == 0.0, k
+    assert len(seen) >= 3
 
 
 def test_route_is_keyed_by_positions_not_names():
