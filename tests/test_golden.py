@@ -5,8 +5,9 @@ Refactors of ``cpm`` and ``denote`` must reproduce every morphism file under
 The corpus covers the runnable programs at the default truncation, the qlist
 denotation at small bounds, the exponential's structural maps on webs with a
 nontrivial group and with mixed dimensions, the compact-closure, list,
-biproduct and distributor maps and their inverses on the same two webs, and
-the scalar denotations of the first fifty finitary fuzz programs.
+biproduct and distributor maps and their inverses on the same two webs, a
+tensor of two Haar-random gates large enough for ``so_tensor``'s sparse
+path, and the scalar denotations of the first fifty finitary fuzz programs.
 
 Refactors of ``syntax`` and ``machine`` must reproduce ``machine.json``: for
 every runnable program, each sorted ``canonical_key`` of
@@ -41,6 +42,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qlam.adequacy as A
@@ -73,6 +75,20 @@ WEBS = {
     "d2s": C.CpmObject(((C.STAR, 2, S2),)),
     "mixed": C.CpmObject(((("a",), 2, S2), (("b",), 1, C.PermGroup.trivial(1)))),
 }
+
+
+def _haar(d: int, seed: int):
+    """A Haar-random d x d unitary: QR of a seeded complex Gaussian, with the
+    phases of R's diagonal moved into Q."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _gate(u) -> C.Morphism:
+    d = u.shape[0]
+    obj = C.CpmObject(((C.STAR, d, C.PermGroup.trivial(d)),))
+    return C.Morphism(obj, obj, {(C.STAR, C.STAR): C.so_conjugation(u)})
 
 
 def _program(name: str) -> C.Morphism:
@@ -108,6 +124,9 @@ def _cases() -> dict:
             lambda a=a: C.undistribute_left(a, (WEBS["d2s"], WEBS["mixed"])))
     cases["bierman_tensor-d2s-mixed-K2"] = (
         lambda: C.bierman_tensor(WEBS["d2s"], WEBS["mixed"], 2))
+    # a 4 x 4 by 64 x 64 tensor of gates that are not symmetric under any
+    # swap of digits: the 256 x 256 result takes so_tensor's sparse path
+    cases["so_tensor-haar2-haar8"] = lambda: _gate(_haar(2, 21)).tensor(_gate(_haar(8, 23)))
     return cases
 
 
