@@ -33,17 +33,18 @@ group-average channels, so that there the transpose only reverses the keys.
 Maps that only rename labels (identities, injections, distributivity, the
 list fold, weakening, dereliction, the Bierman unit, associators, unitors)
 come from :func:`relabel`, whose entries are the source group-average
-channels.  Maps that move digits (``swap``, ``denote``'s routing, the
-exponential's maps) use :func:`structural` or :func:`perm_channel`: a
-relabelling of basis indices averaged over the group actions.  A
-relabelling is an index array ``tau`` with
-``tau[in_flat] = out_flat`` over mixed-radix digits, the last digit
-varying fastest (:func:`digit_permutation`); :func:`perm_channel` turns it
-into conjugation by ``P`` with ``P[tau[i], i] = 1``, whose vec form sends
-``vec(X)`` to ``vec(P X P^T)``.  The groups come from the same helper: a
-product group relabels digit pairs, a wreath group acts per copy after
-permuting equal-label copies, and :func:`_vec_gather` turns a permutation or
-a stacked group into the vec gathers behind every channel, ``eta``'s too.
+channels.  Maps that move digits (:func:`structural`, and so ``swap`` and
+``denote``'s routing; contraction, digging and the Bierman tensor) come from
+:func:`permute`: each entry relabels basis indices after one average, over
+the source label's group, which absorbs the target's (see :func:`permute`).
+A relabelling is an index array ``tau`` with ``tau[in_flat] = out_flat``
+over mixed-radix digits, the last digit varying fastest
+(:func:`digit_permutation`), and :func:`perm_channel` applies it to the
+cached source average as one row gather.  The groups come from the same
+helper: a product group relabels digit pairs, a wreath group acts per copy
+after permuting equal-label copies, and :func:`_vec_gather` turns a
+permutation or a stacked group into the vec gathers behind every channel,
+``eta``'s too.
 
 The exponential is the biproduct of symmetric powers up to a truncation
 bound; lists are the biproduct of tensor powers up to a bound.  All
@@ -333,12 +334,13 @@ def average(s, g_src: PermGroup, g_dst: PermGroup):
     return s
 
 
-def perm_channel(tau: np.ndarray, g_src: PermGroup, g_dst: PermGroup):
-    """Conjugation by P (P[tau[i], i] = 1), averaged by the source group
-    before and the target group after."""
-    # row a holds a single 1, at the vec-gather index of a
-    s = _gather_channel(_vec_gather(tau).reshape(1, -1), 1.0)
-    return average(s, g_src, g_dst)
+def perm_channel(tau: np.ndarray, g_src: PermGroup):
+    """Conjugation by P (P[tau[i], i] = 1) after the source group's average.
+
+    Row ``a`` of the conjugation holds a single 1, at ``_vec_gather(tau)[a]``,
+    so its product with the group channel is that channel's rows gathered:
+    the same floats, with no P and no product built."""
+    return _stored(group_channel(g_src)[_vec_gather(tau)])
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +602,30 @@ def _shape_leaf_ids(shape):
     return [] if shape == "u" else [shape]
 
 
+def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
+    """The map that moves digits: for each ``(l, m, dims, order)`` of
+    ``moves``, the entry ``(l, m)`` relabels the digits (over ``dims``) of
+    source label ``l`` by ``digit_permutation(dims, order)``, after the
+    average over ``l``'s group.  Entries follow the order of ``moves``, and
+    no two moves share a key.
+
+    One average suffices.  Conjugating by the relabelling carries the source
+    group onto a group that contains the target group of ``m``, and an
+    average over a group absorbs any later average over one of its
+    subgroups (the twirl over a supergroup absorbs the twirl over a
+    subgroup).  So averaging over the target group after the relabelling is
+    a no-op, for every map built here: the target group of ``structural`` is
+    exactly the relabelled product of the leaf groups; ``contraction``'s
+    permutes copies within each half of a split, a subset of permuting all
+    equal-label copies of the whole multiset; ``digging``'s permutes equal
+    inner multisets, and copies inside each, which permutes equal-label
+    copies of their union; ``bierman_tensor``'s permutes equal label pairs
+    together, a subset of permuting the copies of each side independently.
+    """
+    return Morphism(src, dst, {(l, m): perm_channel(digit_permutation(dims, order), src.group(l))
+                               for l, m, dims, order in moves})
+
+
 def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict,
                labels=None) -> Morphism:
     """Reassociate / permute / add-drop unit factors between tensor shapes.
@@ -624,23 +650,20 @@ def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict,
             return UNIT_OBJ
         return leaf_objs[shape]
 
-    dst = build_obj(dst_shape)
+    order = [src_ids.index(i) for i in dst_ids]
 
-    entries = {}
-    for la, da, ga in src.elems:
-        if labels is not None and la not in labels:
-            continue
-        leaves = dict(_label_leaves(la, src_shape))
-        dims = {i: leaf_objs[i].dim(leaves[i]) for i in src_ids}
-        for i in src_ids:
-            if i not in dst_ids and dims[i] != 1:
-                raise CpmError(f"cannot drop non-unit leaf {i} (dim {dims[i]})")
-        lb = _build_label(dst_shape, leaves)
-        tau = digit_permutation([dims[i] for i in src_ids], [src_ids.index(i) for i in dst_ids])
-        # the relabelling carries the source symmetry onto the target's, so
-        # averaging once over the source group suffices
-        entries[(la, lb)] = perm_channel(tau, ga, PermGroup.trivial(da))
-    return Morphism(src, dst, entries)
+    def moves():
+        for la in src.labels():
+            if labels is not None and la not in labels:
+                continue
+            leaves = dict(_label_leaves(la, src_shape))
+            dims = [leaf_objs[i].dim(leaves[i]) for i in src_ids]
+            for i, d in zip(src_ids, dims):
+                if i not in dst_ids and d != 1:
+                    raise CpmError(f"cannot drop non-unit leaf {i} (dim {d})")
+            yield la, _build_label(dst_shape, leaves), dims, order
+
+    return permute(src, build_obj(dst_shape), moves())
 
 
 @lru_cache(maxsize=512)
@@ -655,7 +678,6 @@ def assoc_right(a: CpmObject, b: CpmObject, c: CpmObject) -> Morphism:
                     for la, lb, lc in itertools.product(a.labels(), b.labels(), c.labels())))
 
 
-@lru_cache(maxsize=512)
 def assoc_left(a: CpmObject, b: CpmObject, c: CpmObject) -> Morphism:
     return relabel(tensor_obj(a, tensor_obj(b, c)), tensor_obj(tensor_obj(a, b), c),
                    ((("pair", la, ("pair", lb, lc)), ("pair", ("pair", la, lb), lc))
@@ -668,7 +690,6 @@ def lunit_elim(a: CpmObject) -> Morphism:
     return relabel(tensor_obj(UNIT_OBJ, a), a, ((("pair", STAR, l), l) for l in a.labels()))
 
 
-@lru_cache(maxsize=512)
 def lunit_intro(a: CpmObject) -> Morphism:
     return relabel(a, tensor_obj(UNIT_OBJ, a), ((l, ("pair", STAR, l)) for l in a.labels()))
 
@@ -698,7 +719,6 @@ def eta(a: CpmObject) -> Morphism:
     return Morphism(UNIT_OBJ, dst, entries)
 
 
-@lru_cache(maxsize=512)
 def epsilon(a: CpmObject) -> Morphism:
     """A (x) A -> 1: the transpose of eta."""
     return eta(a).transpose()
@@ -734,7 +754,6 @@ def eval_mor(a: CpmObject, b: CpmObject) -> Morphism:
 # lists ----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
 def tensor_power(a: CpmObject, n: int) -> CpmObject:
     """Right-nested n-fold tensor (so consing is a label retag)."""
     obj = UNIT_OBJ
@@ -743,12 +762,10 @@ def tensor_power(a: CpmObject, n: int) -> CpmObject:
     return obj
 
 
-@lru_cache(maxsize=512)
 def list_obj(a: CpmObject, list_max: int) -> CpmObject:
     return biproduct([tensor_power(a, n) for n in range(list_max + 1)])
 
 
-@lru_cache(maxsize=512)
 def list_roll(a: CpmObject, list_max: int) -> Morphism:
     """1 (+) (A (x) A^list) -> A^list; the length list_max+1 part is dropped."""
     lst = list_obj(a, list_max)
@@ -815,11 +832,8 @@ def _wreath_group(a: CpmObject, mu: tuple) -> PermGroup:
 @lru_cache(maxsize=1024)
 def bang_obj(a: CpmObject, bang_max: int) -> CpmObject:
     """!A truncated at multiset cardinality bang_max."""
-    elems = []
-    for k in range(bang_max + 1):
-        for l, d, g in sym_power(a, k).elems:
-            elems.append((("mset", l[1]), d, g))
-    return CpmObject(tuple(elems))
+    return CpmObject(tuple(itertools.chain.from_iterable(
+        sym_power(a, k).elems for k in range(bang_max + 1))))
 
 
 def _copy_positions(seq) -> list:
@@ -831,14 +845,6 @@ def _copy_positions(seq) -> list:
     return pos
 
 
-def _reindex_channel(a: CpmObject, mu: tuple, seq, group_src: PermGroup, group_dst: PermGroup):
-    """Channel taking digits in mu (sorted) order to digits in seq order,
-    averaged by the source and target symmetries."""
-    tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
-    return perm_channel(tau, group_src, group_dst)
-
-
-@lru_cache(maxsize=512)
 def weakening(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> 1, supported on the empty multiset."""
     return relabel(bang_obj(a, bang_max), UNIT_OBJ, [(("mset", ()), STAR)])
@@ -851,32 +857,26 @@ def dereliction(a: CpmObject, bang_max: int) -> Morphism:
                    ((("mset", (l,)), l) for l in a.labels() if bang_max >= 1))
 
 
-@lru_cache(maxsize=512)
 def contraction(a: CpmObject, bang_max: int) -> Morphism:
-    """!A -> !A (x) !A, summing over all splits of each multiset."""
+    """!A -> !A (x) !A, one entry for each split of each multiset."""
     bang = bang_obj(a, bang_max)
-    dst = tensor_obj(bang, bang)
-    entries = {}
-    for lmu, dmu, gmu in bang.elems:
-        mu = lmu[1]
-        mult = Counter(mu)
-        keys = sorted(mult)
-        choices = [range(mult[l] + 1) for l in keys]
-        for take in itertools.product(*choices):
-            mu1 = []
-            mu2 = []
-            for l, t in zip(keys, take):
-                mu1 += [l] * t
-                mu2 += [l] * (mult[l] - t)
-            mu1, mu2 = _mset(mu1), _mset(mu2)
-            # digit order: mu1's copies then mu2's copies, as a sequence
-            seq = list(mu1) + list(mu2)
-            g1 = bang.group(("mset", mu1))
-            g2 = bang.group(("mset", mu2))
-            s = _reindex_channel(a, mu, seq, gmu, g1.product(g2))
-            key = (lmu, ("pair", ("mset", mu1), ("mset", mu2)))
-            entries[key] = entries.get(key, 0) + s
-    return Morphism(bang, dst, entries)
+
+    def moves():
+        for lmu in bang.labels():
+            mu = lmu[1]
+            mult = Counter(mu)
+            keys = sorted(mult)
+            for take in itertools.product(*(range(mult[l] + 1) for l in keys)):
+                mu1 = []
+                mu2 = []
+                for l, t in zip(keys, take):
+                    mu1 += [l] * t
+                    mu2 += [l] * (mult[l] - t)
+                # target digits: mu1's copies, then mu2's
+                lsplit = ("pair", ("mset", tuple(mu1)), ("mset", tuple(mu2)))
+                yield lmu, lsplit, [a.dim(l) for l in mu], _copy_positions(mu1 + mu2)
+
+    return permute(bang, tensor_obj(bang, bang), moves())
 
 
 def digging(a: CpmObject, bang_max: int) -> Morphism:
@@ -887,22 +887,16 @@ def digging(a: CpmObject, bang_max: int) -> Morphism:
     """
     bang = bang_obj(a, bang_max)
     bb = bang_obj(bang, bang_max)
-    entries = {}
-    for lM, dM, gM in bb.elems:
-        msets = lM[1]  # tuple of ("mset", mu) labels
-        union = []
-        for inner in msets:
-            union += list(inner[1])
-        mu = _mset(union)
-        if len(mu) > bang_max:
-            continue
-        lmu = ("mset", mu)
-        # digit order of the target label: concatenation of the inner msets
-        seq = [l for inner in msets for l in inner[1]]
-        s = _reindex_channel(a, mu, seq, bang.group(lmu), gM)
-        key = (lmu, lM)
-        entries[key] = entries.get(key, 0) + s
-    return Morphism(bang, bb, entries)
+
+    def moves():
+        for lM in bb.labels():
+            # target digits: the inner multisets' copies, concatenated
+            seq = [l for inner in lM[1] for l in inner[1]]
+            mu = _mset(seq)
+            if len(mu) <= bang_max:
+                yield ("mset", mu), lM, [a.dim(l) for l in mu], _copy_positions(seq)
+
+    return permute(bang, bb, moves())
 
 
 def promotion(f: Morphism, bang_max: int) -> Morphism:
@@ -928,10 +922,10 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
             lmu = ("mset", mu)
             # reorder source digits from mu order into seq order, then apply
             # the blockwise tensor, then average into the target symmetry
-            triv = PermGroup.trivial(banga.dim(lmu))
-            pre = _reindex_channel(a, mu, seq, banga.group(lmu), triv)
+            tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
+            pre = perm_channel(tau, banga.group(lmu))
             block = reduce(so_tensor, blocks)
-            s = average(_matmul(block, pre), triv, gnu)
+            s = average(_matmul(block, pre), PermGroup.trivial(banga.dim(lmu)), gnu)
             key = (lmu, lnu)
             entries[key] = entries.get(key, 0) + s
     return Morphism(banga, bangb, entries)
@@ -948,32 +942,28 @@ def bierman_tensor(a: CpmObject, b: CpmObject, bang_max: int) -> Morphism:
 
     The target multiset eta determines the sources as its two projections;
     the entry matches the canonical label-respecting pairing of copies,
-    averaged by all three symmetries.
+    averaged over the source's symmetries (:func:`permute`).
     """
     banga = bang_obj(a, bang_max)
     bangb = bang_obj(b, bang_max)
-    ab = tensor_obj(a, b)
-    bangab = bang_obj(ab, bang_max)
-    src = tensor_obj(banga, bangb)
-    entries = {}
-    for leta, deta, geta in bangab.elems:
-        eta_ms = leta[1]  # sorted tuple of ("pair", la, lb)
-        a_seq = [p[1] for p in eta_ms]
-        b_seq = [p[2] for p in eta_ms]
-        mu, nu = _mset(a_seq), _mset(b_seq)
-        if len(mu) > bang_max or len(nu) > bang_max:
-            continue
-        lsrc = ("pair", ("mset", mu), ("mset", nu))
-        # source digits: mu digits then nu digits; target digits follow
-        # eta_ms order as (a-digit, b-digit) pairs, each eta slot taking a
-        # concrete copy of its a-label and b-label
-        k = len(eta_ms)
-        order = [q for i, j in zip(_copy_positions(a_seq), _copy_positions(b_seq))
-                 for q in (i, k + j)]
-        tau = digit_permutation([a.dim(l) for l in mu] + [b.dim(l) for l in nu], order)
-        gsrc = banga.group(("mset", mu)).product(bangb.group(("mset", nu)))
-        entries[(lsrc, leta)] = perm_channel(tau, gsrc, geta)
-    return Morphism(src, bangab, entries)
+    bangab = bang_obj(tensor_obj(a, b), bang_max)
+
+    def moves():
+        for leta in bangab.labels():
+            eta_ms = leta[1]  # sorted tuple of ("pair", la, lb)
+            a_seq = [p[1] for p in eta_ms]
+            b_seq = [p[2] for p in eta_ms]
+            mu, nu = _mset(a_seq), _mset(b_seq)
+            # source digits: mu digits then nu digits; target digits follow
+            # eta_ms order as (a-digit, b-digit) pairs, each eta slot taking a
+            # concrete copy of its a-label and b-label
+            k = len(eta_ms)
+            order = [q for i, j in zip(_copy_positions(a_seq), _copy_positions(b_seq))
+                     for q in (i, k + j)]
+            dims = [a.dim(l) for l in mu] + [b.dim(l) for l in nu]
+            yield ("pair", ("mset", mu), ("mset", nu)), leta, dims, order
+
+    return permute(tensor_obj(banga, bangb), bangab, moves())
 
 
 # ---------------------------------------------------------------------------

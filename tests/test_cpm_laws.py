@@ -124,7 +124,7 @@ def test_digit_permutation_and_perm_channel():
         p = np.zeros((tau.size, tau.size))
         p[tau, np.arange(tau.size)] = 1.0
         triv = C.PermGroup.trivial(tau.size)
-        chan = C.perm_channel(tau, triv, triv)
+        chan = C.perm_channel(tau, triv)
         chan = chan.toarray() if sparse.issparse(chan) else chan
         assert np.array_equal(chan, C.so_conjugation(p))
 
@@ -527,6 +527,48 @@ def test_bierman_maps():
         if k >= 1:
             assert_close(m1.compose(C.dereliction(U1, k)), C.identity(U1))
         assert_close(m1.compose(C.weakening(U1, k)), C.identity(U1))
+
+
+def test_perm_channel_is_the_conjugation_after_the_source_average():
+    # groups of degree 1..16, so channels of side 1..256 on both sides of
+    # DENSE_MAX; the wreath groups of a cube of D2S are nontrivial
+    webs = [D2, D2S, TWO_S, D3S, D4, D8, BIG, C.tensor_obj(D2S, D2S),
+            C.tensor_obj(D2S, C.tensor_obj(D2S, D2S)), C.tensor_obj(D2S, BIG)]
+    groups = {g for w in webs for _, _, g in w.elems}
+    groups |= {C.PermGroup.trivial(g.degree) for g in groups}
+    assert any(g.degree ** 2 > C.DENSE_MAX and not g.is_trivial for g in groups)
+    rng = np.random.default_rng(5)
+    for g in sorted(groups, key=lambda g: (g.degree, g.order)):
+        n = g.degree
+        for tau in [np.arange(n)] + [rng.permutation(n) for _ in range(3)]:
+            # the definition, as a product: conjugation by P, with
+            # P[tau[i], i] = 1, after the group-average channel
+            p = np.zeros((n, n))
+            p[tau, np.arange(n)] = 1.0
+            ref = C.so_conjugation(p) @ C._dense(C.group_channel(g))
+            chan = C.perm_channel(tau, g)
+            assert_entry_stored(chan)
+            assert np.array_equal(C._dense(chan), ref), (n, g.order, tau)
+
+
+def _target_averaged(m: C.Morphism) -> dict:
+    """m's entries averaged over their target groups as well: the two-sided
+    average, which must change nothing."""
+    return {(la, lb): C.average(s, C.PermGroup.trivial(m.src.dim(la)), m.dst.group(lb))
+            for (la, lb), s in m.entries.items()}
+
+
+def test_maps_that_move_digits_absorb_the_target_average():
+    nontrivial = 0
+    for a, kmax in BANG_POOL:
+        for k in range(1, kmax + 1):
+            maps = [C.contraction(a, k), C.digging(a, k), C.bierman_tensor(a, a, k)]
+            if kmax == 2:
+                maps.append(C.bierman_tensor(a, TWO_S, k))
+            for m in maps:
+                assert C.diff_entries(m.entries, _target_averaged(m))[None] <= 1e-12
+                nontrivial += sum(not m.dst.group(lb).is_trivial for _, lb in m.entries)
+    assert nontrivial > 0
 
 
 # ---------------------------------------------------------------------------
