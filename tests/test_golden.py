@@ -7,7 +7,10 @@ denotation at small bounds, the exponential's structural maps on webs with a
 nontrivial group and with mixed dimensions, the compact-closure, list,
 biproduct and distributor maps and their inverses on the same two webs, a
 tensor of two Haar-random gates large enough for ``so_tensor``'s sparse
-path, and the scalar denotations of the first fifty finitary fuzz programs.
+path, two unbounded letrecs under a nonempty exponential context (frozen from
+the step-by-step Kleene iteration at ``fix_tol=1e-15``, where it reaches float
+precision), and the scalar denotations of the first fifty finitary fuzz
+programs.
 
 Refactors of ``syntax`` and ``machine`` must reproduce ``machine.json``: for
 every runnable program, each sorted ``canonical_key`` of
@@ -102,6 +105,33 @@ def _qlist(list_max: int, bang_max: int) -> C.Morphism:
     return D.denote(deriv, D.TruncationConfig(list_max=list_max, bang_max=bang_max))
 
 
+# unbounded letrecs whose recursion step reads the exponential context
+# (fixpoint_iterate's nonempty ``exp_ctx`` path): name -> (source, context, K)
+BANG_UNIT = S.BangArrow(S.UNIT, S.UNIT)
+BANG_QUBIT = S.BangArrow(S.QUBIT, S.QUBIT)
+LETREC_UNDER_BANG = {
+    "letrec-bang-unit": (
+        "letrec f(u:unit):unit = let () = u in "
+        "if meas (#H (new ff)) then h (g ()) "
+        "else if meas (#U[[0.5,-0.8660254037844386],[0.8660254037844386,0.5]] (new ff)) "
+        "then f () else omega[unit] in f ()",
+        (("g", BANG_UNIT), ("h", BANG_UNIT)), 2),
+    "letrec-bang-qubit-K1": (
+        "letrec f(q:qubit):unit = "
+        "if meas q then (if meas (g (#H (new ff))) then () else omega[unit]) "
+        "else f (#U[[0.5,-0.8660254037844386],[0.8660254037844386,0.5]] (new ff)) "
+        "in f (#H (new ff))",
+        (("g", BANG_QUBIT),), 1),
+}
+
+
+def _letrec_under_bang(name: str) -> C.Morphism:
+    src, ctx, bang_max = LETREC_UNDER_BANG[name]
+    deriv = T.typecheck(P.parse_term(src), None, ctx)
+    return D.denote(deriv, D.TruncationConfig(bang_max=bang_max, fix_iters=5000,
+                                              fix_tol=1e-15))
+
+
 def _cases() -> dict:
     """Golden file stem -> function computing the morphism."""
     cases = {f"program-{n}": (lambda n=n: _program(n)) for n in PROGRAM_NAMES}
@@ -127,6 +157,8 @@ def _cases() -> dict:
     # a 4 x 4 by 64 x 64 tensor of gates that are not symmetric under any
     # swap of digits: the 256 x 256 result takes so_tensor's sparse path
     cases["so_tensor-haar2-haar8"] = lambda: _gate(_haar(2, 21)).tensor(_gate(_haar(8, 23)))
+    for name in LETREC_UNDER_BANG:
+        cases[name] = lambda name=name: _letrec_under_bang(name)
     return cases
 
 
