@@ -107,7 +107,9 @@ def cmd_adequacy(args) -> int:
 def _add_trunc_flags(sp) -> None:
     sp.add_argument("--list-max", type=int, default=D.DEFAULT_CONFIG.list_max)
     sp.add_argument("--bang-max", type=int, default=D.DEFAULT_CONFIG.bang_max)
-    sp.add_argument("--fix-iters", type=int, default=D.DEFAULT_CONFIG.fix_iters)
+    sp.add_argument("--fix-iters", type=int, default=D.DEFAULT_CONFIG.fix_iters,
+                    help="cap on the doublings of an unbounded letrec's Kleene "
+                         "index: N reaches iterate 2^N (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

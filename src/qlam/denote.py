@@ -6,7 +6,8 @@ in declaration order) to the interpretation of their type.  The infinite
 biproducts of the untruncated semantics — lists and the exponential — are
 cut at configurable bounds, so every computed denotation is a lower
 approximant (in the Löwner order) of the true one, and letrec is an
-explicitly iterated fixpoint.
+explicitly iterated fixpoint: an unbounded one doubles its Kleene index by
+squaring the recursion step (``fixpoint_iterate``).
 
 At each derivation node only the children's denotations depend on the term;
 the plumbing around them is a function of types and ``cfg`` alone.  That
@@ -53,7 +54,7 @@ class DenotationError(Exception):
 class TruncationConfig:
     list_max: int = 4          # L: list lengths 0..L
     bang_max: int = 2          # K: multiset cardinalities 0..K
-    fix_iters: int = 64        # N: fixpoint iteration cap
+    fix_iters: int = 64        # N: fixpoint doublings cap (Kleene index 2^N)
     fix_tol: float = 1e-10     # fixpoint convergence threshold (sup norm)
 
     def __post_init__(self):
@@ -299,27 +300,53 @@ def _bang_point(dst_bang: CpmObject) -> Morphism:
 
 def fixpoint_iterate(exp_ctx: T.Ctx, chi: Morphism, bang_hom: CpmObject,
                      cfg: TruncationConfig, bound=None) -> Morphism:
-    """Iterate ``F_0 = weak;(empty multiset)``, ``F_{n+1} = contr;(id (x) F_n);chi``.
+    """The Kleene chain ``F_0 = weak;(empty multiset)``,
+    ``F_{n+1} = split;(id_E (x) F_n);chi``: ``split`` contracts
+    ``E = [[exp_ctx]]`` and ``chi : E (x) !H -> !H`` is one recursion step.
 
-    ``chi : [[exp_ctx]] (x) !H -> !H`` is one recursion step.  With
-    ``bound`` set, exactly that many iterations are taken (the semantics of
-    an indexed letrec); otherwise iteration stops at ``fix_tol`` or
-    ``fix_iters``, checking Löwner monotonicity along the way.
+    With ``bound`` set, exactly that many steps are taken (an indexed
+    letrec).  Otherwise the index doubles: ``G_n = split;(id_E (x) F_n)``
+    gives ``F_{n+1} = G_n;chi`` and, by the coassociativity of ``split`` and
+    the interchange law, ``G_{n+1} = G_n;Psi`` with
+    ``Psi = (split (x) id_!H);assoc_right(E, E, !H);(id_E (x) chi)``
+    (``G_n = F_n`` and ``Psi = chi`` when ``exp_ctx`` is empty).  Round ``k``
+    sets ``G <- G;Psi^(2^(k-1))`` and reads off the Kleene iterate
+    ``F_(2^k) = G;chi``, then squares the power.  Each round checks that the
+    iterate is Löwner-above the last one and stops once the two are within
+    ``fix_tol``; ``fix_iters`` caps the rounds, so it counts doublings: the
+    result is at most ``F_(2^fix_iters)``, and ``F_0`` when it is 0.
     """
-    eobj = ctx_obj(exp_ctx, cfg)
     f = route(exp_ctx, [()], cfg).compose(_bang_point(bang_hom))
-    n_iters = bound if bound is not None else cfg.fix_iters
-    split = route(exp_ctx, [exp_ctx, exp_ctx], cfg) if exp_ctx else None
-    for _ in range(n_iters):
-        if exp_ctx:
-            nxt = split.compose(C.identity(eobj).tensor(f)).compose(chi)
-        else:
-            nxt = f.compose(chi)
-        if bound is None:
-            if not f.loewner_leq(nxt):
-                raise C.NonMonotoneIteration("fixpoint iteration is not Löwner-increasing")
-            if nxt.sup_distance(f) <= cfg.fix_tol:
-                return nxt
+    if exp_ctx:
+        eobj = ctx_obj(exp_ctx, cfg)
+        split = route(exp_ctx, [exp_ctx, exp_ctx], cfg)
+
+        def lift(f: Morphism) -> Morphism:
+            return split.compose(C.identity(eobj).tensor(f))
+    else:
+        def lift(f: Morphism) -> Morphism:
+            return f
+    if bound is not None:
+        for _ in range(bound):
+            f = lift(f).compose(chi)
+        return f
+
+    if exp_ctx:
+        psi = (split.tensor(C.identity(bang_hom))
+               .compose(C.assoc_right(eobj, eobj, bang_hom))
+               .compose(C.identity(eobj).tensor(chi)))
+    else:
+        psi = chi
+    g = lift(f)
+    for k in range(cfg.fix_iters):
+        if k:
+            psi = psi.compose(psi)
+        g = g.compose(psi)
+        nxt = g.compose(chi)
+        if not f.loewner_leq(nxt):
+            raise C.NonMonotoneIteration("fixpoint iteration is not Löwner-increasing")
+        if nxt.sup_distance(f) <= cfg.fix_tol:
+            return nxt
         f = nxt
     return f
 

@@ -346,11 +346,6 @@ class Distribution:
     def halt_mass(self) -> float:
         return sum(o.prob for o in self.outcomes.values())
 
-    def prob_of(self, term: Term) -> float:
-        want = S.pretty(S.alpha_canonical(term))
-        return sum(o.prob for o in self.outcomes.values()
-                   if S.pretty(S.alpha_canonical(o.closure.term)) == want)
-
 
 def _resolve(c: Closure):
     """What ``evaluate`` needs of a closure: ``(successors, outcome key)``.

@@ -1,13 +1,23 @@
-"""Adequacy harness: generators, consumers, biased coins, fuzz plumbing."""
+"""Adequacy harness: generators, consumers, biased coins, fuzz plumbing, and
+adequacy at the density level for gates that are neither real nor symmetric."""
 
 import numpy as np
 import pytest
 
 import qlam.adequacy as A
+import qlam.cpm as C
 import qlam.denote as D
 import qlam.machine as M
+import qlam.qstate as Q
 import qlam.syntax as S
 import qlam.typecheck as T
+
+
+def prob_of(dist: M.Distribution, term: S.Term) -> float:
+    """The mass of ``dist``'s outcomes whose term is ``term`` up to renaming."""
+    want = S.pretty(S.alpha_canonical(term))
+    return sum(o.prob for o in dist.outcomes.values()
+               if S.pretty(S.alpha_canonical(o.closure.term)) == want)
 
 
 def test_consume_bit_of_cointoss():
@@ -97,8 +107,8 @@ def test_biased_coin_denotation():
 
 def test_biased_coin_operational():
     dist = M.evaluate(M.load(A.biased_coin(0.25)))
-    assert dist.prob_of(S.ff()) == pytest.approx(0.25, abs=1e-12)
-    assert dist.prob_of(S.tt()) == pytest.approx(0.75, abs=1e-12)
+    assert prob_of(dist, S.ff()) == pytest.approx(0.25, abs=1e-12)
+    assert prob_of(dist, S.tt()) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_biased_coin_sampled_band():
@@ -110,7 +120,7 @@ def test_biased_coin_sampled_band():
 
 
 def test_biased_coin_extremes():
-    assert M.evaluate(M.load(A.biased_coin(1.0))).prob_of(S.ff()) == 1.0
+    assert prob_of(M.evaluate(M.load(A.biased_coin(1.0))), S.ff()) == 1.0
     with pytest.raises(ValueError):
         A.biased_coin(1.5)
 
@@ -170,14 +180,47 @@ def test_approximant_denotations_nondecreasing():
 
 def test_truncation_monotone():
     # a closed unit program's truncated denotation is a sum of positive
-    # terms, so it cannot decrease as the list, ! and fixpoint bounds grow
+    # terms, so it cannot decrease as the list, ! and fixpoint bounds grow;
+    # fix_iters counts doublings, so 1, 3, 5, 7 reach Kleene index 2, 8, 32, 128
     finitary = [D.TruncationConfig(list_max=l, bang_max=k)
                 for l, k in ((0, 0), (1, 1), (2, 1), (2, 2), (3, 2))]
     letrec = [D.TruncationConfig(list_max=l, bang_max=k, fix_iters=n)
-              for l, k, n in ((1, 1, 2), (2, 1, 8), (2, 2, 32), (2, 2, 128))]
+              for l, k, n in ((1, 1, 1), (2, 1, 3), (2, 2, 5), (2, 2, 7))]
     cases = ([(A.random_finitary_program(s), finitary) for s in range(20)]
              + [(A.random_letrec_program(s), letrec) for s in range(10)])
     for term, cfgs in cases:
         vals = [A.scalar_denotation(term, cfg) for cfg in cfgs]
         for cfg, lo, hi in zip(cfgs[1:], vals, vals[1:]):
             assert hi >= lo - 1e-12, (S.pretty(term), cfg, vals)
+
+
+def _haar(d: int, seed: int) -> np.ndarray:
+    """A Haar-random d x d unitary: QR of a seeded complex Gaussian, with the
+    phases of R's diagonal moved into Q."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n_qubits, seed", [(1, 41), (2, 43)])
+def test_haar_gate_density_adequacy(n_qubits, seed):
+    # a gate that is neither real nor symmetric, so that denoting or running
+    # it with U^T or conj(U) changes the output density
+    u = _haar(2 ** n_qubits, seed)
+    assert np.abs(u - u.T).max() > 0.1 and np.abs(u.imag).max() > 0.1
+    rng = np.random.default_rng(seed + 1)
+    amps = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    names = ["x", "y"][:n_qubits]
+    arg = S.Var("x") if n_qubits == 1 else S.Pair(S.Var("x"), S.Var("y"))
+    start = M.Closure(Q.QState(amps / np.linalg.norm(amps)),
+                      tuple((x, i + 1) for i, x in enumerate(names)),
+                      S.App(S.gate("U", u), arg))
+    want = D.denote_closure(start)
+    # the machine's outcome mixture, each halting value as its density
+    got = {}
+    for o in M.evaluate(start).outcomes.values():
+        for label, rho in D.denote_closure(o.closure).items():
+            got[label] = got.get(label, 0) + o.prob * C._dense(rho)
+    assert want.keys() == got.keys()
+    for label, rho in want.items():
+        assert np.abs(C._dense(rho) - got[label]).max() <= 1e-12, label

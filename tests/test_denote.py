@@ -121,6 +121,73 @@ def test_fixpoint_omega_is_zero():
     assert A.scalar_denotation(term, CFG) == 0.0
 
 
+def _kleene(exp_ctx, chi, bang_hom, cfg, bound=None):
+    """The Kleene chain one step at a time, ``F_{n+1} = split;(id (x) F_n);chi``,
+    stopping at ``fix_tol`` or after ``fix_iters`` steps."""
+    f = D.route(exp_ctx, [()], cfg).compose(D._bang_point(bang_hom))
+    eobj = D.ctx_obj(exp_ctx, cfg)
+    split = D.route(exp_ctx, [exp_ctx, exp_ctx], cfg)
+    for _ in range(cfg.fix_iters if bound is None else bound):
+        lifted = split.compose(C.identity(eobj).tensor(f)) if exp_ctx else f
+        nxt = lifted.compose(chi)
+        if bound is None and nxt.sup_distance(f) <= cfg.fix_tol:
+            return nxt
+        f = nxt
+    return f
+
+
+KLEENE_CFG = D.TruncationConfig(fix_iters=5000, fix_tol=1e-15)
+BANG_UNIT = S.BangArrow(S.UNIT, S.UNIT)
+# unbounded letrecs whose recursion step reads a nonempty exponential context
+LETREC_UNDER_BANG = [
+    ("letrec f(u:unit):unit = let () = u in "
+     "if meas (#H (new ff)) then g () else f () in f ()", (("g", BANG_UNIT),)),
+    ("letrec f(u:unit):unit = let () = u in "
+     "if meas (#U[[0.6,0.8],[-0.8,0.6]] (new ff)) then h (g ()) else f (g ()) in f ()",
+     (("g", BANG_UNIT), ("h", BANG_UNIT))),
+]
+
+
+def test_doubled_fixpoint_equals_kleene(monkeypatch):
+    derivs = [T.typecheck(A.random_letrec_program(s)) for s in range(30)]
+    derivs += [T.typecheck(P.parse_term(src), None, ctx) for src, ctx in LETREC_UNDER_BANG]
+    doubled = [D.denote(d, KLEENE_CFG) for d in derivs]
+    monkeypatch.setattr(D, "fixpoint_iterate", _kleene)
+    for d, got in zip(derivs, doubled):
+        want = D.denote(d, KLEENE_CFG)
+        assert C.diff_entries(want.entries, got.entries)[None] <= 1e-12, S.pretty(d.term)
+    assert all(d.rule == "rec" and d.info["exp"] for d in derivs[30:])
+
+
+def test_slow_letrec_seeds_converge_at_default_config():
+    # the step-by-step chain stopped these 1e-8 below the exact value 1
+    for seed in (6, 10, 19, 26, 29):
+        val = A.scalar_denotation(A.random_letrec_program(seed), D.DEFAULT_CONFIG)
+        assert val == pytest.approx(1.0, abs=1e-12), seed
+
+
+def _unit_chain(step: C.Morphism, fix_iters: int) -> C.Morphism:
+    bang_hom = D.denote_type(BANG_UNIT, CFG)
+    cfg = D.TruncationConfig(list_max=CFG.list_max, bang_max=CFG.bang_max,
+                             fix_iters=fix_iters)
+    return D.fixpoint_iterate((), step, bang_hom, cfg)
+
+
+def test_decreasing_step_raises():
+    bang_hom = D.denote_type(BANG_UNIT, CFG)
+    with pytest.raises(C.NonMonotoneIteration):
+        _unit_chain(C.identity(bang_hom).scale(0.5), 64)
+
+
+def test_zero_fix_iters_gives_the_first_iterate():
+    bang_hom = D.denote_type(BANG_UNIT, CFG)
+    f0 = _unit_chain(C.identity(bang_hom).scale(0.5), 0)
+    assert f0.entries.keys() == {(C.STAR, ("mset", ()))}
+    assert C.diff_entries(f0.entries, D._bang_point(bang_hom).entries)[None] == 0.0
+    term = A.random_letrec_program(0)
+    assert A.scalar_denotation(term, D.TruncationConfig(fix_iters=0)) == 0.0
+
+
 def test_denotation_trace_nonincreasing():
     # the interpretation of a closed qubit-type program is trace-nonincreasing
     term = S.App(S.STANDARD_GATES["H"], S.App(S.New(), S.ff()))
