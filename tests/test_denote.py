@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,24 +167,24 @@ def test_slow_letrec_seeds_converge_at_default_config():
         assert val == pytest.approx(1.0, abs=1e-12), seed
 
 
-def _unit_chain(step: C.Morphism, fix_iters: int) -> C.Morphism:
-    bang_hom = D.denote_type(BANG_UNIT, CFG)
-    cfg = D.TruncationConfig(list_max=CFG.list_max, bang_max=CFG.bang_max,
-                             fix_iters=fix_iters)
-    return D.fixpoint_iterate((), step, bang_hom, cfg)
+BANG_UNIT_OBJ = D.denote_type(BANG_UNIT, CFG)
+
+
+def _halving_chain(fix_iters: int) -> C.Morphism:
+    """The fixpoint of the hand-built step ``chi = id/2``, whose chain decreases."""
+    return D.fixpoint_iterate((), C.identity(BANG_UNIT_OBJ).scale(0.5), BANG_UNIT_OBJ,
+                              replace(CFG, fix_iters=fix_iters))
 
 
 def test_decreasing_step_raises():
-    bang_hom = D.denote_type(BANG_UNIT, CFG)
     with pytest.raises(C.NonMonotoneIteration):
-        _unit_chain(C.identity(bang_hom).scale(0.5), 64)
+        _halving_chain(64)
 
 
 def test_zero_fix_iters_gives_the_first_iterate():
-    bang_hom = D.denote_type(BANG_UNIT, CFG)
-    f0 = _unit_chain(C.identity(bang_hom).scale(0.5), 0)
+    f0 = _halving_chain(0)
     assert f0.entries.keys() == {(C.STAR, ("mset", ()))}
-    assert C.diff_entries(f0.entries, D._bang_point(bang_hom).entries)[None] == 0.0
+    assert C.diff_entries(f0.entries, D._bang_point(BANG_UNIT_OBJ).entries)[None] == 0.0
     term = A.random_letrec_program(0)
     assert A.scalar_denotation(term, D.TruncationConfig(fix_iters=0)) == 0.0
 
