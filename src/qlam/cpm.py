@@ -853,7 +853,6 @@ def weakening(a: CpmObject, bang_max: int) -> Morphism:
     return relabel(bang_obj(a, bang_max), UNIT_OBJ, [(("mset", ()), STAR)])
 
 
-@lru_cache(maxsize=512)
 def dereliction(a: CpmObject, bang_max: int) -> Morphism:
     """!A -> A, supported on singleton multisets."""
     return relabel(bang_obj(a, bang_max), a,

@@ -23,7 +23,19 @@ sound; only left prefixes of composites are cached, so every ``compose``
 runs in the same order as an uncached build and the results are
 bit-identical.  The checks that name a variable (linear weakening or
 contraction, promotion under a linear binding) run before the lookup.
-Cached morphisms are shared and must not be mutated.
+
+``denote`` itself is memoized beside that plumbing, in one bounded
+``lru_cache`` keyed by the derivation and ``cfg``, so a sub-derivation that
+recurs within a program or across programs is interpreted once.  The key is
+exact: a derivation's equality covers its rule, context (names included),
+term, type and children, and the rule's payload (the context split, the
+exponential context, the bound) is a function of the context and the term.
+So equal keys are equal derivations, which the interpretation, defined by
+induction on derivations, sends to equal morphisms.  A hit returns the
+morphism the first build returned.  The checker hash-conses derivations, so
+the memo holds one copy of each sub-derivation, not every program's tree.
+
+Cached morphisms, the memo's included, are shared and must not be mutated.
 
 ``_route`` builds its exchange permutation only on the labels that its
 identity, weakening and contraction blocks reach.  ``compose`` reads no other
@@ -355,8 +367,10 @@ def fixpoint_iterate(exp_ctx: T.Ctx, chi: Morphism, bang_hom: CpmObject,
 # derivations
 
 
+@lru_cache(maxsize=4096)
 def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
-    """Interpret a typing derivation as ``[[ctx]] -> [[type]]``."""
+    """Interpret a typing derivation as ``[[ctx]] -> [[type]]``, once per
+    derivation and ``cfg`` in a process (the module docstring says why)."""
     ctx = d.ctx
     match d.rule:
         case "ax":

@@ -10,11 +10,14 @@ annotation.
 
 The result is a full derivation tree.  The denotational interpreter is
 driven by derivations, so every rule records enough structure (the context
-split, the coerced type, the promotion context) to be replayed.
+split, the coerced type, the promotion context) to be replayed.  Equal
+nodes are one object while any of them is alive (``check`` hash-conses
+them), which is what lets ``qlam.denote`` memoize by derivation.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,6 +48,21 @@ class Derivation:
     children: tuple = ()
     # rule-specific payload, e.g. the context split or a promoted context
     info: dict = field(default_factory=dict, compare=False)
+    # the hash, filled in on first use; ``info`` is left out of it, as out of
+    # equality, because the rule, context and term already determine it
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.rule, self.ctx, self.term, self.type, self.children))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a string hash depends on the process's seed, so a pickled
+        # derivation leaves its hash behind
+        return {**self.__dict__, "_hash": None}
 
     def to_text(self, indent: int = 0) -> str:
         ctx_s = ", ".join(f"{x}:{t}" for x, t in self.ctx)
@@ -120,8 +138,19 @@ def _qubits_tensor(k: int) -> Type:
     return t
 
 
+# every live derivation node, for hash-consing after Filliâtre–Conchon
+# ("Type-safe modular hash-consing", 2006); held weakly, so it keeps no
+# derivation alive
+_NODES = weakref.WeakValueDictionary()
+
+
 def check(ctx: Ctx, m: Term, expected: Optional[Type] = None) -> Derivation:
     """Check ``m`` against ``expected`` (or synthesise when ``None``)."""
+    d = _check(ctx, m, expected)
+    return _NODES.setdefault((d.rule, d.ctx, d.term, d.type, d.children), d)
+
+
+def _check(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
     if isinstance(m, Ascribe):
         d = check(ctx, m.body, m.ann)
         return _finish(Derivation("ascribe", ctx, m, m.ann, (d,)), expected)

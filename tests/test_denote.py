@@ -154,6 +154,8 @@ def test_doubled_fixpoint_equals_kleene(monkeypatch):
     derivs += [T.typecheck(P.parse_term(src), None, ctx) for src, ctx in LETREC_UNDER_BANG]
     doubled = [D.denote(d, KLEENE_CFG) for d in derivs]
     monkeypatch.setattr(D, "fixpoint_iterate", _kleene)
+    # past the memo, which holds the doubled results and must not keep these
+    monkeypatch.setattr(D, "denote", D.denote.__wrapped__)
     for d, got in zip(derivs, doubled):
         want = D.denote(d, KLEENE_CFG)
         assert C.diff_entries(want.entries, got.entries)[None] <= 1e-12, S.pretty(d.term)
@@ -274,6 +276,13 @@ def fuzz_terms():
             + [A.random_letrec_program(s) for s in range(10)])
 
 
+def clear_caches():
+    for mod in (C, D):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
 def record_calls(monkeypatch, module, name):
     calls = []
     orig = getattr(module, name)
@@ -299,8 +308,11 @@ def uncached_route(ctx, dests, cfg):
 
 
 def test_cached_route_equals_uncached_build(monkeypatch):
+    clear_caches()  # the denote memo would otherwise hide calls
     calls = record_calls(monkeypatch, D, "route")
     for term in fuzz_terms():
+        # and across programs it would leave too few routes to check
+        D.denote.cache_clear()
         A.scalar_denotation(term, D.DEFAULT_CONFIG)
     monkeypatch.undo()
     assert len(calls) > 1000
@@ -327,6 +339,7 @@ def test_route_builds_only_reached_labels(monkeypatch, case):
     # _route composes its blocks with a structural map built only on the
     # labels the blocks reach; compose reads no other entry, so the route
     # equals the composite with the unrestricted map
+    clear_caches()  # the denote memo would otherwise hide calls
     calls = record_calls(monkeypatch, D, "route")
     if case.startswith("qlist"):
         list_max, bang_max = int(case[-3]), int(case[-1])
@@ -413,6 +426,7 @@ def five_step_curry(f, c, a, b):
 
 
 def test_curry_equals_unfactored_chain(monkeypatch):
+    clear_caches()  # the denote memo would otherwise hide calls
     calls = record_calls(monkeypatch, C, "curry")
     for term in fuzz_terms()[::3]:
         A.scalar_denotation(term, D.DEFAULT_CONFIG)
@@ -423,8 +437,11 @@ def test_curry_equals_unfactored_chain(monkeypatch):
 
 
 def test_cached_plumbing_is_not_mutated(monkeypatch):
+    clear_caches()  # the denote memo would otherwise hide calls
+    # the denote memo too: adequacy's binding makes the outermost call and
+    # the module's own the nested ones
     builders = [(D, "route"), (C, "_curry_prefix"), (D, "_promotion_prefix"),
-                (D, "_const_mor")]
+                (D, "_const_mor"), (D, "denote"), (A, "denote")]
     calls = [(getattr(mod, name), record_calls(monkeypatch, mod, name))
              for mod, name in builders]
     terms = fuzz_terms()
@@ -444,13 +461,6 @@ def test_cached_plumbing_is_not_mutated(monkeypatch):
         assert C.serialize_morphism(m) == text
 
 
-def clear_caches():
-    for mod in (C, D):
-        for fn in vars(mod).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
 def test_outputs_do_not_depend_on_process_history():
     from test_golden import PROGRAM_NAMES, _program
 
@@ -460,3 +470,25 @@ def test_outputs_do_not_depend_on_process_history():
         A.scalar_denotation(A.random_finitary_program(s), D.DEFAULT_CONFIG)
     warm = [C.serialize_morphism(_program(n)) for n in PROGRAM_NAMES]
     assert warm == cold
+
+
+def test_memo_is_exact():
+    # a denotation served in part by other programs' memo entries is the
+    # one a cold process builds, byte for byte
+    cfg = D.DEFAULT_CONFIG
+    derivs = [T.typecheck(A.random_finitary_program(s), S.UNIT) for s in range(300)]
+    derivs += [T.typecheck(A.random_letrec_program(s), S.UNIT) for s in range(150)]
+    clear_caches()
+    warm = [C.serialize_morphism(D.denote(d, cfg)) for d in derivs]
+    assert D.denote.cache_info().hits > 1000
+    for d, text in zip(derivs, warm):
+        clear_caches()
+        assert C.serialize_morphism(D.denote(d, cfg)) == text, S.pretty(d.term)
+    # and no entry crosses configs: teleport's web depends on bang_max
+    d = T.typecheck(P.parse_term((PROGRAMS / "teleport.qlam").read_text()))
+    clear_caches()
+    cold = C.serialize_morphism(D.denote(d, cfg))
+    clear_caches()
+    other = C.serialize_morphism(D.denote(d, replace(cfg, bang_max=1)))
+    assert other != cold
+    assert C.serialize_morphism(D.denote(d, cfg)) == cold

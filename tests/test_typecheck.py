@@ -1,9 +1,12 @@
 """Linear type checker: rules, context splitting, errors, uniqueness."""
 
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import qlam.adequacy as A
 import qlam.parser as P
 import qlam.syntax as S
 import qlam.typecheck as T
@@ -92,6 +95,44 @@ def test_derivation_unique():
     a = T.typecheck(load("teleport"))
     b = T.typecheck(load("teleport"))
     assert a == b
+
+
+def test_derivation_hash_is_cached_and_structural():
+    a = T.typecheck(load("teleport"))
+    rebuilt = replace(a, info={"other": 1})
+    assert rebuilt is not a and rebuilt._hash is None
+    # the payload is left out of equality and the hash alike
+    assert rebuilt == a
+    assert hash(rebuilt) == hash(a) == hash((a.rule, a.ctx, a.term, a.type, a.children))
+    assert rebuilt._hash is not None and a.children[0]._hash is not None
+    # another context is another derivation
+    lifted = T.typecheck(load("teleport"), None, (("f", S.BangArrow(S.UNIT, S.UNIT)),))
+    assert lifted != a
+    # a pickled copy recomputes its hash, which may differ in another process
+    again = pickle.loads(pickle.dumps(a))
+    assert again == a and again._hash is None and again.children[0]._hash is None
+    assert hash(again) == hash(a)
+
+
+def test_derivations_are_hash_consed():
+    # equal derivations are one object while one of them is alive, the
+    # shared sub-derivations of different programs included
+    a = T.typecheck(load("teleport"))
+    assert T.typecheck(load("teleport")) is a
+    progs = [T.typecheck(A.random_finitary_program(s), S.UNIT) for s in range(20)]
+    nodes, distinct = [], set()
+    stack = list(progs)
+    while stack:
+        d = stack.pop()
+        nodes.append(d)
+        distinct.add(d)
+        stack.extend(d.children)
+    assert len({id(d) for d in nodes}) == len(distinct) < len(nodes)
+    # the table holds its nodes weakly (a program nothing else has built)
+    d = T.typecheck(A.random_finitary_program(10**9), S.UNIT)
+    held = len(T._NODES)
+    del d
+    assert len(T._NODES) < held
 
 
 def test_derivation_serializes():
