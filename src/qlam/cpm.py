@@ -24,11 +24,10 @@ small result is one transpose of the outer product of the factors; a large
 one is CSR, built straight from the factors' nonzeros, with no Kronecker
 product and no regather.
 
-The inverse structural maps are transposes (:meth:`Morphism.transpose`):
-epsilon of eta, as the counit of a compact closed category is the transpose
-of its unit, and projection of injection, list_unroll of list_roll and
-undistribute_left of distribute_left, whose entries are symmetric
-group-average channels, so that there the transpose only reverses the keys.
+The inverse maps are transposes (:meth:`Morphism.transpose`): epsilon of
+eta, as the counit of a compact closed category is the transpose of its
+unit, and list_unroll of list_roll, whose entries are symmetric group-average
+channels, so that there the transpose only reverses the keys.
 
 Maps that only rename labels (identities, injections, distributivity, the
 list fold, weakening, dereliction, the Bierman unit, associators, unitors)
@@ -45,6 +44,10 @@ helper: a product group relabels digit pairs, a wreath group acts per copy
 after permuting equal-label copies, and :func:`_vec_gather` turns a
 permutation or a stacked group into the vec gathers behind every channel,
 ``eta``'s too.
+
+Each entry averages once, at its source, as an average over a group absorbs
+any later one over a subgroup (:func:`permute`, :func:`promotion`); ``eta``
+alone averages at its target, because its source is the unit.
 
 The exponential is the biproduct of symmetric powers up to a truncation
 bound; lists are the biproduct of tensor powers up to a bound.  All
@@ -325,15 +328,6 @@ def group_channel(group: PermGroup):
     return out
 
 
-def average(s, g_src: PermGroup, g_dst: PermGroup):
-    """s between the group-average channels of the source and the target."""
-    if not g_src.is_trivial:
-        s = _matmul(s, group_channel(g_src))
-    if not g_dst.is_trivial:
-        s = _matmul(group_channel(g_dst), s)
-    return s
-
-
 def perm_channel(tau: np.ndarray, g_src: PermGroup):
     """Conjugation by P (P[tau[i], i] = 1) after the source group's average.
 
@@ -494,18 +488,12 @@ class Morphism:
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
         return Morphism(self.dst, self.src, entries)
 
-    def scale(self, c: float) -> "Morphism":
-        return Morphism(self.src, self.dst, {k: c * v for k, v in self.entries.items()})
-
     def sup_distance(self, other: "Morphism") -> float:
         keys = set(self.entries) | set(other.entries)
         worst = 0.0
         for la, lb in keys:
             worst = max(worst, _maxabs(self.entry(la, lb) - other.entry(la, lb)))
         return worst
-
-    def is_completely_positive(self, tol: float = 1e-9) -> bool:
-        return all(is_cp(s, tol) for s in self.entries.values())
 
     def loewner_leq(self, other: "Morphism", tol: float = 1e-9) -> bool:
         """self <= other in the entrywise Loewner (Choi PSD) order."""
@@ -523,9 +511,6 @@ class Morphism:
             if la == label_in:
                 out[lb] = so_apply(s, np.asarray(x, dtype=complex))
         return out
-
-    def max_abs(self) -> float:
-        return max((_maxabs(s) for s in self.entries.values()), default=0.0)
 
 
 def relabel(src: CpmObject, dst: CpmObject, pairs) -> Morphism:
@@ -552,10 +537,6 @@ def injection(parts, i: int) -> Morphism:
     return relabel(parts[i], biproduct(parts), ((l, ("inj", i, l)) for l in parts[i].labels()))
 
 
-def projection(parts, i: int) -> Morphism:
-    return injection(parts, i).transpose()
-
-
 def cotuple(parts, morphisms) -> Morphism:
     """[f_i] : biproduct(parts) -> C given f_i : parts[i] -> C."""
     bp = biproduct(parts)
@@ -573,10 +554,6 @@ def distribute_left(a: CpmObject, parts) -> Morphism:
              for la in a.labels() for i, part in enumerate(parts) for lb in part.labels())
     return relabel(tensor_obj(biproduct(parts), a),
                    biproduct([tensor_obj(p, a) for p in parts]), pairs)
-
-
-def undistribute_left(a: CpmObject, parts) -> Morphism:
-    return distribute_left(a, parts).transpose()
 
 
 # structural (permutation) morphisms ----------------------------------------
@@ -697,14 +674,6 @@ def lunit_intro(a: CpmObject) -> Morphism:
     return relabel(a, tensor_obj(UNIT_OBJ, a), ((l, ("pair", STAR, l)) for l in a.labels()))
 
 
-def runit_elim(a: CpmObject) -> Morphism:
-    return relabel(tensor_obj(a, UNIT_OBJ), a, ((("pair", l, STAR), l) for l in a.labels()))
-
-
-def runit_intro(a: CpmObject) -> Morphism:
-    return relabel(a, tensor_obj(a, UNIT_OBJ), ((l, ("pair", l, STAR)) for l in a.labels()))
-
-
 # compact closure ------------------------------------------------------------
 
 
@@ -718,7 +687,10 @@ def eta(a: CpmObject) -> Morphism:
         # sum_ij E_ij (x) E_ij is the outer square of the flattened identity
         v = np.eye(d).reshape(-1)
         col = np.kron(v, v).reshape(-1, 1)
-        entries[(STAR, ("pair", l, l))] = average(col, PermGroup.trivial(1), g.product(g))
+        gg = g.product(g)
+        if not gg.is_trivial:
+            col = _matmul(group_channel(gg), col)
+        entries[(STAR, ("pair", l, l))] = col
     return Morphism(UNIT_OBJ, dst, entries)
 
 
@@ -902,13 +874,20 @@ def digging(a: CpmObject, bang_max: int) -> Morphism:
 
 
 def promotion(f: Morphism, bang_max: int) -> Morphism:
-    """!f : !A -> !B from f : A -> B, acting multiset-pointwise."""
+    """!f : !A -> !B from f : A -> B, acting multiset-pointwise.
+
+    Entry (mu, nu) sums over the source sequences ``seq`` that sort to mu, and
+    one average, over mu's group, suffices.  The group of nu acts on each copy
+    by its label's group, which every block of ``f`` absorbs, and permutes
+    equal-label copies.  That permutes the sequences the sum runs over, after
+    the matching permutation of equal-label copies of mu, which the source
+    average absorbs.  So the sum is already invariant under nu's group."""
     a, b = f.src, f.dst
     banga = bang_obj(a, bang_max)
     bangb = bang_obj(b, bang_max)
     entries = {}
     src_labels = sorted({la for la, _ in f.entries})
-    for lnu, dnu, gnu in bangb.elems:
+    for lnu in bangb.labels():
         nu = lnu[1]
         k = len(nu)
         if k == 0:
@@ -922,12 +901,9 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
                 continue
             mu = _mset(seq)
             lmu = ("mset", mu)
-            # reorder source digits from mu order into seq order, then apply
-            # the blockwise tensor, then average into the target symmetry
+            # reorder source digits from mu order into seq order, then tensor
             tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
-            pre = perm_channel(tau, banga.group(lmu))
-            block = reduce(so_tensor, blocks)
-            s = average(_matmul(block, pre), PermGroup.trivial(banga.dim(lmu)), gnu)
+            s = _matmul(reduce(so_tensor, blocks), perm_channel(tau, banga.group(lmu)))
             key = (lmu, lnu)
             entries[key] = entries.get(key, 0) + s
     return Morphism(banga, bangb, entries)

@@ -36,17 +36,6 @@ class QState:
 EMPTY = QState(np.ones(1, dtype=complex))
 
 
-def from_bits(bits) -> QState:
-    """Computational basis state |b1 b2 ... bn>."""
-    n = len(bits)
-    idx = 0
-    for b in bits:
-        idx = idx * 2 + int(b)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[idx] = 1.0
-    return QState(amps)
-
-
 def append_qubit(q: QState, bit: int) -> QState:
     e = np.zeros(2, dtype=complex)
     e[int(bit)] = 1.0

@@ -30,6 +30,32 @@ POOL = [U1, D2, D2S, TWO, TWO_S]
 POOL_DIM1 = [U1, C.CpmObject(((("a",), 1, C.PermGroup.trivial(1)), (("b",), 1, C.PermGroup.trivial(1))))]
 
 
+def average(s, g_src: C.PermGroup, g_dst: C.PermGroup):
+    """s between the group-average channels of the source and the target."""
+    if not g_src.is_trivial:
+        s = C._matmul(s, C.group_channel(g_src))
+    if not g_dst.is_trivial:
+        s = C._matmul(C.group_channel(g_dst), s)
+    return s
+
+
+def scale(f: C.Morphism, c: float) -> C.Morphism:
+    return C.Morphism(f.src, f.dst, {k: c * v for k, v in f.entries.items()})
+
+
+def is_completely_positive(m: C.Morphism) -> bool:
+    return all(C.is_cp(s) for s in m.entries.values())
+
+
+def runit_elim(a: C.CpmObject) -> C.Morphism:
+    """A (x) 1 -> A."""
+    return C.relabel(C.tensor_obj(a, U1), a, ((("pair", l, C.STAR), l) for l in a.labels()))
+
+
+def runit_intro(a: C.CpmObject) -> C.Morphism:
+    return C.relabel(a, C.tensor_obj(a, U1), ((l, ("pair", l, C.STAR)) for l in a.labels()))
+
+
 def rand_obj(rng, pool=POOL):
     return pool[rng.integers(len(pool))]
 
@@ -42,7 +68,7 @@ def rand_mor(rng, a: C.CpmObject, b: C.CpmObject) -> C.Morphism:
             if rng.random() < 0.15:
                 continue  # leave some entries structurally zero
             s = rng.normal(size=(db * db, da * da)) + 1j * rng.normal(size=(db * db, da * da))
-            entries[(la, lb)] = C.average(s, ga, gb)
+            entries[(la, lb)] = average(s, ga, gb)
     return C.Morphism(a, b, entries)
 
 
@@ -86,7 +112,7 @@ def test_structural_isos():
             C.identity(C.tensor_obj(C.tensor_obj(a, b), c)),
         )
         assert_close(C.lunit_intro(a).compose(C.lunit_elim(a)), C.identity(a))
-        assert_close(C.runit_intro(a).compose(C.runit_elim(a)), C.identity(a))
+        assert_close(runit_intro(a).compose(runit_elim(a)), C.identity(a))
         # naturality of swap
         f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
         assert_close(f.tensor(g).compose(C.swap(b, c)), C.swap(a, b).compose(g.tensor(f)))
@@ -137,10 +163,11 @@ def test_biproduct_laws():
     for rng in seeds():
         parts = [rand_obj(rng), rand_obj(rng)]
         for i in range(2):
-            assert_close(C.injection(parts, i).compose(C.projection(parts, i)), C.identity(parts[i]))
+            inj = C.injection(parts, i)
+            assert_close(inj.compose(inj.transpose()), C.identity(parts[i]))
             j = 1 - i
             assert_close(
-                C.injection(parts, i).compose(C.projection(parts, j)),
+                inj.compose(C.injection(parts, j).transpose()),
                 C.zero(parts[i], parts[j]),
             )
         # cotuple mediates: inj_i ; [f0,f1] = f_i
@@ -157,7 +184,7 @@ def test_pdistr_iso_and_naturality():
         parts = [rand_obj(rng), rand_obj(rng)]
         bp = C.biproduct(parts)
         dist = C.distribute_left(a, parts)
-        undist = C.undistribute_left(a, parts)
+        undist = dist.transpose()
         assert_close(dist.compose(undist), C.identity(C.tensor_obj(bp, a)))
         assert_close(undist.compose(dist), C.identity(dist.dst))
         # naturality in the biproduct argument
@@ -186,11 +213,11 @@ def test_snake_equations():
             .compose(C.eta(a).tensor(ida))
             .compose(C.assoc_right(a, a, a))
             .compose(ida.tensor(C.epsilon(a)))
-            .compose(C.runit_elim(a))
+            .compose(runit_elim(a))
         )
         assert_close(lhs, ida)
         rhs = (
-            C.runit_intro(a)
+            runit_intro(a)
             .compose(ida.tensor(C.eta(a)))
             .compose(C.assoc_left(a, a, a))
             .compose(C.epsilon(a).tensor(ida))
@@ -426,7 +453,7 @@ def test_comonoid_laws():
         weak = C.weakening(a, k)
         idb = C.identity(bang)
         assert_close(contr.compose(weak.tensor(idb)).compose(C.lunit_elim(bang)), idb)
-        assert_close(contr.compose(idb.tensor(weak)).compose(C.runit_elim(bang)), idb)
+        assert_close(contr.compose(idb.tensor(weak)).compose(runit_elim(bang)), idb)
         assert_close(contr.compose(C.swap(bang, bang)), contr)
         assert_close(
             contr.compose(contr.tensor(idb)).compose(C.assoc_right(bang, bang, bang)),
@@ -559,21 +586,25 @@ def test_perm_channel_is_the_conjugation_after_the_source_average():
 def _target_averaged(m: C.Morphism) -> dict:
     """m's entries averaged over their target groups as well: the two-sided
     average, which must change nothing."""
-    return {(la, lb): C.average(s, C.PermGroup.trivial(m.src.dim(la)), m.dst.group(lb))
+    return {(la, lb): average(s, C.PermGroup.trivial(m.src.dim(la)), m.dst.group(lb))
             for (la, lb), s in m.entries.items()}
 
 
 def test_maps_that_move_digits_absorb_the_target_average():
-    nontrivial = 0
+    # promotion too: its sum over source sequences is already target-invariant
+    rng = np.random.default_rng(13)
+    nontrivial = promoted = 0
     for a, kmax in BANG_POOL:
         for k in range(1, kmax + 1):
             maps = [C.contraction(a, k), C.digging(a, k), C.bierman_tensor(a, a, k)]
             if kmax == 2:
                 maps.append(C.bierman_tensor(a, TWO_S, k))
-            for m in maps:
+            bang_f = C.promotion(rand_mor(rng, a, a), k)
+            for m in maps + [bang_f]:
                 assert C.diff_entries(m.entries, _target_averaged(m))[None] <= 1e-12
                 nontrivial += sum(not m.dst.group(lb).is_trivial for _, lb in m.entries)
-    assert nontrivial > 0
+            promoted += sum(not bang_f.dst.group(lb).is_trivial for _, lb in bang_f.entries)
+    assert nontrivial > 0 and promoted > 0
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +613,7 @@ def test_maps_that_move_digits_absorb_the_target_average():
 
 def is_invariant(m: C.Morphism, tol: float) -> bool:
     """Every entry of m is unchanged by its two-sided group average."""
-    return all(C._maxabs(C.average(s, m.src.group(la), m.dst.group(lb)) - s) <= tol
+    return all(C._maxabs(average(s, m.src.group(la), m.dst.group(lb)) - s) <= tol
                for (la, lb), s in m.entries.items())
 
 
@@ -614,13 +645,13 @@ def test_cp_preserved_by_constructors():
         for la, da, ga in a.elems:
             kraus = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
             s = C.so_conjugation(kraus)
-            entries[(la, la)] = C.average(s, ga, ga)
+            entries[(la, la)] = average(s, ga, ga)
         f = C.Morphism(a, a, entries)
-        if not f.is_completely_positive():
-            continue  # group averaging can leave CP; only test when it does
-        assert C.promotion(f, k).is_completely_positive()
-        assert C.contraction(a, k).is_completely_positive()
-        assert C.digging(a, k).is_completely_positive()
+        # the average is a convex mix of permutation conjugations, so keeps CP
+        assert is_completely_positive(f)
+        assert is_completely_positive(C.promotion(f, k))
+        assert is_completely_positive(C.contraction(a, k))
+        assert is_completely_positive(C.digging(a, k))
 
 
 # ---------------------------------------------------------------------------
@@ -663,13 +694,13 @@ def test_storage_rule():
         f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
         ka, k = rand_bang_obj(rng)
         for m in (
-            f, f.compose(g), f.tensor(g), f.add(f), f.scale(0.5), f.transpose(),
+            f, f.compose(g), f.tensor(g), f.add(f), scale(f, 0.5), f.transpose(),
             C.curry(C.lunit_elim(a).compose(f), U1, a, b),
             C.identity(a), C.eta(a), C.epsilon(a), C.eval_mor(a, b),
             C.swap(a, b), C.assoc_left(a, b, c), C.assoc_right(a, b, c),
-            C.lunit_intro(a), C.lunit_elim(a), C.runit_intro(a), C.runit_elim(a),
-            C.injection((a, b), 1), C.projection((a, b), 0),
-            C.distribute_left(a, (b, c)), C.undistribute_left(a, (b, c)),
+            C.lunit_intro(a), C.lunit_elim(a), runit_intro(a), runit_elim(a),
+            C.injection((a, b), 1), C.injection((a, b), 0).transpose(),
+            C.distribute_left(a, (b, c)), C.distribute_left(a, (b, c)).transpose(),
             C.list_roll(a, 2), C.list_unroll(a, 2),
             C.weakening(ka, k), C.dereliction(ka, k), C.contraction(ka, k),
             C.digging(ka, k), C.promotion(rand_mor(rng, ka, ka), k),
@@ -694,7 +725,7 @@ def test_storage_across_the_threshold():
         (la,), (lb,), (lc,) = a.labels(), b.labels(), c.labels()
         ref = g.entry(lb, lc) @ f.entry(la, lb)
         assert np.max(np.abs(fg.entry(la, lc) - ref)) <= 1e-12
-        s = f.add(f.scale(2.0))
+        s = f.add(scale(f, 2.0))
         assert_stored(s)
         assert np.max(np.abs(s.entry(la, lb) - 3 * f.entry(la, lb))) <= 1e-12
     # tensors on both sides of the threshold: 4 x 4 by 4 x 1 is dense,
@@ -794,7 +825,7 @@ def test_dropped_entries_are_recorded():
     assert C.identity(D2).dropped == 0.0
     # a sum whose entries cancel records what it dropped
     f = rand_mor(np.random.default_rng(0), D2, D2)
-    g = f.add(f.scale(-1.0 + 1e-14))
+    g = f.add(scale(f, -1.0 + 1e-14))
     assert g.entries == {}
     assert 0.0 < g.dropped <= C.DROP_EPS
 
@@ -815,8 +846,8 @@ def _structural_references(a, b, c):
             C.tensor_obj(a, C.tensor_obj(b, c)), (0, (1, 2)), ((0, 1), 2), {0: a, 1: b, 2: c})),
         (C.lunit_elim(a), C.structural(C.tensor_obj(U1, a), ("u0", 0), 0, {0: a, "u0": U1})),
         (C.lunit_intro(a), C.structural(a, 0, ("u", 0), {0: a})),
-        (C.runit_elim(a), C.structural(C.tensor_obj(a, U1), (0, "u0"), 0, {0: a, "u0": U1})),
-        (C.runit_intro(a), C.structural(a, 0, (0, "u"), {0: a})),
+        (runit_elim(a), C.structural(C.tensor_obj(a, U1), (0, "u0"), 0, {0: a, "u0": U1})),
+        (runit_intro(a), C.structural(a, 0, (0, "u"), {0: a})),
     ]
 
 

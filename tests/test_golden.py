@@ -147,11 +147,11 @@ def _cases() -> dict:
         cases[f"list_roll-{w}-L2"] = lambda a=a: C.list_roll(a, 2)
         cases[f"list_unroll-{w}-L2"] = lambda a=a: C.list_unroll(a, 2)
         cases[f"injection-{w}"] = lambda a=a: C.injection((C.QUBIT_OBJ, a), 1)
-        cases[f"projection-{w}"] = lambda a=a: C.projection((C.QUBIT_OBJ, a), 1)
+        cases[f"projection-{w}"] = lambda a=a: C.injection((C.QUBIT_OBJ, a), 1).transpose()
         cases[f"distribute_left-{w}"] = (
             lambda a=a: C.distribute_left(a, (WEBS["d2s"], WEBS["mixed"])))
         cases[f"undistribute_left-{w}"] = (
-            lambda a=a: C.undistribute_left(a, (WEBS["d2s"], WEBS["mixed"])))
+            lambda a=a: C.distribute_left(a, (WEBS["d2s"], WEBS["mixed"])).transpose())
     cases["bierman_tensor-d2s-mixed-K2"] = (
         lambda: C.bierman_tensor(WEBS["d2s"], WEBS["mixed"], 2))
     # a 4 x 4 by 64 x 64 tensor of gates that are not symmetric under any

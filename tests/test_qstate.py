@@ -12,14 +12,21 @@ H = S.STANDARD_GATES["H"].as_array()
 CNOT = S.STANDARD_GATES["CNOT"].as_array()
 
 
+def from_bits(bits) -> Q.QState:
+    """Computational basis state |b1 b2 ... bn>."""
+    amps = np.zeros(2 ** len(bits), dtype=complex)
+    amps[int("".join(map(str, bits)), 2)] = 1.0
+    return Q.QState(amps)
+
+
 def test_hadamard_on_zero():
-    q = Q.apply_unitary(Q.from_bits([0]), H, [1])
+    q = Q.apply_unitary(from_bits([0]), H, [1])
     assert np.allclose(q.amps, [2 ** -0.5, 2 ** -0.5])
 
 
 def test_cnot_flips_target():
-    q = Q.apply_unitary(Q.from_bits([1, 0]), CNOT, [1, 2])
-    assert np.allclose(q.amps, Q.from_bits([1, 1]).amps)
+    q = Q.apply_unitary(from_bits([1, 0]), CNOT, [1, 2])
+    assert np.allclose(q.amps, from_bits([1, 1]).amps)
 
 
 def test_identity_gate():
@@ -28,7 +35,7 @@ def test_identity_gate():
 
 
 def test_position_errors():
-    q = Q.from_bits([0, 0])
+    q = from_bits([0, 0])
     with pytest.raises(ValueError):
         Q.apply_unitary(q, H, [3])
     with pytest.raises(ValueError):
@@ -37,8 +44,8 @@ def test_position_errors():
 
 def test_append_qubit():
     assert np.allclose(Q.append_qubit(Q.EMPTY, 0).amps, [1, 0])
-    assert np.allclose(Q.append_qubit(Q.from_bits([0]), 1).amps,
-                       Q.from_bits([0, 1]).amps)
+    assert np.allclose(Q.append_qubit(from_bits([0]), 1).amps,
+                       from_bits([0, 1]).amps)
     plus = Q.QState(np.array([1, 1]) / np.sqrt(2))
     got = Q.append_qubit(plus, 0)
     assert np.allclose(got.amps, np.kron(plus.amps, [1, 0]))
@@ -53,7 +60,7 @@ def test_measure_single_qubit():
 
 
 def test_measure_definite():
-    b0, b1 = Q.measure(Q.from_bits([1]), 1)
+    b0, b1 = Q.measure(from_bits([1]), 1)
     assert b0.prob == 0.0 and not b0.valid
     assert b1.prob == 1.0 and b1.valid
 
