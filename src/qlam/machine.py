@@ -6,6 +6,18 @@ right; classical steps have probability 1, measurement branches carry the
 Born probabilities.  Bounded ``letrec^n`` unfolds at most n times, with
 ``letrec^0`` substituting the explicitly divergent function.
 
+The control is classical: the term alone fixes which rule fires, which
+quantum operation it applies to which variables, and the successor terms.
+A plan (``_plan``) holds exactly that: the rule, the operation (the bit and
+fresh name of a ``new``, the matrix and variable names of a gate, the
+measured variable) and the successor terms.  ``step`` applies the operation
+to the state and the linking, which supply only the amplitudes and the Born
+probabilities.  Plans are memoized per process, keyed by the whole term: a
+``new`` names its qubit apart from the linked variables, which are the free
+variables of the whole term, not of the redex.  So a term that recurs, along
+one ``sample`` or across calls, costs one lookup.  The table keeps the 1024
+most recent plans, since a stream of distinct programs reuses none.
+
 ``evaluate`` runs the branching reduction as a Markov chain over shared
 closures: one table per call maps each distinct closure to its successor
 steps, or, for a normal form, to its ``canonical_key`` or the fact that it is
@@ -14,13 +26,14 @@ of a step.  The key is ``(term, linking, amplitude bytes)`` with exact
 equality, so the result is bit for bit the one plain stepping gives.  The
 table holds at most ``MAX_TABLE_AMPS`` amplitudes and is emptied when the
 next entry would pass that.  ``sample`` follows one path, where a per-call
-table would not hit, and steps plainly.  Runaway growth raises a typed
-error: ``new`` past ``MAX_QUBITS`` qubits, or a frontier past
+closure table would not hit, so it shares only the plans.  Runaway growth
+raises a typed error: ``new`` past ``MAX_QUBITS`` qubits, or a frontier past
 ``MAX_FRONTIER`` branches.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -149,10 +162,29 @@ def step(c: Closure) -> list:
     A value, an omega-blocked term, or any other normal form returns the
     empty list; use :func:`is_blocked` to tell the cases apart.
     """
-    results = _step_term(c.state, c.link_map(), c.term)
+    rule, op, terms = _plan(c.term)
+    state, link = c.state, c.link_map()
+    if rule == "new":
+        if state.num_qubits >= MAX_QUBITS:
+            raise TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
+                                f"beyond the cap of {MAX_QUBITS}")
+        bit, y = op
+        link[y] = state.num_qubits + 1
+        branches = [(1.0, QS.append_qubit(state, bit), link)]
+    elif rule == "unitary":
+        matrix, names = op
+        branches = [(1.0, QS.apply_unitary(state, matrix, [link[x] for x in names]), link)]
+    elif rule == "meas":
+        pos = link.pop(op)
+        link = {x: (i if i < pos else i - 1) for x, i in link.items()}
+        branches = [(b.prob, b.state, link) if b.valid else None for b in QS.measure(state, pos)]
+    else:
+        branches = [(1.0, state, link)] * len(terms)
     out = []
-    for prob, state, link, term, rule in results:
-        for p2, state2, link2 in _discard_orphans(prob, state, link, term):
+    for branch, term in zip(branches, terms):
+        if branch is None:
+            continue
+        for p2, state2, link2 in _discard_orphans(*branch, term):
             nc = Closure(state2, tuple(sorted(link2.items(), key=lambda kv: kv[1])), term)
             nc.validate()
             out.append(Step(p2, nc, rule))
@@ -185,7 +217,7 @@ def _discard_orphans(prob, state, link, term):
 # Call-by-value evaluation order: the fields of each node that reduce to
 # values, left to right, before the node itself is a redex or a value.  Each
 # field comes with the constructor call that rebuilds the node around a new
-# value of it (``dataclasses.replace`` would walk every field on every step).
+# value of it (``dataclasses.replace`` would walk every field on every plan).
 _EVAL_ORDER = {
     App: (("fn", lambda m, v: App(v, m.arg)), ("arg", lambda m, v: App(m.fn, v))),
     Pair: (("left", lambda m, v: Pair(v, m.right)), ("right", lambda m, v: Pair(m.left, v))),
@@ -207,79 +239,69 @@ def _focus(m: Term):
     return None
 
 
-def _step_term(state, link, m):
-    """Returns a list of (prob, state, linking-dict, term, rule)."""
+@functools.lru_cache(maxsize=1024)
+def _plan(m: Term):
+    """The part of a step from ``m`` that the term alone fixes:
+    ``(rule, op, successor terms)``.
+
+    ``op`` is ``(bit, fresh name)`` for ``new``, ``(matrix, variable names)``
+    for ``unitary``, the measured variable for ``meas`` (whose successors are
+    ff then tt) and None otherwise.  A normal form has rule None and no
+    successors.  A closure's linking covers exactly its term's free
+    variables, so the fresh name avoids those of the whole term.
+    """
+    return _redex_plan(m, free_vars(m))
+
+
+def _redex_plan(m: Term, linked: frozenset):
     focus = _focus(m)
     if focus is not None:
         name, rebuild = focus
-        steps = _step_term(state, link, getattr(m, name))
-        return [(p, q2, l2, rebuild(m, m2), rule) for p, q2, l2, m2, rule in steps]
+        rule, op, terms = _redex_plan(getattr(m, name), linked)
+        return rule, op, tuple(rebuild(m, m2) for m2 in terms)
     match m:
-        case App(f, a):
-            return _apply(state, link, f, a)
+        case App(Abs(x, _, body), a):
+            return "beta", None, (subst(body, x, a),)
+        case App(Split(), a):
+            return "split", None, (a,)
+        case App(New(), a):
+            y = S.fresh_name(f"q{len(linked) + 1}", linked)
+            return "new", (_bit_value(a), y), (Var(y),)
+        case App(Meas(), a):
+            if not isinstance(a, Var):
+                raise StuckTerm(f"meas argument {S.pretty(a)} is not a qubit variable")
+            return "meas", a.name, (S.ff(), S.tt())
+        case App(Gate(_, arity, _) as g, a):
+            names = _tensor_vars(a)
+            if len(names) != arity:
+                raise StuckTerm(f"gate expects {arity} qubits, got {len(names)}")
+            matrix = g.as_array()
+            matrix.setflags(write=False)  # every step from this plan shares it
+            return "unitary", (matrix, tuple(names)), (a,)
+        case App(f, _):
+            raise StuckTerm(f"cannot apply {S.pretty(f)}")
         case LetUnit(s, b):
             if not isinstance(s, UnitVal):
                 raise StuckTerm(f"let () subject is {S.pretty(s)}")
-            return [(1.0, state, link, b, "let_unit")]
+            return "let_unit", None, (b,)
         case LetPair(x, _, y, _, s, b):
             if not isinstance(s, Pair):
                 raise StuckTerm(f"let <,> subject is {S.pretty(s)}")
-            out = subst(subst(b, x, s.left), y, s.right)
-            return [(1.0, state, link, out, "let_tensor")]
+            return "let_tensor", None, (subst(subst(b, x, s.left), y, s.right),)
         case Match(InL(v, _), x, _, lb, _, _, _):
-            return [(1.0, state, link, subst(lb, x, v), "match_inl")]
+            return "match_inl", None, (subst(lb, x, v),)
         case Match(InR(v, _), _, _, _, y, _, rb):
-            return [(1.0, state, link, subst(rb, y, v), "match_inr")]
+            return "match_inr", None, (subst(rb, y, v),)
         case Match(s):
             raise StuckTerm(f"match subject is {S.pretty(s)}")
         case LetRec(_, _, _, _, _, _, bound):
             rule = "letrec" if bound is None else f"letrec^{bound}"
-            return [(1.0, state, link, _unfold_letrec(m), rule)]
+            return rule, None, (_unfold_letrec(m),)
         case Omega():
-            return []
+            return None, None, ()
         case _ if is_value(m):
-            return []
+            return None, None, ()
     raise StuckTerm(f"no rule applies to {S.pretty(m)}")
-
-
-def _apply(state, link, f, a):
-    match f:
-        case Abs(x, _, body):
-            return [(1.0, state, link, subst(body, x, a), "beta")]
-        case Split(_):
-            return [(1.0, state, link, a, "split")]
-        case New():
-            bit = _bit_value(a)
-            if state.num_qubits >= MAX_QUBITS:
-                raise TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
-                                    f"beyond the cap of {MAX_QUBITS}")
-            y = S.fresh_name(f"q{state.num_qubits + 1}", link)
-            state2 = QS.append_qubit(state, bit)
-            link2 = dict(link)
-            link2[y] = state.num_qubits + 1
-            return [(1.0, state2, link2, Var(y), "new")]
-        case Meas():
-            if not isinstance(a, Var):
-                raise StuckTerm(f"meas argument {S.pretty(a)} is not a qubit variable")
-            pos = link[a.name]
-            b0, b1 = QS.measure(state, pos)
-            out = []
-            for branch, term in ((b0, S.ff()), (b1, S.tt())):
-                if not branch.valid:
-                    continue
-                link2 = {
-                    x: (i if i < pos else i - 1) for x, i in link.items() if x != a.name
-                }
-                out.append((branch.prob, branch.state, link2, term, "meas"))
-            return out
-        case Gate(_, arity, _):
-            names = _tensor_vars(a)
-            if len(names) != arity:
-                raise StuckTerm(f"gate expects {arity} qubits, got {len(names)}")
-            positions = [link[x] for x in names]
-            state2 = QS.apply_unitary(state, f.as_array(), positions)
-            return [(1.0, state2, link, a, "unitary")]
-    raise StuckTerm(f"cannot apply {S.pretty(f)}")
 
 
 def is_blocked(m: Term) -> bool:

@@ -29,9 +29,6 @@ class QState:
     def num_qubits(self) -> int:
         return self.amps.shape[0].bit_length() - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
 
 EMPTY = QState(np.ones(1, dtype=complex))
 

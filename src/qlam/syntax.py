@@ -14,7 +14,9 @@ every class from one table.  ``subst`` and ``alpha_canonical`` spell out
 only the binders, because they must know what each binder binds.  ``pretty``
 spells out every constructor because each prints differently, and
 ``free_vars`` does so too because on a fresh term the table lookup would
-cost more than the set operations.
+cost more than the set operations.  ``strip_ascriptions`` is memoized over
+the 1024 most recent terms, subterms included, because ``machine.load``
+strips the same program once per sample.
 
 Free variables and hashes are cached per node: ``free_vars`` fills a node's
 ``_fv`` slot from the cached sets of its immediate subterms the first time it
@@ -32,6 +34,7 @@ term, caches included, is shared with the result.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
@@ -544,6 +547,7 @@ def subst(m: Term, x: str, v: Term) -> Term:
     return go(m)
 
 
+@functools.lru_cache(maxsize=1024)
 def strip_ascriptions(m: Term) -> Term:
     while isinstance(m, Ascribe):
         m = m.body

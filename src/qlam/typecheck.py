@@ -64,11 +64,6 @@ class Derivation:
         # derivation leaves its hash behind
         return {**self.__dict__, "_hash": None}
 
-    def to_text(self, indent: int = 0) -> str:
-        ctx_s = ", ".join(f"{x}:{t}" for x, t in self.ctx)
-        head = f"{'  ' * indent}[{self.rule}] {ctx_s} |- {S.pretty(self.term)} : {self.type}"
-        return "\n".join([head] + [c.to_text(indent + 1) for c in self.children])
-
 
 def ctx_lookup(ctx: Ctx, name: str) -> Optional[Type]:
     for x, t in ctx:

@@ -282,7 +282,8 @@ def fuzz_terms():
 
 
 def clear_caches():
-    for mod in (C, D):
+    # the machine's plans and syntax's stripped terms too
+    for mod in (C, D, M, S):
         for fn in vars(mod).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
@@ -467,14 +468,19 @@ def test_cached_plumbing_is_not_mutated(monkeypatch):
 
 
 def test_outputs_do_not_depend_on_process_history():
-    from test_golden import PROGRAM_NAMES, _program
+    from test_golden import PROGRAM_NAMES, SAMPLE_PROGRAMS, _program, _samples
+
+    def outputs():
+        return ([C.serialize_morphism(_program(n)) for n in PROGRAM_NAMES],
+                [_samples(n) for n in SAMPLE_PROGRAMS])
 
     clear_caches()
-    cold = [C.serialize_morphism(_program(n)) for n in PROGRAM_NAMES]
+    cold = outputs()
     for s in range(40):
-        A.scalar_denotation(A.random_finitary_program(s), D.DEFAULT_CONFIG)
-    warm = [C.serialize_morphism(_program(n)) for n in PROGRAM_NAMES]
-    assert warm == cold
+        program = A.random_finitary_program(s)
+        A.scalar_denotation(program, D.DEFAULT_CONFIG)
+        M.sample(M.load(program), s)
+    assert outputs() == cold
 
 
 def test_memo_is_exact():

@@ -1,7 +1,9 @@
 """Abstract machine: steps, distributions, sampling, finitary machinery."""
 
+import random
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,3 +319,84 @@ def test_frontier_cap(monkeypatch):
     # sample follows one branch, so the cap does not apply to it
     monkeypatch.setattr(M, "MAX_FRONTIER", 1)
     assert not M.sample(M.load(load("cointoss")), 0).timed_out
+
+
+
+def _clear_memos():
+    M._plan.cache_clear()
+    S.strip_ascriptions.cache_clear()
+
+
+def _warm_memos():
+    # other programs' plans and stripped terms, so the traces below are
+    # served partly by entries that these programs did not make
+    for seed in range(40):
+        M.evaluate(M.load(A.random_finitary_program(seed, 10)), max_steps=2000)
+    for seed in range(30):
+        M.evaluate(M.load(A.random_letrec_program(seed)), max_steps=300)
+
+
+def _exact_traces(monkeypatch, name):
+    """Seeds 0..9 of ``sample``: every step's rule, probability, linking, term
+    and amplitude bytes, and the number of ``rng.random()`` draws."""
+    draws = []
+
+    class Counting(random.Random):
+        def random(self):
+            draws[-1] += 1
+            return super().random()
+
+    monkeypatch.setattr(M, "random", SimpleNamespace(Random=Counting))
+    out = []
+    for seed in range(10):
+        draws.append(0)
+        trace = M.sample(M.load(load(name)), seed)
+        assert draws[-1] == len(trace.steps)  # one draw per step taken
+        out.append(([(rule, prob, c.linking, S.pretty(c.term), c.state.amps.tobytes())
+                     for rule, prob, c in trace.steps],
+                    _closure_record(trace.final), trace.timed_out, draws[-1]))
+    monkeypatch.undo()
+    return out
+
+
+def test_plans_do_not_change_sample_traces(monkeypatch):
+    from test_golden import SAMPLE_PROGRAMS
+
+    cold = {}
+    for name in SAMPLE_PROGRAMS:
+        _clear_memos()
+        cold[name] = _exact_traces(monkeypatch, name)
+    _clear_memos()
+    _warm_memos()
+    info = M._plan.cache_info()
+    assert info.currsize == info.maxsize  # the warm-up also evicted plans
+    for name in SAMPLE_PROGRAMS:
+        assert _exact_traces(monkeypatch, name) == cold[name], name
+    # seeds 1..9 of each program are served by the plans of the seeds before
+    assert M._plan.cache_info().hits - info.hits > 300
+
+
+def test_plans_do_not_change_evaluations():
+    from test_golden import MACHINE_PROGRAMS, MACHINE_STEPS
+
+    cold = {}
+    for name in MACHINE_PROGRAMS:
+        _clear_memos()
+        cold[name] = M.evaluate(M.load(load(name)), MACHINE_STEPS)
+    _clear_memos()
+    _warm_memos()
+    for name in MACHINE_PROGRAMS:
+        _assert_same_distribution(M.evaluate(M.load(load(name)), MACHINE_STEPS), cold[name])
+
+
+def test_new_names_avoid_the_whole_term():
+    # a plan for the closed <new ff, new ff> names its qubits q1 and q2; with
+    # q1 linked, the same redexes must name theirs q2 and q3
+    pair = S.Pair(S.App(S.New(), S.ff()), S.App(S.New(), S.ff()))
+    for c, want in ((M.load(pair), ["q1", "q2"]),
+                    (M.load(S.Pair(S.Var("q1"), pair), Q.QState(np.array([0.6, 0.8])),
+                            (("q1", 1),)), ["q1", "q2", "q3"])):
+        while succs := M.step(c):  # step validates every successor
+            (s,) = succs
+            c = s.closure
+        assert [x for x, _ in c.linking] == want

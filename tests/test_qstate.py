@@ -19,6 +19,10 @@ def from_bits(bits) -> Q.QState:
     return Q.QState(amps)
 
 
+def norm(q: Q.QState) -> float:
+    return float(np.linalg.norm(q.amps))
+
+
 def test_hadamard_on_zero():
     q = Q.apply_unitary(from_bits([0]), H, [1])
     assert np.allclose(q.amps, [2 ** -0.5, 2 ** -0.5])
@@ -106,7 +110,7 @@ def test_apply_unitary_matches_dense_oracle(seed, n, use_cnot):
     got = Q.apply_unitary(Q.QState(amps), u, positions)
     want = _dense_application(amps, u, positions, n)
     assert np.max(np.abs(got.amps - want)) < 1e-12
-    assert got.norm() == pytest.approx(1.0, abs=1e-12)
+    assert norm(got) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,4 +124,4 @@ def test_measure_probabilities_sum(seed, n):
     assert b0.prob + b1.prob == pytest.approx(1.0, abs=1e-9)
     for br in (b0, b1):
         if br.prob > 1e-12:
-            assert br.state.norm() == pytest.approx(1.0, abs=1e-9)
+            assert norm(br.state) == pytest.approx(1.0, abs=1e-9)
