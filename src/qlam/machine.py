@@ -19,16 +19,21 @@ one ``sample`` or across calls, costs one lookup.  The table keeps the 1024
 most recent plans, since a stream of distinct programs reuses none.
 
 ``evaluate`` runs the branching reduction as a Markov chain over shared
-closures: one table per call maps each distinct closure to its successor
-steps, or, for a normal form, to its ``canonical_key`` or the fact that it is
-blocked, so a frontier entry that revisits a closure costs one lookup instead
-of a step.  The key is ``(term, linking, amplitude bytes)`` with exact
-equality, so the result is bit for bit the one plain stepping gives.  The
-table holds at most ``MAX_TABLE_AMPS`` amplitudes and is emptied when the
-next entry would pass that.  ``sample`` follows one path, where a per-call
-closure table would not hit, so it shares only the plans.  Runaway growth
-raises a typed error: ``new`` past ``MAX_QUBITS`` qubits, or a frontier past
-``MAX_FRONTIER`` branches.
+closures: one table per call keeps a node for each distinct closure, holding
+its successor steps, or, for a normal form, its ``canonical_key`` or the fact
+that it is blocked.  The key is ``(term, linking, amplitude bytes)`` with exact
+equality, so the result is bit for bit the one plain stepping gives.  A
+frontier entry names its closure as a parent node and a successor index, and
+a node keeps a slot for each successor's node, filled on the first visit: a
+branch that revisits a closure follows a slot instead of hashing its key.
+Successors are resolved only when their branch is popped, so a pruned or
+residual closure is never stepped.  The table holds at most
+``MAX_TABLE_AMPS`` amplitudes and is emptied when the next node would pass
+that; slots link only nodes the table holds and are cut when it empties, so
+they keep no memory alive that the table does not.  ``sample`` follows one
+path, where a per-call closure table would not hit, so it shares only the
+plans.  Runaway growth raises a typed error: ``new`` past ``MAX_QUBITS``
+qubits, or a frontier past ``MAX_FRONTIER`` branches.
 """
 
 from __future__ import annotations
@@ -385,69 +390,105 @@ def _resolve(c: Closure):
     raise StuckTerm(f"stuck non-value {S.pretty(c.term)}")
 
 
+class _Node:
+    """One distinct closure's ``_resolve`` entry, with a slot for the node of
+    each successor.
+
+    A slot is filled only while both ends are held by the table, and the
+    table cuts every slot when it clears, so links keep alive nothing that
+    the table does not.  The node does not hold its own closure: its parent's
+    ``Step`` does.
+    """
+
+    __slots__ = ("succs", "key", "links", "held")
+
+    def __init__(self, succs, key, held: bool):
+        self.succs, self.key, self.held = succs, key, held
+        self.links = [None] * len(succs)
+
+
 class _ClosureTable:
-    """One ``evaluate`` call's ``_resolve`` entries, keyed by exact closure.
+    """One ``evaluate`` call's nodes, keyed by exact closure.
 
     The amplitudes held are counted over the keys' states, their successors'
     states and their outcome keys.
     """
 
     def __init__(self):
-        self.entries = {}
-        self.held = 0
+        self.nodes = {}
+        self.amps = 0
 
-    def resolve(self, c: Closure):
-        if c.state.amps.size > MAX_TABLE_AMPS:  # its entry could never be held
-            return _resolve(c)
+    def node(self, c: Closure) -> _Node:
+        if c.state.amps.size > MAX_TABLE_AMPS:  # its node could never be held
+            return _Node(*_resolve(c), False)
         key = (c.term, c.linking, c.state.amps.tobytes())
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = _resolve(c)
-            succs, out_key = entry
+        node = self.nodes.get(key)
+        if node is None:
+            succs, out_key = _resolve(c)
             amps = (c.state.amps.size + sum(s.closure.state.amps.size for s in succs)
                     + (len(out_key[3]) if out_key is not None else 0))
-            if self.held + amps > MAX_TABLE_AMPS:
-                self.entries.clear()
-                self.held = 0
-            if amps <= MAX_TABLE_AMPS:
-                self.entries[key] = entry
-                self.held += amps
-        return entry
+            if self.amps + amps > MAX_TABLE_AMPS:
+                self.clear()
+            node = _Node(succs, out_key, amps <= MAX_TABLE_AMPS)
+            if node.held:
+                self.nodes[key] = node
+                self.amps += amps
+        return node
+
+    def clear(self):
+        for node in self.nodes.values():
+            node.held = False
+            node.links = [None] * len(node.links)
+        self.nodes.clear()
+        self.amps = 0
 
 
 def evaluate(c: Closure, max_steps: int = 10_000) -> Distribution:
     """Exhaustive breadth-first evaluation of the branching reduction tree,
-    resolving each distinct closure once through a ``_ClosureTable``."""
+    resolving each distinct closure once through a ``_ClosureTable``.
+
+    A frontier entry is ``(prob, parent node, successor index)``: a branch
+    whose parent has linked that successor's node follows the link, and any
+    other branch looks its closure up in the table when it is popped.
+    """
     if max_steps < 0:
         raise MachineError(f"step budget must be nonnegative, got {max_steps}")
     dist = Distribution()
-    frontier = [(1.0, c)]
+    # the start closure is the one successor of a node that no table holds
+    frontier = [(1.0, _Node((Step(1.0, c, "load"),), None, False), 0)]
     table = _ClosureTable()
     steps = 0
     while frontier and steps < max_steps:
         steps += 1
         next_frontier = []
-        for prob, cl in frontier:
-            succs, key = table.resolve(cl)
+        for prob, parent, i in frontier:
+            node = parent.links[i]
+            if node is None:
+                node = table.node(parent.succs[i].closure)
+                if parent.held and node.held:
+                    parent.links[i] = node
+            succs = node.succs
             if not succs:
+                key = node.key
                 if key is None:
                     dist.blocked += prob
                 elif key in dist.outcomes:
                     dist.outcomes[key].prob += prob
                 else:
-                    dist.outcomes[key] = Outcome(prob, cl)
+                    dist.outcomes[key] = Outcome(prob, parent.succs[i].closure)
                 continue
-            for s in succs:
+            for j, s in enumerate(succs):
                 p2 = prob * s.prob
                 if p2 > PRUNE_EPS:
-                    next_frontier.append((p2, s.closure))
+                    next_frontier.append((p2, node, j))
                 else:
                     dist.pruned += p2
         if len(next_frontier) > MAX_FRONTIER:
             raise FrontierTooLarge(f"step {steps} would keep {len(next_frontier)} branches "
                                    f"beyond the cap of {MAX_FRONTIER}")
         frontier = next_frontier
-    dist.residual = sum(p for p, _ in frontier)
+    table.clear()  # cut the links, so no cycle of nodes outlives the call
+    dist.residual = sum(p for p, _, _ in frontier)
     dist.steps_used = steps
     return dist
 

@@ -344,7 +344,9 @@ def gate(name: str, matrix) -> Gate:
     dev = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
     if dev > 1e-9:
         raise ValueError(f"gate {name}: matrix is not unitary (deviation {dev:.3e})")
-    return Gate(name, k, tuple(tuple(complex(x) for x in row) for row in arr))
+    # adding 0j turns a signed zero into 0.0: the memos key terms by ``==``,
+    # under which -0.0 and 0.0 are equal, so the two must also print alike
+    return Gate(name, k, tuple(tuple(complex(x) + 0j for x in row) for row in arr))
 
 
 _HADAMARD = [[2**-0.5, 2**-0.5], [2**-0.5, -(2**-0.5)]]

@@ -10,13 +10,20 @@ annotation.
 
 The result is a full derivation tree.  The denotational interpreter is
 driven by derivations, so every rule records enough structure (the context
-split, the coerced type, the promotion context) to be replayed.  Equal
-nodes are one object while any of them is alive (``check`` hash-conses
-them), which is what lets ``qlam.denote`` memoize by derivation.
+split, the coerced type, the promotion context) to be replayed.
+
+``check`` is memoized per process over its 4096 most recent
+``(context, term, expected type)`` calls, the recursive calls included, so a
+program that recurs, or shares subterms with one checked before, is checked
+once.  A ``TypingError`` is not memoized, so a list type's fallback to the
+coercion rule runs as before.  On a miss, the new node is hash-consed: equal
+nodes are one object while any of them is alive, the memo's included, which
+is what lets ``qlam.denote`` memoize by derivation.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -139,8 +146,12 @@ def _qubits_tensor(k: int) -> Type:
 _NODES = weakref.WeakValueDictionary()
 
 
+@functools.lru_cache(maxsize=4096)
 def check(ctx: Ctx, m: Term, expected: Optional[Type] = None) -> Derivation:
-    """Check ``m`` against ``expected`` (or synthesise when ``None``)."""
+    """Check ``m`` against ``expected`` (or synthesise when ``None``).
+
+    Memoized per process; a ``TypingError`` is raised afresh each time.
+    """
     d = _check(ctx, m, expected)
     return _NODES.setdefault((d.rule, d.ctx, d.term, d.type, d.children), d)
 

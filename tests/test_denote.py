@@ -282,8 +282,8 @@ def fuzz_terms():
 
 
 def clear_caches():
-    # the machine's plans and syntax's stripped terms too
-    for mod in (C, D, M, S):
+    # the machine's plans, syntax's stripped terms and the checker's memo too
+    for mod in (C, D, M, S, T):
         for fn in vars(mod).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()

@@ -1,6 +1,7 @@
 """Abstract machine: steps, distributions, sampling, finitary machinery."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import qlam.machine as M
 import qlam.parser as P
 import qlam.qstate as Q
 import qlam.syntax as S
+import qlam.typecheck as T
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -301,12 +303,55 @@ def test_each_distinct_closure_is_stepped_once(monkeypatch):
 
 
 def test_table_amplitude_cap_keeps_the_distribution(monkeypatch):
+    from test_golden import MACHINE_PROGRAMS, MACHINE_STEPS
+
     term = load("qlist-run")
     want = M.evaluate(M.load(term), max_steps=200)
     for cap in (64, 1024):
         monkeypatch.setattr(M, "MAX_TABLE_AMPS", cap)
         _assert_same_distribution(M.evaluate(M.load(term), max_steps=200), want)
     _assert_same_distribution(want, _reference_evaluate(M.load(term), 200))
+    # a small table clears often and cuts the links between its nodes mid-run
+    monkeypatch.undo()
+    cases = [(load(name), MACHINE_STEPS) for name in MACHINE_PROGRAMS]
+    cases += [(A.random_letrec_program(seed), 300) for seed in range(30)]
+    want = [M.evaluate(M.load(term), max_steps) for term, max_steps in cases]
+    cut = []
+    clear = M._ClosureTable.clear
+
+    def counting(table):
+        cut.append(sum(n is not None for node in table.nodes.values() for n in node.links))
+        clear(table)
+
+    monkeypatch.setattr(M._ClosureTable, "clear", counting)
+    monkeypatch.setattr(M, "MAX_TABLE_AMPS", 64)
+    for (term, max_steps), w in zip(cases, want):
+        _assert_same_distribution(M.evaluate(M.load(term), max_steps), w)
+    # besides the clear that ends each call
+    assert len(cut) > 2 * len(cases) and sum(c > 0 for c in cut) > len(cases)
+
+
+def test_links_hold_no_memory(monkeypatch):
+    # the successor links keep alive only nodes the table holds anyway, so
+    # the peak with the table is close to the peak with no table, and that
+    # one is close to plain stepping's, whose frontier holds only closures
+    term = load("qlist-run")
+
+    def peak(evaluate):
+        c = M.load(term)
+        tracemalloc.start()
+        try:
+            evaluate(c, 200)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    M.evaluate(M.load(term), 200)  # every measured run finds the plans made
+    with_table = peak(M.evaluate)
+    monkeypatch.setattr(M, "MAX_TABLE_AMPS", 0)
+    without = peak(M.evaluate)
+    assert with_table <= 1.1 * without
+    assert without <= 1.1 * peak(_reference_evaluate)
 
 
 def test_frontier_cap(monkeypatch):
@@ -325,6 +370,7 @@ def test_frontier_cap(monkeypatch):
 def _clear_memos():
     M._plan.cache_clear()
     S.strip_ascriptions.cache_clear()
+    T.check.cache_clear()
 
 
 def _warm_memos():
@@ -400,3 +446,23 @@ def test_new_names_avoid_the_whole_term():
             (s,) = succs
             c = s.closure
         assert [x for x, _ in c.linking] == want
+
+
+def test_signed_zero_gates_trace_alike():
+    # the memos key terms by ==, under which -0.0 == 0.0, so a gate written
+    # with -0.0 must print as its +0.0 twin does, or a trace would depend on
+    # which of the two ran first in the process
+    neg = P.parse_term("meas (#U[[1.0,-0.0],[-0.0,1.0]] (new ff))")
+    pos = P.parse_term("meas (#U[[1.0,0.0],[0.0,1.0]] (new ff))")
+
+    def trace(term):
+        t = M.sample(M.load(term), 0)
+        return (S.pretty(T.typecheck(term).term),
+                [(rule, prob, S.pretty(c.term), c.state.amps.tobytes())
+                 for rule, prob, c in t.steps])
+
+    _clear_memos()
+    cold = trace(neg)
+    _clear_memos()
+    trace(pos)
+    assert trace(neg) == cold

@@ -138,8 +138,41 @@ def test_derivations_are_hash_consed():
     # the table holds its nodes weakly (a program nothing else has built)
     d = T.typecheck(A.random_finitary_program(10**9), S.UNIT)
     held = len(T._NODES)
+    T.check.cache_clear()  # the memo holds its derivations strongly
     del d
     assert len(T._NODES) < held
+
+
+def test_check_memo_is_exact():
+    # a derivation served in part by other programs' memo entries equals the
+    # one a cold process builds, and prints alike
+    terms = [A.random_finitary_program(s) for s in range(300)]
+    terms += [A.random_letrec_program(s) for s in range(50)]
+    cold = []
+    for m in terms:
+        T.check.cache_clear()
+        d = T.typecheck(m, S.UNIT)
+        cold.append((pickle.dumps(d), to_text(d)))
+        del d  # so no node of it is shared with the warm run below
+    T.check.cache_clear()
+    warm = [T.typecheck(m, S.UNIT) for m in terms]
+    assert T.check.cache_info().hits > 1000
+    for m, d, (blob, text) in zip(terms, warm, cold):
+        assert d == pickle.loads(blob) and to_text(d) == text, S.pretty(m)
+
+
+def test_memo_keeps_the_list_fallback():
+    # checking against a list type first tries the term's own rule, and on a
+    # TypingError (never memoized) coerces through the unrolled sum
+    lt = S.ListT(S.QUBIT)
+    m = S.InL(S.UnitVal(), S.SumT(S.UNIT, S.TensorT(S.QUBIT, lt)))
+    T.check.cache_clear()
+    d = T.typecheck(m, lt)
+    assert d.rule == "list_I"
+    assert T.typecheck(m, lt) is d
+    T.check.cache_clear()
+    assert to_text(T.typecheck(m, lt)) == to_text(d)
+    assert [err_of(lambda: T.typecheck(S.Var("x"))) for _ in range(2)] == ["UnboundVariable"] * 2
 
 
 def test_derivation_serializes():
