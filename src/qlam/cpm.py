@@ -477,12 +477,6 @@ class Morphism:
                 entries[(("pair", la, lc), ("pair", lb, ld))] = so_tensor(s1, s2)
         return Morphism(src, dst, entries)
 
-    def add(self, other: "Morphism") -> "Morphism":
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries[k] + v if k in entries else v
-        return Morphism(self.src, self.dst, entries)
-
     def transpose(self) -> "Morphism":
         """B -> A with every key reversed and every entry transposed."""
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}

@@ -10,30 +10,28 @@ explicitly iterated fixpoint: an unbounded one doubles its Kleene index by
 squaring the recursion step (``fixpoint_iterate``).
 
 At each derivation node only the children's denotations depend on the term;
-the plumbing around them is a function of types and ``cfg`` alone.  That
-plumbing is built once per process, in bounded ``lru_cache``s: ``route``'s
-weakening/contraction/exchange map (``_route``, keyed by the context's types
-and each destination's positions in the context, so alpha-renamed contexts
-share an entry), the digging/Bierman prefix of promotion
-(``_promotion_prefix``, keyed by the context's types), each constant's
-curried morphism (``_const_mor``, keyed by the constant and its type), all
-three also keyed by ``cfg``, and in :mod:`qlam.cpm` the part of ``curry``
-before its argument (``_curry_prefix``).  Equal keys give equal morphisms, so reusing one is
-sound; only left prefixes of composites are cached, so every ``compose``
-runs in the same order as an uncached build and the results are
-bit-identical.  The checks that name a variable (linear weakening or
-contraction, promotion under a linear binding) run before the lookup.
+the plumbing around them is a function of types and ``cfg`` alone.  Two
+pieces of it are built once per process, in bounded ``lru_cache``s:
+``route``'s weakening/contraction/exchange map (``_route``, keyed by the
+context's types, each destination's positions in the context and ``cfg``, so
+alpha-renamed contexts share an entry), and in :mod:`qlam.cpm` the part of
+``curry`` before its argument (``_curry_prefix``).  Equal keys give equal
+morphisms, so reusing one is sound; only left prefixes of composites are
+cached, so every ``compose`` runs in the same order as an uncached build and
+the results are bit-identical.  The checks that name a variable (linear
+weakening or contraction) run before the lookup.
 
 ``denote`` itself is memoized beside that plumbing, in one bounded
 ``lru_cache`` keyed by the derivation and ``cfg``, so a sub-derivation that
 recurs within a program or across programs is interpreted once.  The key is
 exact: a derivation's equality covers its rule, context (names included),
-term, type and children, and the rule's payload (the context split, the
-exponential context, the bound) is a function of the context and the term.
-So equal keys are equal derivations, which the interpretation, defined by
-induction on derivations, sends to equal morphisms.  A hit returns the
-morphism the first build returned.  The checker hash-conses derivations, so
-the memo holds one copy of each sub-derivation, not every program's tree.
+term, type and children, which is everything the interpretation reads (a
+context split is read off the premises' contexts, a letrec's bound off its
+term).  So equal keys are equal derivations, which the interpretation,
+defined by induction on derivations, sends to equal morphisms.  A hit
+returns the morphism the first build returned.  The checker hash-conses
+derivations, so the memo holds one copy of each sub-derivation, not every
+program's tree.
 
 Cached morphisms, the memo's included, are shared and must not be mutated.
 
@@ -48,7 +46,7 @@ reached ones at most 16,384.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -242,7 +240,6 @@ def _gate_mor(g: S.Gate, cfg: TruncationConfig) -> Morphism:
     return Morphism(qt, qt, {(label, label): C.so_conjugation(g.as_array())})
 
 
-@lru_cache(maxsize=512)
 def _const_mor(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphism:
     """``1 -> (A -o B)``: a constant's direct morphism ``A -> B``, curried."""
     a = denote_type(arrow.arg, cfg)
@@ -266,39 +263,26 @@ def _const_mor(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphi
 
 
 def _promote_ctx(ctx: T.Ctx, g: Morphism, cfg: TruncationConfig) -> Morphism:
-    """``[[ctx]] -> !H`` from ``g : [[ctx]] -> H`` (ctx all-exponential)."""
+    """``[[ctx]] -> !H`` from ``g : [[ctx]] -> H`` (ctx all-exponential):
+    digging on every factor ``!Ai``, the Bierman maps into
+    ``!(A1 (x) ... (x) An)`` left to right (``!1``'s unit when ``ctx`` is
+    empty), then the promotion of ``g``."""
     for x, t in ctx:
         if not S.is_exponential(t):
             raise DenotationError(f"promotion under linear binding {x}")
-    prefix = _promotion_prefix(tuple(t for _, t in ctx), cfg)
-    return prefix.compose(C.promotion(g, cfg.bang_max))
-
-
-@lru_cache(maxsize=512)
-def _promotion_prefix(types: tuple, cfg: TruncationConfig) -> Morphism:
-    """``!A1 (x) ... (x) !An -> !(A1 (x) ... (x) An)``: digging on every
-    factor, then the Bierman maps, left to right (``!1``'s unit when empty)."""
     K = cfg.bang_max
-    if not types:
-        return C.bierman_unit(K)
-    bases = []
-    digs = None
-    for t in types:
-        base = denote_type(t, cfg)  # already a ! object
-        d = C.digging(denote_type(t.underlying, cfg), K)
-        bases.append(base)
-        digs = d if digs is None else digs.tensor(d)
-    mor = digs
+    if not ctx:
+        return C.bierman_unit(K).compose(C.promotion(g, K))
+    bases = [denote_type(t, cfg) for _, t in ctx]  # already ! objects
+    mor = reduce(Morphism.tensor, (C.digging(denote_type(t.underlying, cfg), K) for _, t in ctx))
     cur = bases[0]
     for i in range(1, len(bases)):
-        m = C.bierman_tensor(cur, bases[i], K)
-        rest = [C.bang_obj(b, K) for b in bases[i + 1:]]
-        lift = m
-        for r in rest:
-            lift = lift.tensor(C.identity(r))
+        lift = C.bierman_tensor(cur, bases[i], K)
+        for b in bases[i + 1:]:
+            lift = lift.tensor(C.identity(C.bang_obj(b, K)))
         mor = mor.compose(lift)
         cur = C.tensor_obj(cur, bases[i])
-    return mor
+    return mor.compose(C.promotion(g, K))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +397,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
 
         case "loli_E":
             df, da = d.children
-            c1, c2 = d.info["split"]
+            c1, c2 = df.ctx, da.ctx
             a = denote_type(df.type.arg, cfg)
             b = denote_type(df.type.res, cfg)
             return (
@@ -424,7 +408,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
 
         case "unit_E":
             ds, db = d.children
-            c1, c2 = d.info["split"]
+            c1, c2 = ds.ctx, db.ctx
             out = denote_type(db.type, cfg)
             return (
                 route(ctx, [c1, c2], cfg)
@@ -434,12 +418,12 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
 
         case "tensor_I":
             dl, dr = d.children
-            c1, c2 = d.info["split"]
+            c1, c2 = dl.ctx, dr.ctx
             return route(ctx, [c1, c2], cfg).compose(denote(dl, cfg).tensor(denote(dr, cfg)))
 
         case "tensor_E":
             ds, db = d.children
-            c1, c2 = d.info["split"]
+            c1, c2 = ds.ctx, db.ctx[:-2]  # the branch binds the pair's two halves
             tens = ds.type
             c2o = ctx_obj(c2, cfg)
             tl, tr = denote_type(tens.left, cfg), denote_type(tens.right, cfg)
@@ -460,7 +444,7 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
 
         case "plus_E":
             ds, dl, dr = d.children
-            c1, c2 = d.info["split"]
+            c1, c2 = ds.ctx, dl.ctx[:-1]  # the left branch binds the injected value
             c2o = ctx_obj(c2, cfg)
             sum_t = ds.type
             parts = (denote_type(sum_t.left, cfg), denote_type(sum_t.right, cfg))
@@ -494,21 +478,18 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
 def _denote_rec(d: T.Derivation, cfg: TruncationConfig) -> Morphism:
     dbody, dcont = d.children
     ctx = d.ctx
-    exp = d.info["exp"]
-    bound = d.info["bound"]
     m: S.LetRec = d.term
-    ft = S.BangArrow(m.arg_type, m.res_type)
-    hom = denote_type(ft.underlying, cfg)
-    bang_hom = denote_type(ft, cfg)
+    f_ctx = dbody.ctx[:-1]  # the body's context is exp + f + x
+    exp = f_ctx[:-1]
+    bang_hom = denote_type(S.BangArrow(m.arg_type, m.res_type), cfg)
 
     # one recursion step chi : [[exp]] (x) !H -> !H
     body = denote(dbody, cfg)  # [[exp + f + x]] -> [[res]]
-    f_ctx = exp + ((dbody.ctx[-2][0], ft),)
     phi = C.curry(body, ctx_obj(f_ctx, cfg), denote_type(m.arg_type, cfg),
                   denote_type(m.res_type, cfg))
     chi = _promote_ctx(f_ctx, phi, cfg)
 
-    fix = fixpoint_iterate(exp, chi, bang_hom, cfg, bound=bound)
+    fix = fixpoint_iterate(exp, chi, bang_hom, cfg, bound=m.bound)
 
     cont = denote(dcont, cfg)  # [[ctx + f]] -> [[type]]
     co = ctx_obj(ctx, cfg)

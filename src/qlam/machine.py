@@ -169,27 +169,24 @@ def step(c: Closure) -> list:
     """
     rule, op, terms = _plan(c.term)
     state, link = c.state, c.link_map()
-    if rule == "new":
-        if state.num_qubits >= MAX_QUBITS:
-            raise TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
-                                f"beyond the cap of {MAX_QUBITS}")
-        bit, y = op
-        link[y] = state.num_qubits + 1
-        branches = [(1.0, QS.append_qubit(state, bit), link)]
-    elif rule == "unitary":
-        matrix, names = op
-        branches = [(1.0, QS.apply_unitary(state, matrix, [link[x] for x in names]), link)]
-    elif rule == "meas":
-        pos = link.pop(op)
-        link = {x: (i if i < pos else i - 1) for x, i in link.items()}
-        branches = [(b.prob, b.state, link) if b.valid else None for b in QS.measure(state, pos)]
+    if rule == "meas":
+        # the successor terms are ff then tt, one per outcome
+        branches = [(p, st, lk, terms[b]) for b, p, st, lk in _measure_out(1.0, state, link, op)]
     else:
-        branches = [(1.0, state, link)] * len(terms)
+        if rule == "new":
+            if state.num_qubits >= MAX_QUBITS:
+                raise TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
+                                    f"beyond the cap of {MAX_QUBITS}")
+            bit, y = op
+            link[y] = state.num_qubits + 1
+            state = QS.append_qubit(state, bit)
+        elif rule == "unitary":
+            matrix, names = op
+            state = QS.apply_unitary(state, matrix, [link[x] for x in names])
+        branches = [(1.0, state, link, term) for term in terms]
     out = []
-    for branch, term in zip(branches, terms):
-        if branch is None:
-            continue
-        for p2, state2, link2 in _discard_orphans(*branch, term):
+    for prob, st, lk, term in branches:
+        for p2, state2, link2 in _discard_orphans(prob, st, lk, term):
             nc = Closure(state2, tuple(sorted(link2.items(), key=lambda kv: kv[1])), term)
             nc.validate()
             out.append(Step(p2, nc, rule))
@@ -205,18 +202,19 @@ def _discard_orphans(prob, state, link, term):
     unobserved measurement, which preserves the total probability mass.
     """
     fv = free_vars(term)
-    orphans = [x for x in link if x not in fv]
     branches = [(prob, state, link)]
-    for x in orphans:
-        next_branches = []
-        for p, st, lk in branches:
-            pos = lk[x]
-            lk2 = {y: (i if i < pos else i - 1) for y, i in lk.items() if y != x}
-            for br in QS.measure(st, pos):
-                if br.valid:
-                    next_branches.append((p * br.prob, br.state, lk2))
-        branches = next_branches
+    for x in [x for x in link if x not in fv]:
+        branches = [(p, st, lk) for branch in branches for _, p, st, lk in _measure_out(*branch, x)]
     return branches
+
+
+def _measure_out(prob, state, link, x):
+    """Measure the qubit linked to ``x`` in a branch of mass ``prob``: an
+    ``(outcome, mass, state, linking)`` for each outcome that can occur, with
+    ``x`` unlinked and the positions above its qubit shifted down."""
+    pos = link[x]
+    link2 = {y: (i if i < pos else i - 1) for y, i in link.items() if y != x}
+    return [(b, prob * p, st, link2) for b, p, st in QS.measure(state, pos)]
 
 
 # Call-by-value evaluation order: the fields of each node that reduce to

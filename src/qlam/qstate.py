@@ -64,19 +64,13 @@ def apply_unitary(q: QState, u: np.ndarray, positions) -> QState:
     return QState(out.reshape(-1))
 
 
-@dataclass(frozen=True)
-class MeasBranch:
-    prob: float
-    state: QState
-    valid: bool  # False marks a zero-probability residue
-
-
-def measure(q: QState, position: int):
-    """Measure one qubit; returns the (outcome 0, outcome 1) branches.
+def measure(q: QState, position: int) -> tuple:
+    """Measure one qubit: an ``(outcome, probability, state)`` triple for
+    each outcome, 0 then 1, that can occur.
 
     The measured qubit is removed from the state; qubits above it shift
-    down one position.  A branch of probability 0 carries an arbitrary
-    normalized state and is flagged invalid.
+    down one position.  An outcome of probability 0 cannot occur and is left
+    out.
     """
     n = q.num_qubits
     if not 1 <= position <= n:
@@ -87,9 +81,5 @@ def measure(q: QState, position: int):
         sub = np.take(tensor, outcome, axis=position - 1).reshape(-1)
         p = float(np.vdot(sub, sub).real)
         if p > 0.0:
-            branches.append(MeasBranch(p, QState(sub / np.sqrt(p)), True))
-        else:
-            dead = np.zeros(2 ** (n - 1), dtype=complex)
-            dead[0] = 1.0
-            branches.append(MeasBranch(0.0, QState(dead), False))
+            branches.append((outcome, p, QState(sub / np.sqrt(p))))
     return tuple(branches)

@@ -341,6 +341,8 @@ def gate(name: str, matrix) -> Gate:
     k = d.bit_length() - 1
     if 2**k != d:
         raise ValueError(f"gate {name}: dimension {d} is not a power of 2")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"gate {name}: matrix has a non-finite entry")
     dev = np.max(np.abs(arr.conj().T @ arr - np.eye(d)))
     if dev > 1e-9:
         raise ValueError(f"gate {name}: matrix is not unitary (deviation {dev:.3e})")

@@ -9,8 +9,9 @@ against a list type, and injections require either an expected type or an
 annotation.
 
 The result is a full derivation tree.  The denotational interpreter is
-driven by derivations, so every rule records enough structure (the context
-split, the coerced type, the promotion context) to be replayed.
+driven by derivations, and reads all it needs from a node's own fields and
+its premises': a rule's context split is its premises' contexts, less the
+variables that a premise binds.
 
 ``check`` is memoized per process over its 4096 most recent
 ``(context, term, expected type)`` calls, the recursive calls included, so a
@@ -53,10 +54,7 @@ class Derivation:
     term: Term
     type: Type
     children: tuple = ()
-    # rule-specific payload, e.g. the context split or a promoted context
-    info: dict = field(default_factory=dict, compare=False)
-    # the hash, filled in on first use; ``info`` is left out of it, as out of
-    # equality, because the rule, context and term already determine it
+    # the hash, filled in on first use
     _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
@@ -269,14 +267,14 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
                     f"applied term {S.pretty(f)} has non-function type {df.type}",
                 )
             da = check(c2, a, df.type.arg)
-            d = Derivation("loli_E", ctx, m, df.type.res, (df, da), {"split": (c1, c2)})
+            d = Derivation("loli_E", ctx, m, df.type.res, (df, da))
             return _finish(d, expected)
 
         case LetUnit(s, b):
             c1, c2 = split_ctx(ctx, free_vars(s), free_vars(b))
             ds = check(c1, s, UNIT)
             db = check(c2, b, expected)
-            return Derivation("unit_E", ctx, m, db.type, (ds, db), {"split": (c1, c2)})
+            return Derivation("unit_E", ctx, m, db.type, (ds, db))
 
         case Pair(l, r):
             c1, c2 = split_ctx(ctx, free_vars(l), free_vars(r))
@@ -287,8 +285,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
                 _mismatch(m, expected, TensorT(dl.type, dr.type))
             dl = check(c1, l, expected.left if expected else None)
             dr = check(c2, r, expected.right if expected else None)
-            d = Derivation("tensor_I", ctx, m, TensorT(dl.type, dr.type), (dl, dr), {"split": (c1, c2)})
-            return d
+            return Derivation("tensor_I", ctx, m, TensorT(dl.type, dr.type), (dl, dr))
 
         case LetPair(x, tx, y, ty, s, b):
             fv_b = free_vars(b) - {x, y}
@@ -302,7 +299,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             if clash_x or clash_y:
                 m = LetPair(x, tx, y, ty, s, b)
             db = check(c2 + ((x, tx), (y, ty)), b, expected)
-            return Derivation("tensor_E", ctx, m, db.type, (ds, db), {"split": (c1, c2)})
+            return Derivation("tensor_E", ctx, m, db.type, (ds, db))
 
         case InL(b, ann) | InR(b, ann):
             is_left = isinstance(m, InL)
@@ -329,7 +326,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             dr = check(c2 + ((y, ty),), rb, expected if expected is not None else dl.type)
             if dl.type != dr.type:
                 _mismatch(m, dl.type, dr.type)
-            return Derivation("plus_E", ctx, m, dl.type, (ds, dl, dr), {"split": (c1, c2)})
+            return Derivation("plus_E", ctx, m, dl.type, (ds, dl, dr))
 
         case LetRec(f, ta, tb, x, body, cont, bound):
             ft = BangArrow(ta, tb)
@@ -348,7 +345,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             else:
                 dcont = check(ctx + ((f, ft),), cont, expected)
             rule = "rec" if bound is None else "recN"
-            return Derivation(rule, ctx, m, dcont.type, (dbody, dcont), {"exp": exp, "bound": bound})
+            return Derivation(rule, ctx, m, dcont.type, (dbody, dcont))
 
     raise TypingError("CannotInfer", f"cannot type term {S.pretty(m)}")
 

@@ -39,6 +39,14 @@ def test_check_parse_error_exit_2():
     assert "parse error" in err
 
 
+def test_check_non_finite_gate_exit_2(tmp_path):
+    src = tmp_path / "inf-gate.qlam"
+    src.write_text("#U[[1e999,0.0],[0.0,1.0]] (new ff)\n")
+    code, out, err = run_cli("check", str(src))
+    assert code == 2 and out == ""
+    assert "non-finite" in err
+
+
 def test_run_distribution():
     code, out, _ = run_cli("run", str(PROGRAMS / "cointoss.qlam"))
     assert code == 0

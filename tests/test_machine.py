@@ -47,6 +47,30 @@ def test_measurement_branches():
     assert s1.prob == pytest.approx(abs(b) ** 2)
     assert s1.closure.term == S.tt()
     assert s0.closure.num_qubits == 0
+    # on |1>, outcome 0 cannot occur, and the one left still leads to tt
+    (s1,) = M.step(replace(c, state=Q.append_qubit(Q.EMPTY, 1)))
+    assert s1.prob == 1.0 and s1.closure.term == S.tt()
+
+
+def test_discarding_a_definite_orphan_keeps_one_branch():
+    # x, w, y hold |+>, |0>, |1>
+    plus = Q.apply_unitary(Q.append_qubit(Q.EMPTY, 0), S.STANDARD_GATES["H"].as_array(), [1])
+    state = Q.append_qubit(Q.append_qubit(plus, 0), 1)
+    link = {"x": 1, "w": 2, "y": 3}
+    # y's qubit is |1>, so measuring it out keeps one branch, with all the
+    # parent's mass
+    ((p, st, lk),) = M._discard_orphans(0.375, state, link, S.Pair(S.Var("x"), S.Var("w")))
+    assert p == pytest.approx(0.375, abs=1e-15) and lk == {"x": 1, "w": 2}
+    assert np.allclose(st.amps, Q.append_qubit(plus, 0).amps)
+    # x's qubit is |+>: two branches of half the mass, and w and y move down
+    branches = M._discard_orphans(0.375, state, link, S.Pair(S.Var("w"), S.Var("y")))
+    assert [lk for _, _, lk in branches] == [{"w": 1, "y": 2}] * 2
+    assert sum(p for p, _, _ in branches) == pytest.approx(0.375, abs=1e-15)
+    # and through step: a beta step whose body drops its linked argument
+    c = M.Closure(Q.append_qubit(Q.EMPTY, 1), (("x", 1),),
+                  S.App(S.Abs("q", S.QUBIT, S.Omega(S.UNIT)), S.Var("x")))
+    (s,) = M.step(c)
+    assert s.prob == 1.0 and s.closure.linking == () and s.closure.num_qubits == 0
 
 
 def test_entangle_trace():

@@ -54,6 +54,12 @@ def test_non_unitary_inline_gate():
         P.parse_term("#U[[1,1],[0,1]]")
 
 
+def test_non_finite_inline_gate():
+    # 1e999 reads as inf
+    with pytest.raises(P.QlamSyntaxError, match="non-finite"):
+        P.parse_term("#U[[1e999,0.0],[0.0,1.0]]")
+
+
 def test_syntax_error_has_position():
     with pytest.raises(P.QlamSyntaxError) as exc:
         P.parse_term("lam x:qubit.")

@@ -7,9 +7,14 @@ goes by bare name, so a name shared with a used one passes unseen.  Two kinds
 of reference do not count: one inside a definition of that name (a recursive
 call is no caller), and an attribute of a numerical library (``np.linalg.norm``
 does not call ``QState.norm``).
+
+Every ``functools.lru_cache`` of ``src/qlam`` is listed, too, with a
+``perfbench`` workload on which it hits: a cache that no workload hits is
+dead weight, and a new one must name the workload it serves.
 """
 
 import ast
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,6 +27,26 @@ EXCEPTIONS = {
 }
 # attributes reached from these names belong to the libraries, not to qlam
 LIBRARIES = {"np", "numpy", "scipy", "sparse"}
+# every lru_cache of src/qlam, with a workload of BENCHMARK.json that hits it
+# (hits over misses in one process, on perfbench's seed 77, session 0)
+CACHES = {
+    "cpm._curry_prefix": "adequacy-fuzz",      # 124 / 54 over 256 items
+    "cpm._product_group": "denote-large",      # 2246 / 14 on one cold qlist
+    "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
+    "cpm.eta": "adequacy-fuzz",                # 121 / 53
+    "cpm.eval_mor": "adequacy-fuzz",           # 140 / 120
+    "cpm.group_channel": "denote-large",       # 1496 / 6 on one cold qlist
+    "cpm.identity": "adequacy-fuzz",           # 930 / 54
+    "cpm.lunit_elim": "adequacy-fuzz",         # 1523 / 54
+    "cpm.swap": "adequacy-fuzz",               # 928 / 191
+    "cpm.tensor_obj": "adequacy-fuzz",         # 6012 / 590
+    "denote._route": "adequacy-fuzz",          # 1205 / 193
+    "denote.denote": "letrec-sandwich",        # 283 / 77 over 256 items
+    "denote.denote_type": "adequacy-fuzz",     # 2628 / 67
+    "machine._plan": "sample-teleport",        # 1868 / 52 over 64 samples
+    "syntax.strip_ascriptions": "adequacy-fuzz",  # 1823 / 1486
+    "typecheck.check": "letrec-sandwich",      # 283 / 77 over 256 items
+}
 
 
 def _is_public_def(node) -> bool:
@@ -75,3 +100,32 @@ def test_every_public_name_has_a_caller():
     unused = sorted(q for q, name in public_defs().items() if name not in used)
     # a listed exception that gained a caller, or lost its definition, fails too
     assert unused == sorted(EXCEPTIONS), f"public names with no caller: {unused}"
+
+
+def _names_lru_cache(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.Attribute) and node.attr == "lru_cache")
+
+
+def cached_functions() -> set:
+    """Module-qualified names of the functions of ``src/qlam`` decorated with
+    an ``lru_cache``; any other use of ``lru_cache`` fails the check."""
+    names = set()
+    for path in sorted((ROOT / "src" / "qlam").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses = sum(map(_names_lru_cache, ast.walk(tree)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _names_lru_cache(dec.func if isinstance(dec, ast.Call) else dec):
+                        names.add(f"{path.stem}.{node.name}")
+                        uses -= 1
+        assert uses == 0, f"{path.name} makes an lru_cache other than by decorator"
+    return names
+
+
+def test_every_cache_is_listed_with_a_workload_that_hits_it():
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    assert set(CACHES.values()) <= workloads
+    # an unlisted cache, or a listed one that is gone, fails
+    assert sorted(cached_functions()) == sorted(CACHES)

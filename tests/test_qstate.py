@@ -57,24 +57,26 @@ def test_append_qubit():
 
 def test_measure_single_qubit():
     a, b = 0.6, 0.8j
-    b0, b1 = Q.measure(Q.QState(np.array([a, b])), 1)
-    assert b0.prob == pytest.approx(abs(a) ** 2)
-    assert b1.prob == pytest.approx(abs(b) ** 2)
-    assert b0.state.num_qubits == 0 and b1.state.num_qubits == 0
+    (o0, p0, s0), (o1, p1, s1) = Q.measure(Q.QState(np.array([a, b])), 1)
+    assert (o0, o1) == (0, 1)
+    assert p0 == pytest.approx(abs(a) ** 2)
+    assert p1 == pytest.approx(abs(b) ** 2)
+    assert s0.num_qubits == 0 and s1.num_qubits == 0
 
 
 def test_measure_definite():
-    b0, b1 = Q.measure(from_bits([1]), 1)
-    assert b0.prob == 0.0 and not b0.valid
-    assert b1.prob == 1.0 and b1.valid
+    # outcome 0 is impossible, so only outcome 1 is returned
+    ((outcome, p, state),) = Q.measure(from_bits([1]), 1)
+    assert outcome == 1 and p == 1.0
+    assert state.num_qubits == 0
 
 
 def test_measure_bell_pair():
     bell = Q.QState(np.array([1, 0, 0, 1]) / np.sqrt(2))
-    b0, b1 = Q.measure(bell, 1)
-    assert b0.prob == pytest.approx(0.5) and b1.prob == pytest.approx(0.5)
-    assert np.allclose(b0.state.amps, [1, 0])
-    assert np.allclose(b1.state.amps, [0, 1])
+    (_, p0, s0), (_, p1, s1) = Q.measure(bell, 1)
+    assert p0 == pytest.approx(0.5) and p1 == pytest.approx(0.5)
+    assert np.allclose(s0.amps, [1, 0])
+    assert np.allclose(s1.amps, [0, 1])
 
 
 def _dense_application(amps, u, positions, n):
@@ -120,8 +122,10 @@ def test_measure_probabilities_sum(seed, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     amps /= np.linalg.norm(amps)
     pos = int(rng.integers(1, n + 1))
-    b0, b1 = Q.measure(Q.QState(amps), pos)
-    assert b0.prob + b1.prob == pytest.approx(1.0, abs=1e-9)
-    for br in (b0, b1):
-        if br.prob > 1e-12:
-            assert norm(br.state) == pytest.approx(1.0, abs=1e-9)
+    branches = Q.measure(Q.QState(amps), pos)
+    # a Gaussian state puts mass on both outcomes
+    assert [b for b, _, _ in branches] == [0, 1]
+    assert sum(p for _, p, _ in branches) == pytest.approx(1.0, abs=1e-9)
+    for _, p, state in branches:
+        if p > 1e-12:
+            assert norm(state) == pytest.approx(1.0, abs=1e-9)

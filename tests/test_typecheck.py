@@ -106,9 +106,9 @@ def test_derivation_unique():
 
 def test_derivation_hash_is_cached_and_structural():
     a = T.typecheck(load("teleport"))
-    rebuilt = replace(a, info={"other": 1})
+    rebuilt = replace(a)
     assert rebuilt is not a and rebuilt._hash is None
-    # the payload is left out of equality and the hash alike
+    # a copy is equal and hashes alike
     assert rebuilt == a
     assert hash(rebuilt) == hash(a) == hash((a.rule, a.ctx, a.term, a.type, a.children))
     assert rebuilt._hash is not None and a.children[0]._hash is not None
@@ -186,7 +186,7 @@ def test_split_duplicates_exponentials():
     term = S.Pair(S.App(S.Var("f"), S.UnitVal()),
                   S.App(S.Var("f"), S.UnitVal()))
     d = T.typecheck(term, None, (("f", ft),))
-    c1, c2 = d.info["split"]
+    c1, c2 = (child.ctx for child in d.children)
     assert ("f", ft) in c1 and ("f", ft) in c2
 
 
@@ -202,4 +202,4 @@ def test_bounded_letrec_rule():
     node = d
     while node.rule != "recN":
         node = node.children[-1]
-    assert node.info["bound"] == 2
+    assert node.term.bound == 2
