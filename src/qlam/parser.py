@@ -3,22 +3,24 @@
 Grammar sketch (sugar is expanded during parsing):
 
     term  ::= 'lam' binder '.' term
-            | 'let' pattern '=' term 'in' term
+            | 'let' binder '=' term 'in' term
             | 'letrec' ('^' NAT)? ID '(' ID ':' type ')' ':' type '=' term 'in' term
             | 'match' term 'with' '(' ID ':' type '->' term '|' ID ':' type '->' term ')'
             | 'if' term 'then' term 'else' term
-            | seq
-    seq   ::= asc (';' term)?
-    asc   ::= app (':' type)?
+            | app (':' type)? (';' term)?
+    binder ::= '(' ')' | '<' ID ':' type ',' ID ':' type '>' | ID ':' type
     app   ::= atom+
     atom  ::= ID | '()' | 'tt' | 'ff' | 'nil' | 'meas' | 'new'
             | 'split' '[' type ']' | 'omega' '[' type ']'
             | 'inl' ('[' type ']')? atom | 'inr' ('[' type ']')? atom
-            | 'cons' atom atom | '#' GATE | '<' term ',' term '>' | '(' term ')'
-    type  ::= sum ('-o' type)? | '!' '(' type '-o' type ')'
+            | 'cons' atom atom | '#' ID | '#' 'U' '[' row (',' row)* ']'
+            | '<' term ',' term '>' | '(' term ')'
+    row   ::= '[' COMPLEX (',' COMPLEX)* ']'
+    type  ::= sum ('-o' type)?
     sum   ::= prod ('+' prod)*
     prod  ::= tatom ('*' tatom)*
     tatom ::= 'qubit' | 'unit' | 'bit' | 'list' '[' type ']' | '(' type ')'
+            | '!' '(' sum '-o' type ')'
 
 ``bit`` abbreviates ``unit + unit`` with truth on the right injection.
 Application is left associative; ``-o`` is right associative.
@@ -49,8 +51,14 @@ _KEYWORDS = {
 _BASE_TYPES = {"qubit": S.QUBIT, "unit": S.UNIT, "bit": S.BIT}
 # keyword atoms that stand for a fixed term
 _CONSTANTS = {"tt": S.tt, "ff": S.ff, "nil": S.nil, "meas": S.Meas, "new": S.New}
+# keyword atoms that take a bracketed type, and those that may take one
+_TYPED = {"split": S.Split, "omega": S.Omega}
+_INJECTIONS = {"inl": S.InL, "inr": S.InR}
 # every keyword that starts an atom
-_ATOM_KEYWORDS = set(_CONSTANTS) | {"split", "omega", "inl", "inr", "cons"}
+_ATOM_KEYWORDS = set(_CONSTANTS) | set(_TYPED) | set(_INJECTIONS) | {"cons"}
+# the lam and let forms of each binder, by its length: (), (x, A), (x, A, y, B)
+_LAMS = {0: S.lam_unit, 2: S.Abs, 4: S.lam_pair}
+_LETS = {0: S.LetUnit, 2: S.let_term, 4: S.LetPair}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -102,6 +110,13 @@ class _Parser:
         self.toks = _tokenize(src)
         self.i = 0
 
+    def parse(self, rule):
+        """Run the method ``rule`` over the whole input."""
+        result = rule(self)
+        if not self._at("eof"):
+            self._err(f"trailing input starting at {self.cur.text!r}")
+        return result
+
     # -- token plumbing ----------------------------------------------------
 
     @property
@@ -128,54 +143,60 @@ class _Parser:
         t = self.cur
         return t.kind == kind and (text is None or t.text == text)
 
-    def _at_kw(self, word: str) -> bool:
-        return self._at("kw", word)
+    def _accept(self, kind: str, text: str | None = None) -> bool:
+        """Consume the current token if it matches."""
+        if self._at(kind, text):
+            self.i += 1
+            return True
+        return False
+
+    def _bracketed(self, item) -> list:
+        """``'[' item (',' item)* ']'``."""
+        self._eat("[")
+        items = [item()]
+        while self._accept(","):
+            items.append(item())
+        self._eat("]")
+        return items
 
     # -- types -------------------------------------------------------------
 
     def type_(self) -> S.Type:
-        if self._at("!"):
-            self._advance()
+        left = self._type_sum()
+        if self._accept("-o"):
+            return S.LinArrow(left, self.type_())
+        return left
+
+    def _type_sum(self) -> S.Type:
+        t = self._type_prod()
+        while self._accept("+"):
+            t = S.SumT(t, self._type_prod())
+        return t
+
+    def _type_prod(self) -> S.Type:
+        t = self._type_atom()
+        while self._accept("*"):
+            t = S.TensorT(t, self._type_atom())
+        return t
+
+    def _type_atom(self) -> S.Type:
+        t = self._advance()
+        if t.kind == "kw" and t.text in _BASE_TYPES:
+            return _BASE_TYPES[t.text]
+        if t.kind == "kw" and t.text == "list":
+            return S.ListT(self._bracket_type())
+        if t.kind == "(":
+            inner = self.type_()
+            self._eat(")")
+            return inner
+        if t.kind == "!":
             self._eat("(")
             arg = self._type_sum()
             self._eat("-o")
             res = self.type_()
             self._eat(")")
             return S.BangArrow(arg, res)
-        left = self._type_sum()
-        if self._at("-o"):
-            self._advance()
-            return S.LinArrow(left, self.type_())
-        return left
-
-    def _type_sum(self) -> S.Type:
-        t = self._type_prod()
-        while self._at("+"):
-            self._advance()
-            t = S.SumT(t, self._type_prod())
-        return t
-
-    def _type_prod(self) -> S.Type:
-        t = self._type_atom()
-        while self._at("*"):
-            self._advance()
-            t = S.TensorT(t, self._type_atom())
-        return t
-
-    def _type_atom(self) -> S.Type:
-        t = self.cur
-        if t.kind == "kw" and t.text in _BASE_TYPES:
-            self._advance()
-            return _BASE_TYPES[t.text]
-        if self._at_kw("list"):
-            self._advance()
-            return S.ListT(self._bracket_type())
-        if self._at("("):
-            self._advance()
-            t = self.type_()
-            self._eat(")")
-            return t
-        self._err(f"expected a type, found {self.cur.text!r}")
+        raise QlamSyntaxError(f"expected a type, found {t.text!r}", t.line, t.col)
 
     def _bracket_type(self) -> S.Type:
         self._eat("[")
@@ -186,36 +207,17 @@ class _Parser:
     # -- terms ---------------------------------------------------------------
 
     def term(self) -> S.Term:
-        if self._at_kw("lam"):
-            return self._lam()
-        if self._at_kw("let"):
-            return self._let()
-        if self._at_kw("letrec"):
-            return self._letrec()
-        if self._at_kw("match"):
-            return self._match()
-        if self._at_kw("if"):
-            return self._if()
-        return self._seq()
-
-    def _seq(self) -> S.Term:
-        m = self._asc()
-        if self._at(";"):
+        t = self.cur
+        if t.kind == "kw" and t.text in _FORMS:
             self._advance()
-            return S.seq(m, self.term())
-        return m
-
-    def _asc(self) -> S.Term:
-        m = self._app()
-        if self._at(":"):
-            self._advance()
-            return S.Ascribe(m, self.type_())
-        return m
-
-    def _app(self) -> S.Term:
+            return _FORMS[t.text](self)
         m = self._atom()
         while self._starts_atom():
             m = S.App(m, self._atom())
+        if self._accept(":"):
+            m = S.Ascribe(m, self.type_())
+        if self._accept(";"):
+            return S.seq(m, self.term())
         return m
 
     def _starts_atom(self) -> bool:
@@ -223,53 +225,38 @@ class _Parser:
         return t.kind in ("id", "(", "<", "#") or (t.kind == "kw" and t.text in _ATOM_KEYWORDS)
 
     def _atom(self) -> S.Term:
-        t = self.cur
+        t = self._advance()
         if t.kind == "id":
-            self._advance()
             return S.Var(t.text)
-        if self._at("("):
-            self._advance()
-            if self._at(")"):
-                self._advance()
+        if t.kind == "(":
+            if self._accept(")"):
                 return S.UnitVal()
             m = self.term()
             self._eat(")")
             return m
-        if self._at("<"):
-            self._advance()
+        if t.kind == "<":
             left = self.term()
             self._eat(",")
             right = self.term()
             self._eat(">")
             return S.Pair(left, right)
-        if self._at("#"):
-            return self._gate()
-        if t.kind == "kw" and t.text in _ATOM_KEYWORDS:
-            word = self._advance().text
-            if word in _CONSTANTS:
-                return _CONSTANTS[word]()
-            if word == "split":
-                return S.Split(self._bracket_type())
-            if word == "omega":
-                return S.Omega(self._bracket_type())
-            if word in ("inl", "inr"):
-                ann = self._bracket_type() if self._at("[") else None
-                body = self._atom()
-                return S.InL(body, ann) if word == "inl" else S.InR(body, ann)
-            # the one atom keyword left is cons
+        if t.kind == "#":
+            return self._gate(t)
+        if t.kind == "kw" and t.text in _CONSTANTS:
+            return _CONSTANTS[t.text]()
+        if t.kind == "kw" and t.text in _TYPED:
+            return _TYPED[t.text](self._bracket_type())
+        if t.kind == "kw" and t.text in _INJECTIONS:
+            ann = self._bracket_type() if self._at("[") else None
+            return _INJECTIONS[t.text](self._atom(), ann)
+        if t.kind == "kw" and t.text == "cons":
             return S.cons(self._atom(), self._atom())
-        self._err(f"expected a term, found {t.text!r}")
+        raise QlamSyntaxError(f"expected a term, found {t.text!r}", t.line, t.col)
 
-    def _gate(self) -> S.Term:
-        tok = self._eat("#")
+    def _gate(self, tok: Tok) -> S.Term:
         name = self._eat("id").text
         if name == "U":
-            self._eat("[")
-            rows = [self._gate_row()]
-            while self._at(","):
-                self._advance()
-                rows.append(self._gate_row())
-            self._eat("]")
+            rows = self._bracketed(lambda: self._bracketed(self._complex))
             try:
                 return S.gate("U", rows)
             except ValueError as e:
@@ -278,99 +265,55 @@ class _Parser:
             raise QlamSyntaxError(f"unknown gate #{name}", tok.line, tok.col)
         return S.STANDARD_GATES[name]
 
-    def _gate_row(self) -> list:
-        self._eat("[")
-        row = [self._complex()]
-        while self._at(","):
-            self._advance()
-            row.append(self._complex())
-        self._eat("]")
-        return row
-
     def _complex(self) -> complex:
         # [+-]? num ('i')? ([+-] num 'i')?
-        val = self._signed_part()
+        val, _ = self._number(-1.0 if self._accept("-") else 1.0)
         if self._at("+") or self._at("-"):
-            sign = -1.0 if self.cur.text == "-" else 1.0
-            self._advance()
-            part = self._num_part()
-            if not part[1]:
+            part, imag = self._number(-1.0 if self._advance().text == "-" else 1.0)
+            if not imag:
                 self._err("expected imaginary part after sign")
-            val += sign * part[0] * 1j
+            val += part
         return val
 
-    def _signed_part(self) -> complex:
-        sign = 1.0
-        if self._at("-"):
-            sign = -1.0
-            self._advance()
-        mag, imag = self._num_part()
-        return sign * (mag * 1j if imag else mag)
-
-    def _num_part(self):
-        t = self._eat("num")
-        mag = float(t.text)
-        imag = False
-        if self._at("id", "i"):
-            self._advance()
-            imag = True
-        return mag, imag
+    def _number(self, sign: float):
+        """``num ('i')?`` times ``sign``, and whether it was imaginary."""
+        mag = float(self._eat("num").text)
+        imag = self._accept("id", "i")
+        return sign * (mag * 1j if imag else mag), imag
 
     def _binder_var(self):
         name = self._eat("id").text
         self._eat(":")
         return name, self.type_()
 
-    def _pair_binder(self):
-        """``<x:A, y:B>`` as ``(x, A, y, B)``."""
-        self._eat("<")
-        x, tx = self._binder_var()
-        self._eat(",")
-        y, ty = self._binder_var()
-        self._eat(">")
-        return x, tx, y, ty
+    def _binder(self) -> tuple:
+        """``()``, ``<x:A, y:B>`` or ``x:A``, as ``()``, ``(x, A, y, B)`` or ``(x, A)``."""
+        if self._accept("("):
+            self._eat(")")
+            return ()
+        if self._accept("<"):
+            x, tx = self._binder_var()
+            self._eat(",")
+            y, ty = self._binder_var()
+            self._eat(">")
+            return x, tx, y, ty
+        return self._binder_var()
 
     def _lam(self) -> S.Term:
-        self._eat("kw", "lam")
-        if self._at("("):
-            self._advance()
-            self._eat(")")
-            self._eat(".")
-            return S.lam_unit(self.term())
-        if self._at("<"):
-            binder = self._pair_binder()
-            self._eat(".")
-            return S.lam_pair(*binder, self.term())
-        x, tx = self._binder_var()
+        binder = self._binder()
         self._eat(".")
-        return S.Abs(x, tx, self.term())
+        return _LAMS[len(binder)](*binder, self.term())
 
     def _let(self) -> S.Term:
-        self._eat("kw", "let")
-        if self._at("("):
-            self._advance()
-            self._eat(")")
-            self._eat("=")
-            subject = self.term()
-            self._eat("kw", "in")
-            return S.LetUnit(subject, self.term())
-        if self._at("<"):
-            binder = self._pair_binder()
-            self._eat("=")
-            subject = self.term()
-            self._eat("kw", "in")
-            return S.LetPair(*binder, subject, self.term())
-        x, tx = self._binder_var()
+        binder = self._binder()
         self._eat("=")
         subject = self.term()
         self._eat("kw", "in")
-        return S.let_term(x, tx, subject, self.term())
+        return _LETS[len(binder)](*binder, subject, self.term())
 
     def _letrec(self) -> S.Term:
-        self._eat("kw", "letrec")
         bound = None
-        if self._at("^"):
-            self._advance()
+        if self._accept("^"):
             t = self._eat("num")
             if "." in t.text or "e" in t.text.lower():
                 raise QlamSyntaxError("letrec bound must be a natural number", t.line, t.col)
@@ -384,11 +327,9 @@ class _Parser:
         self._eat("=")
         body = self.term()
         self._eat("kw", "in")
-        cont = self.term()
-        return S.LetRec(f, ta, tb, x, body, cont, bound)
+        return S.LetRec(f, ta, tb, x, body, self.term(), bound)
 
     def _match(self) -> S.Term:
-        self._eat("kw", "match")
         subject = self.term()
         self._eat("kw", "with")
         self._eat("(")
@@ -403,26 +344,21 @@ class _Parser:
         return S.Match(subject, x, tx, lbody, y, ty, rbody)
 
     def _if(self) -> S.Term:
-        self._eat("kw", "if")
         cond = self.term()
         self._eat("kw", "then")
         then_branch = self.term()
         self._eat("kw", "else")
-        else_branch = self.term()
-        return S.if_term(cond, then_branch, else_branch)
+        return S.if_term(cond, then_branch, self.term())
+
+
+# the keyword forms of ``term``, each parsed after its keyword
+_FORMS = {"lam": _Parser._lam, "let": _Parser._let, "letrec": _Parser._letrec,
+          "match": _Parser._match, "if": _Parser._if}
 
 
 def parse_term(src: str) -> S.Term:
-    p = _Parser(src)
-    m = p.term()
-    if not p._at("eof"):
-        p._err(f"trailing input starting at {p.cur.text!r}")
-    return m
+    return _Parser(src).parse(_Parser.term)
 
 
 def parse_type(src: str) -> S.Type:
-    p = _Parser(src)
-    t = p.type_()
-    if not p._at("eof"):
-        p._err(f"trailing input starting at {p.cur.text!r}")
-    return t
+    return _Parser(src).parse(_Parser.type_)

@@ -79,7 +79,7 @@ class BangArrow(Type):
     res: Type
 
     def __str__(self) -> str:
-        return f"!({self.arg} -o {self.res})"
+        return f"!({_paren_arrow_arg(self.arg)} -o {self.res})"
 
     @property
     def underlying(self) -> LinArrow:
@@ -338,6 +338,8 @@ def gate(name: str, matrix) -> Gate:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"gate {name}: matrix must be square, got {arr.shape}")
     d = arr.shape[0]
+    if d < 2:
+        raise ValueError(f"gate {name}: matrix must be at least 2x2, got {arr.shape}")
     k = d.bit_length() - 1
     if 2**k != d:
         raise ValueError(f"gate {name}: dimension {d} is not a power of 2")

@@ -47,6 +47,23 @@ def test_check_non_finite_gate_exit_2(tmp_path):
     assert "non-finite" in err
 
 
+def test_check_one_by_one_gate_exit_2(tmp_path):
+    # a 1x1 matrix would type as a gate on no qubits
+    src = tmp_path / "scalar-gate.qlam"
+    src.write_text("#U[[1]] (new ff)\n")
+    code, out, err = run_cli("check", str(src))
+    assert code == 2 and out == ""
+    assert "at least 2x2" in err
+
+
+def test_check_deep_nesting_is_an_error(tmp_path):
+    src = tmp_path / "long-seq.qlam"
+    src.write_text("(); " * 3000 + "()\n")
+    code, out, err = run_cli("check", str(src))
+    assert code == 1 and out == ""
+    assert err == "error: the program nests too deeply\n"
+
+
 def test_run_distribution():
     code, out, _ = run_cli("run", str(PROGRAMS / "cointoss.qlam"))
     assert code == 0

@@ -243,6 +243,8 @@ def test_gate_validation():
         S.gate("bad", [[1, 1], [0, 1]])  # not unitary
     with pytest.raises(ValueError):
         S.gate("bad", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])  # not a power of 2
+    with pytest.raises(ValueError, match="at least 2x2"):
+        S.gate("bad", [[1]])  # acts on no qubit
     # NaN compares false with any bound, so it is rejected by name
     for x in (float("nan"), float("inf"), complex(0, float("nan"))):
         with pytest.raises(ValueError, match="non-finite"):
