@@ -32,7 +32,20 @@ channels, so that there the transpose only reverses the keys.
 Maps that only rename labels (identities, injections, distributivity, the
 list fold, weakening, dereliction, the Bierman unit, associators, unitors)
 come from :func:`relabel`, whose entries are the source group-average
-channels.  Maps that move digits (:func:`structural`, and so ``swap`` and
+channels, and which accepts only pairs of labels with equal groups.  Such a
+map, and its transpose, is marked ``renames``, and ``compose`` with it on
+either side multiplies nothing: it files the other side's entry under the
+renamed key, summing in the order of the product where one label meets
+several partners.  The product it skips equals that entry: the other side's
+entries are invariant under their webs' groups, the average channel of a
+group is the identity on invariant maps (an idempotent projection onto
+them), and both labels of a pair carry the same group.  The plumbing of
+application and abstraction is built only on the labels its later steps
+read: ``eval_mor``'s swap on the labels that ``epsilon`` pairs, and
+``_curry_prefix``'s last exchange on the labels that ``eta`` reaches, as
+``denote``'s routing does.
+
+Maps that move digits (:func:`structural`, and so ``swap`` and
 ``denote``'s routing; contraction, digging and the Bierman tensor) come from
 :func:`permute`: each entry relabels basis indices after one average, over
 the source label's group, which absorbs the target's (see :func:`permute`).
@@ -420,6 +433,9 @@ class Morphism:
     entries: dict  # (src_label, dst_label) -> superoperator, in storage form
     # the largest sup-norm of an entry dropped as zero (at most DROP_EPS)
     dropped: float = field(default=0.0, init=False, compare=False)
+    # set by relabel: each key (l, m) is a renaming pair, and its entry the
+    # average channel of l's group, which is m's group too
+    renames: bool = field(default=False, init=False, compare=False)
 
     def __post_init__(self):
         entries = {}
@@ -447,7 +463,10 @@ class Morphism:
         return np.zeros((self.dst.dim(lb) ** 2, self.src.dim(la) ** 2), dtype=complex)
 
     def compose(self, other: "Morphism") -> "Morphism":
-        """self ; other (diagrammatic order: self first)."""
+        """self ; other (diagrammatic order: self first).
+
+        A relabel on either side is not multiplied in: the other side's entry
+        is re-keyed through its renaming pairs (see the module docstring)."""
         if self.dst.labels() != other.src.labels():
             raise CpmError(f"compose mismatch: {self.dst} vs {other.src}")
         acc = {}
@@ -457,7 +476,7 @@ class Morphism:
         for (la, lb), s1 in self.entries.items():
             for lc, s2 in by_mid.get(lb, ()):
                 key = (la, lc)
-                prod = _matmul(s2, s1)
+                prod = s1 if other.renames else s2 if self.renames else _matmul(s2, s1)
                 if key in acc:
                     acc[key] = acc[key] + prod
                 else:
@@ -476,7 +495,10 @@ class Morphism:
     def transpose(self) -> "Morphism":
         """B -> A with every key reversed and every entry transposed."""
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
-        return Morphism(self.dst, self.src, entries)
+        out = Morphism(self.dst, self.src, entries)
+        # a group channel is symmetric, so a relabel's transpose renames back
+        out.renames = self.renames
+        return out
 
     def sup_distance(self, other: "Morphism") -> float:
         keys = set(self.entries) | set(other.entries)
@@ -506,8 +528,18 @@ class Morphism:
 def relabel(src: CpmObject, dst: CpmObject, pairs) -> Morphism:
     """The map sending each source label ``l`` of ``pairs`` to its partner
     ``m``, with the group-average channel of ``l`` as the entry: a renaming
-    of labels that moves no digit.  Entries follow the order of ``pairs``."""
-    return Morphism(src, dst, {(l, m): group_channel(src.group(l)) for l, m in pairs})
+    of labels that moves no digit.  Entries follow the order of ``pairs``.
+    Each pair must join labels with equal groups, which ``compose`` relies
+    on when it re-keys through the map."""
+    entries = {}
+    for l, m in pairs:
+        g = src.group(l)
+        if g is not dst.group(m) and g != dst.group(m):
+            raise CpmError(f"relabel pairs {l} and {m}, whose groups differ")
+        entries[(l, m)] = group_channel(g)
+    out = Morphism(src, dst, entries)
+    out.renames = True
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -696,20 +728,31 @@ def curry(f: Morphism, c: CpmObject, a: CpmObject, b: CpmObject) -> Morphism:
 
 @lru_cache(maxsize=512)
 def _curry_prefix(c: CpmObject, a: CpmObject) -> Morphism:
-    """The part of ``curry`` before ``f``: C -> A (x) (C (x) A)."""
+    """The part of ``curry`` before ``f``: C -> A (x) (C (x) A).
+
+    The last step, ``id_A (x) swap(A, C)``, is one ``structural`` map built
+    only on the labels ``(l, (l, lc))`` that ``eta`` reaches: ``compose``
+    reads no other entry, and the unrestricted map would average the
+    others for nothing."""
     # C -> 1 (x) C -> (A (x) A) (x) C -> A (x) (A (x) C) -> A (x) (C (x) A)
     m = lunit_intro(c)
     m = m.compose(eta(a).tensor(identity(c)))
     m = m.compose(assoc_right(a, a, c))
-    m = m.compose(identity(a).tensor(swap(a, c)))
-    return m
+    reached = {lb for _, lb in m.entries}
+    return m.compose(structural(m.dst, (0, (1, 2)), (0, (2, 1)), {0: a, 1: a, 2: c},
+                                labels=reached))
 
 
 @lru_cache(maxsize=512)
 def eval_mor(a: CpmObject, b: CpmObject) -> Morphism:
-    """Eval : (A -o B) (x) A -> B."""
+    """Eval : (A -o B) (x) A -> B.
+
+    The swap is built only on the source labels ``((la, lb), la)``: epsilon
+    reads only the labels ``(la, la)`` of ``A (x) A``, so no other label of
+    the swap reaches the result."""
     hom = tensor_obj(a, b)
-    m = swap(hom, a)
+    reached = {("pair", ("pair", la, lb), la) for la in a.labels() for lb in b.labels()}
+    m = structural(tensor_obj(hom, a), (0, 1), (1, 0), {0: hom, 1: a}, labels=reached)
     m = m.compose(assoc_left(a, a, b))
     m = m.compose(epsilon(a).tensor(identity(b)))
     m = m.compose(lunit_elim(b))

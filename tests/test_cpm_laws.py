@@ -625,7 +625,27 @@ def is_invariant(m: C.Morphism, tol: float) -> bool:
                for (la, lb), s in m.entries.items())
 
 
+def relabel_maps(a: C.CpmObject, b: C.CpmObject, k: int) -> list:
+    """Every map built by ``relabel``, on the bang objects of a and b."""
+    bang, bb = C.bang_obj(a, k), C.bang_obj(b, k)
+    return [
+        C.identity(bang),
+        C.injection((bb, bang), 1),
+        C.distribute_left(bang, (bb, bang)),
+        C.assoc_left(bang, a, bb),
+        C.assoc_right(bang, a, bb),
+        C.lunit_intro(bang),
+        C.lunit_elim(bang),
+        C.list_roll(bang, 2),
+        C.list_unroll(bang, 2),
+        C.weakening(a, k),
+        C.dereliction(a, k),
+        C.bierman_unit(k),
+    ]
+
+
 def test_constructors_invariant():
+    nontrivial = 0
     for rng in seeds()[:20]:
         a, k = rand_bang_obj(rng)
         b, _ = rand_bang_obj(rng)
@@ -642,6 +662,24 @@ def test_constructors_invariant():
             C.swap(a, b),
         ):
             assert is_invariant(m, TOL)
+        # compose re-keys through the relabel maps, which is sound because
+        # each entry is the group average of both of its labels
+        for m in relabel_maps(a, b, k):
+            assert m.renames
+            assert is_invariant(m, TOL)
+            for la, lb in m.entries:
+                assert m.src.group(la) == m.dst.group(lb)
+                nontrivial += not m.src.group(la).is_trivial
+    assert nontrivial > 100
+
+
+def test_relabel_rejects_unequal_groups():
+    with pytest.raises(C.CpmError, match="groups differ"):
+        C.relabel(D2S, D2, [(C.STAR, C.STAR)])
+    with pytest.raises(C.CpmError, match="groups differ"):
+        C.relabel(TWO, TWO_S, [(("b",), ("a",))])
+    # equal groups on differently named labels are fine
+    assert C.relabel(TWO_S, D2S, [(("a",), C.STAR)]).renames
 
 
 def test_cp_preserved_by_constructors():

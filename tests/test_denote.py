@@ -1,5 +1,6 @@
 """Denotational semantics: constants, structural rules, fixpoints."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -424,12 +425,25 @@ def test_route_errors_name_the_variable():
         D.route((("f", BANG_UQ), ("f", BANG_UQ)), [()], cfg)
 
 
-def five_step_curry(f, c, a, b):
+def unrestricted_curry_prefix(c, a):
+    """``_curry_prefix`` with its last step ``id_A (x) swap(A, C)`` built on
+    every label."""
     m = C.lunit_intro(c)
     m = m.compose(C.eta(a).tensor(C.identity(c)))
     m = m.compose(C.assoc_right(a, a, c))
-    m = m.compose(C.identity(a).tensor(C.swap(a, c)))
-    return m.compose(C.identity(a).tensor(f))
+    return m.compose(C.identity(a).tensor(C.swap(a, c)))
+
+
+def unrestricted_eval_mor(a, b):
+    """``eval_mor`` with its swap built on every label."""
+    m = C.swap(C.tensor_obj(a, b), a)
+    m = m.compose(C.assoc_left(a, a, b))
+    m = m.compose(C.epsilon(a).tensor(C.identity(b)))
+    return m.compose(C.lunit_elim(b))
+
+
+def five_step_curry(f, c, a, b):
+    return unrestricted_curry_prefix(c, a).compose(C.identity(a).tensor(f))
 
 
 def test_curry_equals_unfactored_chain(monkeypatch):
@@ -503,3 +517,76 @@ def test_memo_is_exact():
     other = C.serialize_morphism(D.denote(d, replace(cfg, bang_max=1)))
     assert other != cold
     assert C.serialize_morphism(D.denote(d, cfg)) == cold
+
+
+# ---------------------------------------------------------------------------
+# compose re-keys through relabel maps; eval and curry build only the labels
+# that their later steps read
+
+
+def large_denotations():
+    """The fuzz programs and the four programs of perfbench's denote-large."""
+    for term in fuzz_terms():
+        A.scalar_denotation(term, D.DEFAULT_CONFIG)
+    qlist_applied(D.TruncationConfig(list_max=4, bang_max=1))
+    for name in ("teleport", "teleport-applied", "teleport-roundtrip"):
+        D.denote(T.typecheck(P.parse_term((PROGRAMS / f"{name}.qlam").read_text())),
+                 D.DEFAULT_CONFIG)
+
+
+def entry_distance(m1, m2) -> float:
+    """The largest entrywise difference, large entries kept sparse."""
+    assert (m1.src, m1.dst) == (m2.src, m2.dst)
+    worst = 0.0
+    for k in m1.entries.keys() | m2.entries.keys():
+        x, y = m1.entries.get(k), m2.entries.get(k)
+        worst = max(worst, C._maxabs(y if x is None else x if y is None else x - y))
+    return worst
+
+
+def multiplied(m):
+    """m with the same entries, but not marked as a relabel, so that
+    ``compose`` multiplies them in."""
+    return C.Morphism(m.src, m.dst, m.entries)
+
+
+def test_rekeyed_compose_equals_product(monkeypatch):
+    clear_caches()  # so the plumbing is built, and composed, in the test
+    compose = C.Morphism.compose
+    distances = []
+
+    def checked(self, other):
+        got = compose(self, other)
+        if self.renames or other.renames:
+            want = compose(multiplied(self), multiplied(other))
+            assert got.entries.keys() == want.entries.keys()
+            distances.append(entry_distance(got, want))
+            assert distances[-1] <= 1e-12, (self.src, other.dst)
+        return got
+
+    monkeypatch.setattr(C.Morphism, "compose", checked)
+    large_denotations()
+    monkeypatch.undo()
+    assert len(distances) > 500
+
+
+def test_restricted_plumbing_equals_unrestricted_build(monkeypatch):
+    clear_caches()  # the denote memo would otherwise hide calls
+    evals = record_calls(monkeypatch, C, "eval_mor")
+    prefixes = record_calls(monkeypatch, C, "_curry_prefix")
+    large_denotations()
+    monkeypatch.undo()
+    # and on webs whose groups are not trivial, which the fuzz seldom reaches
+    webs = [C.QUBIT_OBJ, D.denote_type(BANG_UQ, CFG), C.bang_obj(C.QUBIT_OBJ, 2)]
+    pairs = set(itertools.product(webs, repeat=2))
+    builds = [(C.eval_mor, unrestricted_eval_mor, args) for args in set(evals) | pairs]
+    builds += [(C._curry_prefix, unrestricted_curry_prefix, args)
+               for args in set(prefixes) | pairs]
+    assert len(builds) > 50
+    nontrivial = 0
+    for restricted, reference, args in builds:
+        got, want = restricted(*args), reference(*args)
+        assert got.entries.keys() == want.entries.keys()
+        assert entry_distance(got, want) <= 1e-12
+        nontrivial += any(not g.is_trivial for _, _, g in args[0].elems + args[1].elems)
+    assert nontrivial > 10

@@ -28,21 +28,22 @@ EXCEPTIONS = {
 # attributes reached from these names belong to the libraries, not to qlam
 LIBRARIES = {"np", "numpy", "scipy", "sparse"}
 # every lru_cache of src/qlam, with a workload of BENCHMARK.json that hits it
-# (hits over misses in one process, on perfbench's seed 77, session 0)
+# (hits over misses in one process, on perfbench's seed 77, session 0; that
+# session of denote-large denotes teleport)
 CACHES = {
     "cpm._curry_prefix": "adequacy-fuzz",      # 124 / 54 over 256 items
-    "cpm._product_group": "denote-large",      # 2246 / 14 on one cold qlist
+    "cpm._product_group": "denote-large",      # 2246 / 14 on one cold teleport
     "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
     "cpm.eta": "adequacy-fuzz",                # 121 / 53
     "cpm.eval_mor": "adequacy-fuzz",           # 140 / 120
-    "cpm.group_channel": "denote-large",       # 1496 / 6 on one cold qlist
-    "cpm.identity": "adequacy-fuzz",           # 930 / 54
+    "cpm.group_channel": "denote-large",       # 1110 / 6 on one cold teleport
+    "cpm.identity": "adequacy-fuzz",           # 876 / 54
     "cpm.lunit_elim": "adequacy-fuzz",         # 1523 / 54
-    "cpm.swap": "adequacy-fuzz",               # 928 / 191
-    "cpm.tensor_obj": "adequacy-fuzz",         # 6012 / 590
+    "cpm.swap": "adequacy-fuzz",               # 910 / 35
+    "cpm.tensor_obj": "adequacy-fuzz",         # 5940 / 590
     "denote._route": "adequacy-fuzz",          # 1205 / 193
     "denote.denote": "letrec-sandwich",        # 283 / 77 over 256 items
-    "denote.denote_type": "adequacy-fuzz",     # 2628 / 67
+    "denote.denote_type": "adequacy-fuzz",     # 2616 / 67
     "machine._plan": "sample-teleport",        # 1868 / 52 over 64 samples
     "syntax.strip_ascriptions": "adequacy-fuzz",  # 1823 / 1486
     "typecheck.check": "letrec-sandwich",      # 283 / 77 over 256 items
