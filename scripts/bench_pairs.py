@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Alternated parent/change benchmark pairs, summarized into one JSON file.
 
-    python scripts/bench_pairs.py --parent HEAD~1 --seed 2101 --out BENCH_1.json
+    python scripts/bench_pairs.py --parent HEAD~1 --change HEAD --seed 2101 --out BENCH_1.json
 
-The parent commit is extracted with ``git archive`` into a temporary
-directory (so no worktree is left registered in the repository), and the
-unchanged ``perfbench/run.py`` of each side runs there and in this checkout,
-with the same seed, ``--seconds`` and ``--trace 0``.  Pairs alternate which
-side runs first.  ``denote-large`` gets ``--large-pairs`` pairs, every other
-workload ``--pairs``; then each side makes one ``--trace 1`` run on
-``denote-large`` for the per-layer metrics.  Pair ``i`` of the ``w``-th
+Both commits are extracted with ``git archive`` into new temporary
+directories (so no worktree is left registered in the repository, and
+neither side reads uncommitted files or a stale bytecode cache), and the
+``perfbench/run.py`` of each runs there, with the same seed, ``--seconds``
+and ``--trace 0``.  Pairs alternate which side runs first.  ``denote-large``
+gets ``--large-pairs`` pairs, every other workload ``--pairs``; then each
+side makes one ``--trace 1`` run on ``denote-large`` for the per-layer
+metrics.  Pair ``i`` of the ``w``-th
 workload (in ``BENCHMARK.json`` order) uses seed ``--seed + 100 * w + i``.
 
 The output holds, per workload and metric, each side's runs, median and
@@ -93,6 +94,7 @@ def compare(parent: list, change: list, better: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1", help="the commit to compare against")
+    ap.add_argument("--change", default="HEAD", help="the commit to measure")
     ap.add_argument("--seed", type=int, required=True, help="the first seed")
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
@@ -107,19 +109,18 @@ def main(argv=None) -> int:
 
     report = {
         "parent": {"commit": git("rev-parse", args.parent)},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--", "src"))},
+        "change": {"commit": git("rev-parse", args.change)},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "machine": platform.machine()},
         "seconds": args.seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        extract(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
-        report["parent"]["src_lines"] = src_lines(parent)
-        report["change"]["src_lines"] = src_lines(ROOT)
+        trees = {}
+        for side in ("parent", "change"):
+            trees[side] = Path(tmp, side)
+            extract(report[side]["commit"], trees[side])
+            report[side]["src_lines"] = src_lines(trees[side])
         for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
             runs = {"parent": [], "change": []}
             seeds = []
