@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -115,6 +116,8 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "workloads": {},
     }
+    # a terminated run still removes its extracted trees
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for side in ("parent", "change"):
