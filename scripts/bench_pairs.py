@@ -6,19 +6,19 @@
 Both commits are extracted with ``git archive`` into new temporary
 directories (so no worktree is left registered in the repository, and
 neither side reads uncommitted files or a stale bytecode cache), and the
-``perfbench/run.py`` of each runs there, with the same seed, ``--seconds``
-and ``--trace 0``.  Pairs alternate which side runs first.  ``denote-large``
-gets ``--large-pairs`` pairs, every other workload ``--pairs``; then each
-side makes one ``--trace 1`` run on ``denote-large`` for the per-layer
-metrics.  Pair ``i`` of the ``w``-th
+``perfbench/run.py`` of each runs there, with the same seed, the
+``run_seconds`` of ``BENCHMARK.json`` and ``--trace 0``.  Pairs alternate
+which side runs first.  ``denote-large`` gets 10 pairs, every other workload
+3; then each side makes one ``--trace 1`` run on ``denote-large`` for the
+per-layer metrics.  Pair ``i`` of the ``w``-th
 workload (in ``BENCHMARK.json`` order) uses seed ``--seed + 100 * w + i``.
 
 The output holds, per workload and metric, each side's runs, median and
 quartiles and the pairs the change won (ties count for neither side, the
 direction read from ``BENCHMARK.json``), the failed items, both commits, the
 ``src/`` line counts and the interpreter and library versions.  It runs one
-benchmark process at a time; at the default ``--seconds 20`` the whole run
-takes about 20 minutes.
+benchmark process at a time; at ``run_seconds`` 20 the whole run takes
+about 20 minutes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LARGE = "denote-large"
+PAIRS = {LARGE: 10}  # pairs per workload; 3 for any other
 
 
 def git(*args) -> str:
@@ -98,12 +99,10 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD", help="the commit to measure")
     ap.add_argument("--seed", type=int, required=True, help="the first seed")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--large-pairs", type=int, default=10)
-    ap.add_argument("--pairs", type=int, default=3)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     import numpy as np
     import scipy
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
         "change": {"commit": git("rev-parse", args.change)},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "machine": platform.machine()},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
     # a terminated run still removes its extracted trees
@@ -127,12 +126,12 @@ def main(argv=None) -> int:
         for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
             runs = {"parent": [], "change": []}
             seeds = []
-            for i in range(args.large_pairs if workload == LARGE else args.pairs):
+            for i in range(PAIRS.get(workload, 3)):
                 seed = args.seed + 100 * w + i
                 seeds.append(seed)
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
-                    runs[side].append(run(trees[side], workload, seed, args.seconds, 0))
+                    runs[side].append(run(trees[side], workload, seed, seconds, 0))
                     print(workload, seed, side, runs[side][-1]["metrics"], flush=True)
             report["workloads"][workload] = {
                 "seeds": seeds,
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
                 "metrics": compare(runs["parent"], runs["change"], better),
             }
         seed = args.seed + 100 * len(bench["workloads"])
-        traced = {side: run(trees[side], LARGE, seed, args.seconds, 1) for side in trees}
+        traced = {side: run(trees[side], LARGE, seed, seconds, 1) for side in trees}
         report["trace"] = {"workload": LARGE, "seed": seed,
                            **{side: r["metrics"] for side, r in traced.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")

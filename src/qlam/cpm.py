@@ -433,9 +433,9 @@ class Morphism:
     entries: dict  # (src_label, dst_label) -> superoperator, in storage form
     # the largest sup-norm of an entry dropped as zero (at most DROP_EPS)
     dropped: float = field(default=0.0, init=False, compare=False)
-    # set by relabel: each key (l, m) is a renaming pair, and its entry the
+    # true for relabel maps: each key (l, m) is a renaming pair, and its entry the
     # average channel of l's group, which is m's group too
-    renames: bool = field(default=False, init=False, compare=False)
+    renames: bool = field(default=False, compare=False, kw_only=True)
 
     def __post_init__(self):
         entries = {}
@@ -495,10 +495,8 @@ class Morphism:
     def transpose(self) -> "Morphism":
         """B -> A with every key reversed and every entry transposed."""
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
-        out = Morphism(self.dst, self.src, entries)
         # a group channel is symmetric, so a relabel's transpose renames back
-        out.renames = self.renames
-        return out
+        return Morphism(self.dst, self.src, entries, renames=self.renames)
 
     def sup_distance(self, other: "Morphism") -> float:
         keys = set(self.entries) | set(other.entries)
@@ -534,12 +532,10 @@ def relabel(src: CpmObject, dst: CpmObject, pairs) -> Morphism:
     entries = {}
     for l, m in pairs:
         g = src.group(l)
-        if g is not dst.group(m) and g != dst.group(m):
+        if g != dst.group(m):
             raise CpmError(f"relabel pairs {l} and {m}, whose groups differ")
         entries[(l, m)] = group_channel(g)
-    out = Morphism(src, dst, entries)
-    out.renames = True
-    return out
+    return Morphism(src, dst, entries, renames=True)
 
 
 @lru_cache(maxsize=512)
