@@ -32,31 +32,52 @@ channels, so that there the transpose only reverses the keys.
 Maps that only rename labels (identities, injections, distributivity, the
 list fold, weakening, dereliction, the Bierman unit, associators, unitors)
 come from :func:`relabel`, whose entries are the source group-average
-channels, and which accepts only pairs of labels with equal groups.  Such a
-map, and its transpose, is marked ``renames``, and ``compose`` with it on
-either side multiplies nothing: it files the other side's entry under the
-renamed key, summing in the order of the product where one label meets
-several partners.  The product it skips equals that entry: the other side's
-entries are invariant under their webs' groups, the average channel of a
-group is the identity on invariant maps (an idempotent projection onto
-them), and both labels of a pair carry the same group.  The plumbing of
-application and abstraction is built only on the labels its later steps
-read: ``eval_mor``'s swap on the labels that ``epsilon`` pairs, and
-``_curry_prefix``'s last exchange on the labels that ``eta`` reaches, as
-``denote``'s routing does.
-
-Maps that move digits (:func:`structural`, and so ``swap`` and
-``denote``'s routing; contraction, digging and the Bierman tensor) come from
+channels, and which accepts only pairs of labels with equal groups.  Maps
+that move digits (:func:`structural`, and so ``swap`` and ``denote``'s
+routing; contraction, digging and the Bierman tensor) come from
 :func:`permute`: each entry relabels basis indices after one average, over
 the source label's group, which absorbs the target's (see :func:`permute`).
 A relabelling is an index array ``tau`` with ``tau[in_flat] = out_flat``
 over mixed-radix digits, the last digit varying fastest
-(:func:`digit_permutation`), and :func:`perm_channel` applies it to the
-cached source average as one row gather.  The groups come from the same
-helper: a product group relabels digit pairs, a wreath group acts per copy
-after permuting equal-label copies, and :func:`_vec_gather` turns a
-permutation or a stacked group into the vec gathers behind every channel,
-``eta``'s too.
+(:func:`digit_permutation`).  The groups come from the same helper: a
+product group relabels digit pairs, a wreath group acts per copy after
+permuting equal-label copies, and :func:`_vec_gather` turns a permutation
+or a stacked group into the vec gathers behind every channel, ``eta``'s too.
+
+Both kinds are index maps (``Morphism.gathers``): each key keeps only the
+vec gather ``rows`` of its relabelling (none for a renaming), and stands for
+the source average channel ``G`` with its rows gathered, ``G[rows]``, which
+is :func:`perm_channel`.  ``compose`` with an index map multiplies nothing
+where the product is known to be a gather:
+
+- *Second* (``X ; P``), it gathers the rows of X's entry by ``rows``, for
+  every key: X's entries are invariant under its target web's groups, and
+  the average channel of a group is the identity on invariant maps (an
+  idempotent projection onto them), so ``G`` does nothing to X.
+- *First* (``P ; X``), it moves the columns of X's entry by ``rows``, but only
+  on a key whose source and target groups have equal orders.  The
+  relabelling carries the source group onto a group that contains the
+  target's, so with equal orders onto the target group itself: then ``G``,
+  moved through the relabelling, is the target average, which X absorbs,
+  and only the relabelling is left.  With a larger source group, ``G`` also
+  averages over permutations that X is not invariant under, and the product
+  is taken.  Renamings, ``structural`` and ``swap`` always have equal
+  orders; contraction, digging and the Bierman tensor on trivial groups do
+  too.
+
+Index maps compose (``rows1[rows2]``, or re-keyed through a renaming) and
+tensor (the paired gathers of :func:`_pair_rows`) into index maps, so
+``denote``'s routing is one index map however many blocks it has; where two
+paths of a composite meet at one key, the built entries are summed.  A
+channel is built, by the row gather :func:`_take_rows` that
+:func:`perm_channel` uses too, only when an entry is read: by a product (a
+general map, or the first side with unequal orders), a transpose other than
+a renaming's, a tensor with a general map, ``apply``, the order checks or
+serialization.  Reading only the keys builds nothing.  The plumbing of
+application and abstraction is built only on the labels its later steps
+read: ``eval_mor``'s swap on the labels that ``epsilon`` pairs, and
+``_curry_prefix``'s last exchange on the labels that ``eta`` reaches, as
+``denote``'s routing does.
 
 Each entry averages once, at its source, as an average over a group absorbs
 any later one over a subgroup (:func:`permute`, :func:`promotion`); ``eta``
@@ -74,7 +95,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -213,14 +235,60 @@ def _vec_gather(perms) -> np.ndarray:
     return (inv[..., :, None] * n + inv[..., None, :]).reshape(*inv.shape[:-1], n * n)
 
 
+@lru_cache(maxsize=256)
 def _vec_pair_parts(n1: int, n2: int):
     """Index arrays u, w with u[a1] + w[a2] the paired vec index of the vec
     indices a1 < n1 and a2 < n2 of two factors of sides d1, d2.  A vec index
-    has digits (column, row), so the pair is ((c1*d2 + c2)*d1 + r1)*d2 + r2."""
+    has digits (column, row), so the pair is ((c1*d2 + c2)*d1 + r1)*d2 + r2.
+    The arrays are read-only, as the cache shares them."""
     d1, d2 = math.isqrt(n1), math.isqrt(n2)
     c1, r1 = np.divmod(np.arange(n1), d1)
     c2, r2 = np.divmod(np.arange(n2), d2)
-    return (c1 * d1 * d2 + r1) * d2, c2 * d1 * d2 + r2
+    u, w = (c1 * d1 * d2 + r1) * d2, c2 * d1 * d2 + r2
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
+def _pair_rows(r1, n1: int, r2, n2: int):
+    """The gather of the tensor of two gathered entries of sides n1 and n2:
+    row pair(a1, a2) is row pair(r1[a1], r2[a2]), with None the identity."""
+    if r1 is None and r2 is None:
+        return None
+    u, w = _vec_pair_parts(n1, n2)
+    out = np.empty(n1 * n2, dtype=np.intp)
+    out[np.add.outer(u, w).reshape(-1)] = np.add.outer(
+        u if r1 is None else u[r1], w if r2 is None else w[r2]).reshape(-1)
+    return out
+
+
+def _take_rows(v, rows):
+    """The entry whose row ``a`` is row ``rows[a]`` of v, in v's storage form.
+    A CSR entry's rows are gathered from its arrays directly, each keeping its
+    column order: scipy's row indexing costs more than the copy on these
+    small arrays."""
+    if isinstance(v, np.ndarray):
+        return v[rows]
+    counts = np.diff(v.indptr)[rows]
+    indptr = np.zeros(rows.size + 1, dtype=v.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    take = np.repeat(v.indptr[rows] - indptr[:-1], counts)
+    take += np.arange(take.size)
+    return sparse.csr_array((v.data[take], v.indices[take], indptr), shape=(rows.size, v.shape[1]))
+
+
+def _move_columns(v, rows):
+    """The entry whose column ``rows[a]`` is column ``a`` of v (``rows`` a
+    permutation), in v's storage form: v times the matrix with a 1 at each
+    ``(a, rows[a])``.  Adding 0.0 makes a dense entry's zeros positive, as
+    in the product this replaces.  A CSR entry keeps each row's order, and
+    owns its arrays, so that sorting them in place leaves v as it was."""
+    if isinstance(v, np.ndarray):
+        out = np.empty_like(v)
+        out[:, rows] = v
+        out += 0.0
+        return out
+    return sparse.csr_array((v.data.copy(), rows[v.indices], v.indptr.copy()), shape=v.shape)
 
 
 def _nonzeros(s):
@@ -345,19 +413,9 @@ def perm_channel(tau: np.ndarray, g_src: PermGroup):
     """Conjugation by P (P[tau[i], i] = 1) after the source group's average.
 
     Row ``a`` of the conjugation holds a single 1, at ``_vec_gather(tau)[a]``,
-    so its product with the group channel is that channel's rows gathered:
-    the same floats, with no P and no product built.  A CSR channel's rows
-    are gathered from its arrays directly, each keeping its column order:
-    scipy's row indexing costs more than the copy on these small arrays."""
-    chan, rows = group_channel(g_src), _vec_gather(tau)
-    if isinstance(chan, np.ndarray):
-        return chan[rows]
-    counts = np.diff(chan.indptr)[rows]
-    indptr = np.zeros(rows.size + 1, dtype=chan.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    take = np.repeat(chan.indptr[rows] - indptr[:-1], counts)
-    take += np.arange(take.size)
-    return sparse.csr_array((chan.data[take], chan.indices[take], indptr), shape=chan.shape)
+    so its product with the group channel is that channel's rows gathered
+    (:func:`_take_rows`): the same floats, with no P and no product built."""
+    return _take_rows(group_channel(g_src), _vec_gather(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -426,35 +484,75 @@ def tensor_fold(objs) -> CpmObject:
 # Morphisms
 
 
+class _GatheredEntries(Mapping):
+    """The entries of an index map, each built when first read: the average
+    channel of its source label's group, with its rows gathered.  Iterating
+    the keys builds nothing."""
+
+    def __init__(self, src: CpmObject, gathers: dict):
+        self._src, self._gathers, self._built = src, gathers, {}
+
+    def __getitem__(self, key):
+        e = self._built.get(key)
+        if e is None:
+            rows = self._gathers[key][0]
+            e = group_channel(self._src.group(key[0]))
+            if rows is not None:
+                e = _take_rows(e, rows)
+            self._built[key] = e
+        return e
+
+    def __contains__(self, key) -> bool:
+        return key in self._gathers
+
+    def __iter__(self):
+        return iter(self._gathers)
+
+    def __len__(self) -> int:
+        return len(self._gathers)
+
+
 @dataclass
 class Morphism:
     src: CpmObject
     dst: CpmObject
-    entries: dict  # (src_label, dst_label) -> superoperator, in storage form
+    entries: Mapping  # (src_label, dst_label) -> superoperator, in storage form
     # the largest sup-norm of an entry dropped as zero (at most DROP_EPS)
     dropped: float = field(default=0.0, init=False, compare=False)
-    # true for relabel maps: each key (l, m) is a renaming pair, and its entry the
-    # average channel of l's group, which is m's group too
-    renames: bool = field(default=False, compare=False, kw_only=True)
+    _: KW_ONLY
+    # set for an index map (relabel, permute and the maps built from them
+    # alone): key -> (rows, exact), the entry being the source label's average
+    # channel with its rows gathered by ``rows`` (None: not moved), and
+    # ``exact`` telling that the source and target groups have equal orders
+    gathers: dict | None = field(default=None, compare=False)
+    # keys whose entries compose passed through from checked ones, moved by a
+    # bijection, so that their values, norms and shapes need no new check
+    checked: InitVar[frozenset] = frozenset()
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
+        if self.gathers is not None:
+            return  # the entries are channels, built when read
         entries = {}
         for k, v in self.entries.items():
-            v = _stored(v)
-            m = _maxabs(v)
-            if m <= DROP_EPS:
-                self.dropped = max(self.dropped, m)
-                continue
-            if m > MAGNITUDE_BOUND:
-                raise DivergentDenotation(f"entry {k} exceeds magnitude bound")
+            if k not in checked:
+                v = _stored(v)
+                m = _maxabs(v)
+                if m <= DROP_EPS:
+                    self.dropped = max(self.dropped, m)
+                    continue
+                if m > MAGNITUDE_BOUND:
+                    raise DivergentDenotation(f"entry {k} exceeds magnitude bound")
+                din, dout = self.src.dim(k[0]), self.dst.dim(k[1])
+                if v.shape != (dout * dout, din * din):
+                    raise CpmError(f"entry ({k[0]},{k[1]}) has shape {v.shape}, "
+                                   f"expected {(dout*dout, din*din)}")
             entries[k] = v
         self.entries = entries
-        for (la, lb), s in self.entries.items():
-            din, dout = self.src.dim(la), self.dst.dim(lb)
-            if s.shape != (dout * dout, din * din):
-                raise CpmError(
-                    f"entry ({la},{lb}) has shape {s.shape}, expected {(dout*dout, din*din)}"
-                )
+
+    @property
+    def renames(self) -> bool:
+        """True for an index map that moves no digit: a renaming of labels."""
+        return self.gathers is not None and all(r is None for r, _ in self.gathers.values())
 
     def entry(self, la, lb) -> np.ndarray:
         e = self.entries.get((la, lb))
@@ -465,27 +563,60 @@ class Morphism:
     def compose(self, other: "Morphism") -> "Morphism":
         """self ; other (diagrammatic order: self first).
 
-        A relabel on either side is not multiplied in: the other side's entry
-        is re-keyed through its renaming pairs (see the module docstring)."""
+        An index map is not multiplied in where the product is a gather (see
+        the module docstring).  Second, it gathers the rows of self's entry,
+        on every key.  First, it moves the columns of other's entry, on keys
+        whose groups have equal orders; elsewhere its entry is built and
+        multiplied.  Two index maps compose to one, unless two of their paths
+        meet at one key; there, the built entries are summed.  An entry
+        moved from an already-checked one is not checked again, since a
+        bijection keeps its values and shape; every product and every sum
+        is."""
         if self.dst.labels() != other.src.labels():
             raise CpmError(f"compose mismatch: {self.dst} vs {other.src}")
-        acc = {}
         by_mid = {}
-        for (lb, lc), s2 in other.entries.items():
-            by_mid.setdefault(lb, []).append((lc, s2))
-        for (la, lb), s1 in self.entries.items():
-            for lc, s2 in by_mid.get(lb, ()):
-                key = (la, lc)
-                prod = s1 if other.renames else s2 if self.renames else _matmul(s2, s1)
+        for k2 in other.entries:
+            by_mid.setdefault(k2[0], []).append(k2)
+        g1, g2 = self.gathers, other.gathers
+        if g1 is not None and g2 is not None:
+            gathers = _chained(g1, g2, by_mid)
+            if gathers is not None:
+                return _index_map(self.src, other.dst, gathers)
+        acc = {}
+        passed = set()
+        for k1 in self.entries:
+            for k2 in by_mid.get(k1[1], ()):
+                key = (k1[0], k2[1])
+                moved = True
+                if g2 is not None:
+                    rows = g2[k2][0]
+                    prod = self.entries[k1] if rows is None else _take_rows(self.entries[k1], rows)
+                elif g1 is not None and g1[k1][1]:
+                    rows = g1[k1][0]
+                    prod = other.entries[k2] if rows is None else _move_columns(other.entries[k2], rows)
+                else:
+                    prod = _matmul(other.entries[k2], self.entries[k1])
+                    moved = False
                 if key in acc:
                     acc[key] = acc[key] + prod
+                    passed.discard(key)
                 else:
                     acc[key] = prod
-        return Morphism(self.src, other.dst, acc)
+                    if moved:
+                        passed.add(key)
+        return Morphism(self.src, other.dst, acc, checked=passed)
 
     def tensor(self, other: "Morphism") -> "Morphism":
         src = tensor_obj(self.src, other.src)
         dst = tensor_obj(self.dst, other.dst)
+        if self.gathers is not None and other.gathers is not None:
+            gathers = {}
+            for (la, lb), (r1, e1) in self.gathers.items():
+                n1 = self.src.dim(la) ** 2
+                for (lc, ld), (r2, e2) in other.gathers.items():
+                    rows = _pair_rows(r1, n1, r2, other.src.dim(lc) ** 2)
+                    gathers[(("pair", la, lc), ("pair", lb, ld))] = (rows, e1 and e2)
+            return _index_map(src, dst, gathers)
         entries = {}
         for (la, lb), s1 in self.entries.items():
             for (lc, ld), s2 in other.entries.items():
@@ -494,9 +625,11 @@ class Morphism:
 
     def transpose(self) -> "Morphism":
         """B -> A with every key reversed and every entry transposed."""
+        if self.renames:
+            # a group channel is symmetric, so a relabel's transpose renames back
+            return _index_map(self.dst, self.src, {(lb, la): g for (la, lb), g in self.gathers.items()})
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
-        # a group channel is symmetric, so a relabel's transpose renames back
-        return Morphism(self.dst, self.src, entries, renames=self.renames)
+        return Morphism(self.dst, self.src, entries)
 
     def sup_distance(self, other: "Morphism") -> float:
         keys = set(self.entries) | set(other.entries)
@@ -523,19 +656,39 @@ class Morphism:
         return out
 
 
+def _chained(g1: dict, g2: dict, by_mid: dict):
+    """The gathers of two index maps composed, the second's keys grouped by
+    their source labels in ``by_mid``; None where two paths meet at one key.
+    The composite gathers the first's rows by the second's rows."""
+    out = {}
+    for (la, lb), (r1, e1) in g1.items():
+        for k2 in by_mid.get(lb, ()):
+            key = (la, k2[1])
+            if key in out:
+                return None
+            r2, e2 = g2[k2]
+            out[key] = (r1 if r2 is None else r2 if r1 is None else r1[r2], e1 and e2)
+    return out
+
+
+def _index_map(src: CpmObject, dst: CpmObject, gathers: dict) -> Morphism:
+    """The index map of ``gathers`` (see ``Morphism.gathers``)."""
+    return Morphism(src, dst, _GatheredEntries(src, gathers), gathers=gathers)
+
+
 def relabel(src: CpmObject, dst: CpmObject, pairs) -> Morphism:
     """The map sending each source label ``l`` of ``pairs`` to its partner
     ``m``, with the group-average channel of ``l`` as the entry: a renaming
-    of labels that moves no digit.  Entries follow the order of ``pairs``.
-    Each pair must join labels with equal groups, which ``compose`` relies
-    on when it re-keys through the map."""
-    entries = {}
+    of labels that moves no digit, as an index map whose entries are the
+    cached channels.  Entries follow the order of ``pairs``.  Each pair must
+    join labels with equal groups, which ``compose`` relies on when it
+    re-keys through the map."""
+    gathers = {}
     for l, m in pairs:
-        g = src.group(l)
-        if g != dst.group(m):
+        if src.group(l) != dst.group(m):
             raise CpmError(f"relabel pairs {l} and {m}, whose groups differ")
-        entries[(l, m)] = group_channel(g)
-    return Morphism(src, dst, entries, renames=True)
+        gathers[(l, m)] = (None, True)
+    return _index_map(src, dst, gathers)
 
 
 @lru_cache(maxsize=512)
@@ -607,6 +760,11 @@ def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
     average over ``l``'s group.  Entries follow the order of ``moves``, and
     no two moves share a key.
 
+    The map is an index map: each key keeps the vec gather of its
+    relabelling and whether ``l``'s and ``m``'s groups have equal orders,
+    and its entry, ``perm_channel(tau, group(l))``, is built only when read
+    (see the module docstring).
+
     One average suffices.  Conjugating by the relabelling carries the source
     group onto a group that contains the target group of ``m``, and an
     average over a group absorbs any later average over one of its
@@ -620,8 +778,10 @@ def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
     copies of their union; ``bierman_tensor``'s permutes equal label pairs
     together, a subset of permuting the copies of each side independently.
     """
-    return Morphism(src, dst, {(l, m): perm_channel(digit_permutation(dims, order), src.group(l))
-                               for l, m, dims, order in moves})
+    return _index_map(src, dst, {
+        (l, m): (_vec_gather(digit_permutation(dims, order)),
+                 src.group(l).order == dst.group(m).order)
+        for l, m, dims, order in moves})
 
 
 def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict,

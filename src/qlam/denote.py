@@ -35,12 +35,15 @@ program's tree.
 
 Cached morphisms, the memo's included, are shared and must not be mutated.
 
-``_route`` builds its exchange permutation only on the labels that its
-identity, weakening and contraction blocks reach.  ``compose`` reads no other
-entry, so the route is the same, and the rest of that permutation can be
-huge: for qlist's ``[!H, qubit, qubit]`` context at ``list_max=4,
-bang_max=1``, its unreached labels have up to 16,777,216 vec indices, the
-reached ones at most 16,384.
+``_route`` is one index map of :mod:`qlam.cpm`: its identity, weakening and
+contraction blocks tensor, and compose with its exchange permutation, as vec
+gathers, so no channel of it is built until an entry is read (by the
+``compose`` that applies the route, only on keys whose groups differ in
+order).  The exchange is built only on the labels that the blocks reach,
+read off their keys alone.  ``compose`` reads no other entry, so the route is
+the same, and the rest of that permutation can be huge: for qlist's
+``[!H, qubit, qubit]`` context at ``list_max=4, bang_max=1``, its unreached
+labels have up to 16,777,216 vec indices, the reached ones at most 16,384.
 """
 
 from __future__ import annotations

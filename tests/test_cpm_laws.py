@@ -615,6 +615,93 @@ def test_maps_that_move_digits_absorb_the_target_average():
     assert nontrivial > 0 and promoted > 0
 
 
+def test_permute_entries_are_perm_channels(monkeypatch):
+    # a permute map keeps only vec gathers and builds an entry when it is
+    # read; every entry of every permute map of the laws that move digits,
+    # read by them or not, is perm_channel's, bit for bit
+    built = []
+    permute = C.permute
+
+    def recording(src, dst, moves):
+        moves = list(moves)
+        built.append((permute(src, dst, moves), moves))
+        return built[-1][0]
+
+    for cached in (C.swap, C.eval_mor, C._curry_prefix):
+        cached.cache_clear()  # so their permute maps are built here
+    monkeypatch.setattr(C, "permute", recording)
+    for law in (test_structural_isos, test_curry_eval_adjunction, test_comonoid_laws,
+                test_comonad_triangles, test_digging_coassociativity, test_comonad_naturality,
+                test_bierman_maps, test_maps_that_move_digits_absorb_the_target_average,
+                test_constructors_invariant, test_cp_preserved_by_constructors):
+        law()
+    monkeypatch.undo()
+    entries = nontrivial = large = 0
+    for m, moves in built:
+        for l, lm, dims, order in moves:
+            got = m.entries[(l, lm)]
+            want = C.perm_channel(C.digit_permutation(dims, order), m.src.group(l))
+            assert type(got) is type(want)
+            for part in ("indptr", "indices", "data") if sparse.issparse(want) else ():
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), (l, lm)
+            if not sparse.issparse(want):
+                assert got.tobytes() == want.tobytes(), (l, lm)
+            entries += 1
+            nontrivial += not m.src.group(l).is_trivial
+            large += sparse.issparse(want)
+    assert entries > 1000 and nontrivial > 100 and large > 0
+
+
+def built(m: C.Morphism) -> C.Morphism:
+    """m with its entries built, and not an index map, so that ``compose``
+    and ``tensor`` multiply them."""
+    return C.Morphism(m.src, m.dst, m.entries)
+
+
+def test_index_maps_compose_and_tensor_like_their_entries():
+    # index maps compose (rows1[rows2]) and tensor (paired rows) into index
+    # maps, whose entries are the products and tensors of the built ones
+    rng = np.random.default_rng(11)
+    moved = 0
+    for _ in range(30):
+        a, b, c = (rand_obj(rng) for _ in range(3))
+        leaves = {0: a, 1: b, 2: c}
+        rotate = C.structural(C.tensor_obj(C.tensor_obj(a, b), c), ((0, 1), 2), (2, (0, 1)), leaves)
+        flip = C.structural(rotate.dst, (2, (0, 1)), ((0, 2), 1), leaves)
+        ka, k = rand_bang_obj(rng)
+        contr = C.contraction(ka, k)
+        bang = C.bang_obj(ka, k)
+        cases = [(rotate.compose(flip), built(rotate).compose(built(flip))),
+                 (contr.compose(C.swap(bang, bang)), built(contr).compose(built(C.swap(bang, bang)))),
+                 (rotate.tensor(flip), built(rotate).tensor(built(flip))),
+                 (C.identity(a).tensor(rotate), built(C.identity(a)).tensor(built(rotate)))]
+        for got, want in cases:
+            assert got.gathers is not None
+            assert list(got.entries) == list(want.entries)
+            assert_close(got, want, 1e-12)
+        moved += sum(rows is not None for m in (rotate, flip, contr)
+                     for rows, _ in m.gathers.values())
+    assert moved > 100
+
+
+def test_compose_checks_sums_of_moved_entries():
+    # entries that compose passes through, or gathers, from checked ones are
+    # not checked again, but their sums are: two paths that cancel are
+    # dropped, and two that add up past the bound raise
+    s = np.arange(16.0).reshape(4, 4) + 1j
+    halves = C.CpmObject(((("b1",), 2, C.PermGroup.trivial(2)),
+                          (("b2",), 2, C.PermGroup.trivial(2))))
+    keys = [(C.STAR, l) for l in halves.labels()]
+    joins = [C.relabel(halves, D2, [(l, C.STAR) for l in halves.labels()]),
+             C.permute(halves, D2, [(l, C.STAR, [1, 2], [1, 0]) for l in halves.labels()])]
+    assert joins[0].renames and not joins[1].renames
+    big = 0.6 * C.MAGNITUDE_BOUND / C._maxabs(s) * s
+    for join in joins:
+        assert C.Morphism(D2, halves, dict(zip(keys, (s, -s)))).compose(join).entries == {}
+        with pytest.raises(C.DivergentDenotation):
+            C.Morphism(D2, halves, dict(zip(keys, (big, big)))).compose(join)
+
+
 # ---------------------------------------------------------------------------
 # hygiene: constructors produce invariant entries
 

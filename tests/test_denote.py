@@ -520,8 +520,9 @@ def test_memo_is_exact():
 
 
 # ---------------------------------------------------------------------------
-# compose re-keys through relabel maps; eval and curry build only the labels
-# that their later steps read
+# compose gathers through index maps (relabel and permute maps, and the maps
+# built from them alone); eval and curry build only the labels that their
+# later steps read
 
 
 def large_denotations():
@@ -545,29 +546,60 @@ def entry_distance(m1, m2) -> float:
 
 
 def multiplied(m):
-    """m with the same entries, but not marked as a relabel, so that
+    """m with the same entries, built, but not an index map, so that
     ``compose`` multiplies them in."""
     return C.Morphism(m.src, m.dst, m.entries)
 
 
-def test_rekeyed_compose_equals_product(monkeypatch):
+def moved_groups(m) -> int:
+    """The keys of an index map that move digits under a nontrivial group."""
+    return sum(rows is not None and not m.src.group(la).is_trivial
+               for (la, _), (rows, _) in (m.gathers or {}).items())
+
+
+def test_gathered_compose_equals_product(monkeypatch):
+    # every compose with an index map on either side: re-keyed, rows
+    # gathered, columns moved, or composed into one index map
     clear_caches()  # so the plumbing is built, and composed, in the test
     compose = C.Morphism.compose
     distances = []
+    nontrivial = []
 
     def checked(self, other):
         got = compose(self, other)
-        if self.renames or other.renames:
+        if self.gathers is not None or other.gathers is not None:
             want = compose(multiplied(self), multiplied(other))
             assert got.entries.keys() == want.entries.keys()
             distances.append(entry_distance(got, want))
             assert distances[-1] <= 1e-12, (self.src, other.dst)
+            nontrivial.append(moved_groups(self) + moved_groups(other))
         return got
 
     monkeypatch.setattr(C.Morphism, "compose", checked)
     large_denotations()
     monkeypatch.undo()
-    assert len(distances) > 500
+    assert len(distances) > 1000
+    # teleport at bang_max=2 moves digits under S2 wreath groups
+    assert sum(map(bool, nontrivial)) > 10
+
+
+def test_compose_after_unequal_group_orders_multiplies():
+    # contraction and the Bierman tensor carry the source group of some keys
+    # onto a proper supergroup of the target's; there the source average
+    # still acts, so compose must multiply, not move columns
+    from test_cpm_laws import rand_mor
+
+    rng = np.random.default_rng(3)
+    q = C.QUBIT_OBJ
+    unequal = 0
+    for p in (C.contraction(q, 2), C.digging(q, 2), C.bierman_tensor(q, q, 2)):
+        x = rand_mor(rng, p.dst, q)
+        got = p.compose(x)
+        want = multiplied(p).compose(x)
+        assert got.entries.keys() == want.entries.keys()
+        assert entry_distance(got, want) <= 1e-12
+        unequal += sum(not exact for _, exact in p.gathers.values())
+    assert unequal > 0
 
 
 def test_restricted_plumbing_equals_unrestricted_build(monkeypatch):

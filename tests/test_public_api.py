@@ -33,10 +33,11 @@ LIBRARIES = {"np", "numpy", "scipy", "sparse"}
 CACHES = {
     "cpm._curry_prefix": "adequacy-fuzz",      # 124 / 54 over 256 items
     "cpm._product_group": "denote-large",      # 2246 / 14 on one cold teleport
+    "cpm._vec_pair_parts": "denote-large",     # 1100 / 11 on one cold teleport
     "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
     "cpm.eta": "adequacy-fuzz",                # 121 / 53
     "cpm.eval_mor": "adequacy-fuzz",           # 140 / 120
-    "cpm.group_channel": "denote-large",       # 1110 / 6 on one cold teleport
+    "cpm.group_channel": "denote-large",       # 187 / 3 on one cold teleport
     "cpm.identity": "adequacy-fuzz",           # 876 / 54
     "cpm.lunit_elim": "adequacy-fuzz",         # 1523 / 54
     "cpm.swap": "adequacy-fuzz",               # 910 / 35
