@@ -589,11 +589,13 @@ class Morphism:
                 key = (k1[0], k2[1])
                 moved = True
                 if g2 is not None:
-                    rows = g2[k2][0]
-                    prod = self.entries[k1] if rows is None else _take_rows(self.entries[k1], rows)
+                    prod, rows = self.entries[k1], g2[k2][0]
+                    if rows is not None:
+                        prod = _take_rows(prod, rows)
                 elif g1 is not None and g1[k1][1]:
-                    rows = g1[k1][0]
-                    prod = other.entries[k2] if rows is None else _move_columns(other.entries[k2], rows)
+                    prod, rows = other.entries[k2], g1[k1][0]
+                    if rows is not None:
+                        prod = _move_columns(prod, rows)
                 else:
                     prod = _matmul(other.entries[k2], self.entries[k1])
                     moved = False
@@ -627,7 +629,8 @@ class Morphism:
         """B -> A with every key reversed and every entry transposed."""
         if self.renames:
             # a group channel is symmetric, so a relabel's transpose renames back
-            return _index_map(self.dst, self.src, {(lb, la): g for (la, lb), g in self.gathers.items()})
+            return _index_map(self.dst, self.src,
+                              {(lb, la): g for (la, lb), g in self.gathers.items()})
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
         return Morphism(self.dst, self.src, entries)
 

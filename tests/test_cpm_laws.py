@@ -671,8 +671,9 @@ def test_index_maps_compose_and_tensor_like_their_entries():
         ka, k = rand_bang_obj(rng)
         contr = C.contraction(ka, k)
         bang = C.bang_obj(ka, k)
+        swap = C.swap(bang, bang)
         cases = [(rotate.compose(flip), built(rotate).compose(built(flip))),
-                 (contr.compose(C.swap(bang, bang)), built(contr).compose(built(C.swap(bang, bang)))),
+                 (contr.compose(swap), built(contr).compose(built(swap))),
                  (rotate.tensor(flip), built(rotate).tensor(built(flip))),
                  (C.identity(a).tensor(rotate), built(C.identity(a)).tensor(built(rotate)))]
         for got, want in cases:
