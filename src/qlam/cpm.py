@@ -8,10 +8,11 @@ matrices acting on column-major vectorizations, and morphism families are
 sparse: absent entries are zero.
 
 An entry has one storage form, fixed by its shape alone: a complex128
-``ndarray`` when it has at most ``DENSE_MAX`` rows and columns, a complex128
-CSR array otherwise (:func:`_stored`).  Almost every entry of a denotation is
-tiny, and for those scipy's per-object cost dwarfs the arithmetic; the large
-entries (relabellings and channels on big labels) are mostly zero.
+``ndarray`` when it has at most ``DENSE_MAX ** 2`` elements, a complex128 CSR
+array otherwise (:func:`_stored`).  Almost every entry of a denotation is
+tiny, and for those scipy's per-object cost dwarfs the arithmetic, tall and
+flat ones such as a 256 x 1 column too; the large entries (relabellings and
+channels on big labels) are mostly zero.
 :func:`so_tensor`, ``compose`` and the relabelling and group channels choose
 their path from the shape of the result, and a sum or multiple keeps the
 form of its same-shaped operands; ``Morphism`` puts whatever else it is
@@ -46,9 +47,9 @@ or a stacked group into the vec gathers behind every channel, ``eta``'s too.
 
 Both kinds are index maps (``Morphism.gathers``): each key keeps only the
 vec gather ``rows`` of its relabelling (none for a renaming), and stands for
-the source average channel ``G`` with its rows gathered, ``G[rows]``, which
-is :func:`perm_channel`.  ``compose`` with an index map multiplies nothing
-where the product is known to be a gather:
+the source average channel ``G`` with its rows gathered, ``G[rows]``: the
+conjugation by the relabelling after the average.  ``compose`` with an index
+map multiplies nothing where the product is known to be a gather:
 
 - *Second* (``X ; P``), it gathers the rows of X's entry by ``rows``, for
   every key: X's entries are invariant under its target web's groups, and
@@ -69,15 +70,18 @@ Index maps compose (``rows1[rows2]``, or re-keyed through a renaming) and
 tensor (the paired gathers of :func:`_pair_rows`) into index maps, so
 ``denote``'s routing is one index map however many blocks it has; where two
 paths of a composite meet at one key, the built entries are summed.  A
-channel is built, by the row gather :func:`_take_rows` that
-:func:`perm_channel` uses too, only when an entry is read: by a product (a
-general map, or the first side with unequal orders), a transpose other than
-a renaming's, a tensor with a general map, ``apply``, the order checks or
-serialization.  Reading only the keys builds nothing.  The plumbing of
-application and abstraction is built only on the labels its later steps
-read: ``eval_mor``'s swap on the labels that ``epsilon`` pairs, and
-``_curry_prefix``'s last exchange on the labels that ``eta`` reaches, as
-``denote``'s routing does.
+channel is built, by the row gather :func:`_take_rows`, only when an entry is
+read: by a product (a general map, or the first side with unequal orders), a
+transpose other than a renaming's, a tensor with a general map, ``apply``,
+the order checks or serialization.  Reading only the keys builds nothing.
+
+The plumbing of application and abstraction, ``eval_mor`` and the
+``_curry_prefix`` of ``curry``, is natural in the labels: its entry at a
+label pair depends only on the dimension and group of each label, never on
+its name.  So each entry is built once per pair of signatures, by the
+composite on one-label webs (:func:`_eval_entry`, :func:`_curry_entry`), and
+shared read-only; a map only files the cached entries under its labels.
+``curry`` tensors ``id_A`` with ``f`` only on the labels the prefix reaches.
 
 Each entry averages once, at its source, as an average over a group absorbs
 any later one over a subgroup (:func:`permute`, :func:`promotion`); ``eta``
@@ -103,9 +107,11 @@ import numpy as np
 from scipy import sparse
 
 DROP_EPS = 1e-12  # entries below this sup-norm are dropped from families
-# Entries with at most this many rows and columns are stored dense.  Entry
-# sides are squared label dimensions (1, 4, 16, 64, ...), so 16 and 64 are the
-# choices; 64 ran the finitary fuzz faster, but with 10% more peak memory.
+# Entries with at most DENSE_MAX**2 elements are stored dense, whatever their
+# shape: a square one is at most 16 x 16 (4 KB), a tall or flat one such as
+# eta's 256 x 1 column on a 4-dimensional label as large.  Entry sides are
+# squared label dimensions (1, 4, 16, 64, ...), so 16 and 64 are the choices;
+# 64 ran the finitary fuzz faster, but with 10% more peak memory.
 DENSE_MAX = 16
 GROUP_CAP = 5040  # largest materialized permutation group
 MAGNITUDE_BOUND = 1e12
@@ -144,7 +150,7 @@ def _dense(v) -> np.ndarray:
 
 
 def _is_small(rows: int, cols: int) -> bool:
-    return rows <= DENSE_MAX and cols <= DENSE_MAX
+    return rows * cols <= DENSE_MAX * DENSE_MAX
 
 
 def _csr(v) -> sparse.csr_array:
@@ -156,7 +162,7 @@ def _csr(v) -> sparse.csr_array:
 
 def _stored(v):
     """The storage form of an entry: a complex128 ndarray when it has at most
-    ``DENSE_MAX`` rows and columns, a complex128 CSR array otherwise.  A value
+    ``DENSE_MAX ** 2`` elements, a complex128 CSR array otherwise.  A value
     already in that form is returned as it is, not copied."""
     if not _is_small(*v.shape):
         return _csr(v)
@@ -407,15 +413,6 @@ def group_channel(group: PermGroup):
     if isinstance(out, np.ndarray):
         out.setflags(write=False)
     return out
-
-
-def perm_channel(tau: np.ndarray, g_src: PermGroup):
-    """Conjugation by P (P[tau[i], i] = 1) after the source group's average.
-
-    Row ``a`` of the conjugation holds a single 1, at ``_vec_gather(tau)[a]``,
-    so its product with the group channel is that channel's rows gathered
-    (:func:`_take_rows`): the same floats, with no P and no product built."""
-    return _take_rows(group_channel(g_src), _vec_gather(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +762,8 @@ def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
 
     The map is an index map: each key keeps the vec gather of its
     relabelling and whether ``l``'s and ``m``'s groups have equal orders,
-    and its entry, ``perm_channel(tau, group(l))``, is built only when read
-    (see the module docstring).
+    and its entry, the average channel of ``l``'s group with its rows
+    gathered, is built only when read (see the module docstring).
 
     One average suffices.  Conjugating by the relabelling carries the source
     group onto a group that contains the target group of ``m``, and an
@@ -881,41 +878,80 @@ def epsilon(a: CpmObject) -> Morphism:
 
 
 def curry(f: Morphism, c: CpmObject, a: CpmObject, b: CpmObject) -> Morphism:
-    """Lambda(f) : C -> A -o B given f : C (x) A -> B."""
-    return _curry_prefix(c, a).compose(identity(a).tensor(f))
+    """Lambda(f) : C -> A -o B given f : C (x) A -> B.
+
+    ``id_A (x) f`` is built only on the labels ``(la, (lc, la))`` that the
+    prefix reaches, whose entries keep ``f``'s order, so that the products
+    sum as with the whole tensor."""
+    entries = {}
+    for (lca, lb), s in f.entries.items():
+        la = lca[2]  # lca is the label ("pair", lc, la) of C (x) A
+        entries[(("pair", la, lca), ("pair", la, lb))] = so_tensor(group_channel(a.group(la)), s)
+    return _curry_prefix(c, a).compose(Morphism(tensor_obj(a, f.src), tensor_obj(a, b), entries))
 
 
-@lru_cache(maxsize=512)
+def _shared_entry(m: Morphism):
+    """The one entry of a map between one-label webs, or None where it
+    vanishes; a dense one is read-only, as the caches share it."""
+    e = next(iter(m.entries.values()), None)
+    if isinstance(e, np.ndarray):
+        e.setflags(write=False)
+    return e
+
+
 def _curry_prefix(c: CpmObject, a: CpmObject) -> Morphism:
     """The part of ``curry`` before ``f``: C -> A (x) (C (x) A).
 
-    The last step, ``id_A (x) swap(A, C)``, is one ``structural`` map built
-    only on the labels ``(l, (l, lc))`` that ``eta`` reaches: ``compose``
-    reads no other entry, and the unrestricted map would average the
-    others for nothing."""
-    # C -> 1 (x) C -> (A (x) A) (x) C -> A (x) (A (x) C) -> A (x) (C (x) A)
-    m = lunit_intro(c)
-    m = m.compose(eta(a).tensor(identity(c)))
-    m = m.compose(assoc_right(a, a, c))
-    reached = {lb for _, lb in m.entries}
-    return m.compose(structural(m.dst, (0, (1, 2)), (0, (2, 1)), {0: a, 1: a, 2: c},
-                                labels=reached))
+    Its entry at ``(lc, (la, (lc, la)))`` depends only on the dimensions
+    and groups of ``lc`` and ``la`` (:func:`_curry_entry`); no other label
+    pair has one."""
+    entries = {}
+    for lc, dc, gc in c.elems:
+        for la, da, ga in a.elems:
+            e = _curry_entry(dc, gc, da, ga)
+            if e is not None:
+                entries[(lc, ("pair", la, ("pair", lc, la)))] = e
+    return Morphism(c, tensor_obj(a, tensor_obj(c, a)), entries, checked=frozenset(entries))
 
 
 @lru_cache(maxsize=512)
+def _curry_entry(dc: int, gc: PermGroup, da: int, ga: PermGroup):
+    """The entry of ``_curry_prefix`` for labels of these signatures: its
+    composite on one-label webs."""
+    # C -> 1 (x) C -> (A (x) A) (x) C -> A (x) (A (x) C) -> A (x) (C (x) A)
+    c, a = CpmObject(((STAR, dc, gc),)), CpmObject(((STAR, da, ga),))
+    m = lunit_intro(c)
+    m = m.compose(eta(a).tensor(identity(c)))
+    m = m.compose(assoc_right(a, a, c))
+    m = m.compose(structural(m.dst, (0, (1, 2)), (0, (2, 1)), {0: a, 1: a, 2: c}))
+    return _shared_entry(m)
+
+
 def eval_mor(a: CpmObject, b: CpmObject) -> Morphism:
     """Eval : (A -o B) (x) A -> B.
 
-    The swap is built only on the source labels ``((la, lb), la)``: epsilon
-    reads only the labels ``(la, la)`` of ``A (x) A``, so no other label of
-    the swap reaches the result."""
+    Its entry at ``(((la, lb), la), lb)`` depends only on the dimensions and
+    groups of ``la`` and ``lb`` (:func:`_eval_entry`); ``epsilon`` pairs no
+    other label of A with ``la``, so no other label pair has one."""
+    entries = {}
+    for la, da, ga in a.elems:
+        for lb, db, gb in b.elems:
+            e = _eval_entry(da, ga, db, gb)
+            if e is not None:
+                entries[(("pair", ("pair", la, lb), la), lb)] = e
+    return Morphism(tensor_obj(tensor_obj(a, b), a), b, entries, checked=frozenset(entries))
+
+
+@lru_cache(maxsize=512)
+def _eval_entry(da: int, ga: PermGroup, db: int, gb: PermGroup):
+    """The entry of ``eval_mor`` for labels of these signatures: its
+    composite on one-label webs."""
+    a, b = CpmObject(((STAR, da, ga),)), CpmObject(((STAR, db, gb),))
     hom = tensor_obj(a, b)
-    reached = {("pair", ("pair", la, lb), la) for la in a.labels() for lb in b.labels()}
-    m = structural(tensor_obj(hom, a), (0, 1), (1, 0), {0: hom, 1: a}, labels=reached)
+    m = structural(tensor_obj(hom, a), (0, 1), (1, 0), {0: hom, 1: a})
     m = m.compose(assoc_left(a, a, b))
     m = m.compose(epsilon(a).tensor(identity(b)))
-    m = m.compose(lunit_elim(b))
-    return m
+    return _shared_entry(m.compose(lunit_elim(b)))
 
 
 # lists ----------------------------------------------------------------------
@@ -1068,12 +1104,15 @@ def digging(a: CpmObject, bang_max: int) -> Morphism:
 def promotion(f: Morphism, bang_max: int) -> Morphism:
     """!f : !A -> !B from f : A -> B, acting multiset-pointwise.
 
-    Entry (mu, nu) sums over the source sequences ``seq`` that sort to mu, and
-    one average, over mu's group, suffices.  The group of nu acts on each copy
-    by its label's group, which every block of ``f`` absorbs, and permutes
-    equal-label copies.  That permutes the sequences the sum runs over, after
-    the matching permutation of equal-label copies of mu, which the source
-    average absorbs.  So the sum is already invariant under nu's group."""
+    Entry (mu, nu) sums over the source sequences ``seq`` that sort to mu the
+    tensor of f's blocks, its columns moved from seq's digit order into mu's,
+    and then averages the sum once, over mu's group, where that is not
+    trivial: the product of a sum is the sum of the products.  One average
+    suffices.  The group of nu acts on each copy by its label's group, which
+    every block of ``f`` absorbs, and permutes equal-label copies.  That
+    permutes the sequences the sum runs over, after the matching permutation
+    of equal-label copies of mu, which the source average absorbs.  So the
+    sum is already invariant under nu's group."""
     a, b = f.src, f.dst
     banga = bang_obj(a, bang_max)
     bangb = bang_obj(b, bang_max)
@@ -1095,9 +1134,14 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
             lmu = ("mset", mu)
             # reorder source digits from mu order into seq order, then tensor
             tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
-            s = _matmul(reduce(so_tensor, blocks), perm_channel(tau, banga.group(lmu)))
+            s = _move_columns(reduce(so_tensor, blocks), _vec_gather(tau))
             key = (lmu, lnu)
             entries[key] = entries.get(key, 0) + s
+    # the source average, once per key: the sum of its products is the product of the sum
+    for key, s in entries.items():
+        g = banga.group(key[0])
+        if not g.is_trivial:
+            entries[key] = _matmul(s, group_channel(g))
     return Morphism(banga, bangb, entries)
 
 

@@ -51,6 +51,14 @@ def add(f: C.Morphism, g: C.Morphism) -> C.Morphism:
     return C.Morphism(f.src, f.dst, entries)
 
 
+def perm_channel(tau: np.ndarray, g_src: C.PermGroup):
+    """Conjugation by P (P[tau[i], i] = 1) after the source group's average:
+    the entry of a ``permute`` map.  Row ``a`` of the conjugation holds a
+    single 1, at ``_vec_gather(tau)[a]``, so its product with the group
+    channel is that channel's rows gathered (``_take_rows``)."""
+    return C._take_rows(C.group_channel(g_src), C._vec_gather(tau))
+
+
 def is_completely_positive(m: C.Morphism) -> bool:
     return all(C.is_cp(s) for s in m.entries.values())
 
@@ -158,7 +166,7 @@ def test_digit_permutation_and_perm_channel():
         p = np.zeros((tau.size, tau.size))
         p[tau, np.arange(tau.size)] = 1.0
         triv = C.PermGroup.trivial(tau.size)
-        chan = C.perm_channel(tau, triv)
+        chan = perm_channel(tau, triv)
         chan = chan.toarray() if sparse.issparse(chan) else chan
         assert np.array_equal(chan, C.so_conjugation(p))
 
@@ -286,14 +294,16 @@ def test_transpose_laws():
         assert ft.transpose().entries.keys() == f.entries.keys()
         assert f.transpose().transpose().sup_distance(f) == 0.0
         assert_close(f.compose(g).transpose(), g.transpose().compose(ft))
-    # a transposed entry keeps the storage rule: dense at or below
-    # DENSE_MAX rows and columns, CSR above
+    # a transposed entry keeps the storage rule: dense up to DENSE_MAX**2
+    # elements, CSR above
     small = C.epsilon(D2S).entries[(("pair", C.STAR, C.STAR), C.STAR)]
-    assert small.shape == (1, 16) and max(small.shape) <= C.DENSE_MAX
-    assert type(small) is np.ndarray
+    assert small.shape == (1, 16) and type(small) is np.ndarray
     d4 = C.tensor_obj(D2, D2)
-    (large,) = C.epsilon(d4).entries.values()
-    assert large.shape == (1, 256) and max(large.shape) > C.DENSE_MAX
+    (edge,) = C.epsilon(d4).entries.values()
+    assert edge.shape == (1, 256) and edge.size == C.DENSE_MAX ** 2
+    assert type(edge) is np.ndarray
+    (large,) = C.epsilon(C.tensor_obj(D2, d4)).entries.values()
+    assert large.shape == (1, 4096) and large.shape[1] > C.DENSE_MAX ** 2
     assert type(large) is sparse.csr_array
 
 
@@ -306,6 +316,80 @@ def test_curry_eval_adjunction():
         # currying Eval gives the identity on the hom object
         hom = C.tensor_obj(a, b)
         assert_close(C.curry(C.eval_mor(a, b), hom, a, b), C.identity(hom))
+
+
+# the label signatures of the plumbing tests: mixed dimensions, and the labels
+# of !qubit at bound 2, whose 4-dimensional label has an S2 wreath group
+SIGNATURES = [(1, C.PermGroup.trivial(1)), (2, C.PermGroup.trivial(2)),
+              (3, C.PermGroup.trivial(3)), (2, S2)]
+SIGNATURES += [(d, g) for _, d, g in C.bang_obj(D2, 2).elems]
+
+
+def plumbing_web(rng) -> C.CpmObject:
+    """A web of one to three labels, signatures possibly repeated."""
+    picks = rng.choice(len(SIGNATURES), size=rng.integers(1, 4))
+    return C.CpmObject(tuple((("w", i), *SIGNATURES[p]) for i, p in enumerate(picks)))
+
+
+def eval_composite(a, b):
+    """``eval_mor`` as the composite on the whole webs."""
+    m = C.swap(C.tensor_obj(a, b), a)
+    m = m.compose(C.assoc_left(a, a, b))
+    m = m.compose(C.epsilon(a).tensor(C.identity(b)))
+    return m.compose(C.lunit_elim(b))
+
+
+def curry_prefix_composite(c, a):
+    """``_curry_prefix`` as the composite on the whole webs."""
+    m = C.lunit_intro(c)
+    m = m.compose(C.eta(a).tensor(C.identity(c)))
+    m = m.compose(C.assoc_right(a, a, c))
+    return m.compose(C.identity(a).tensor(C.swap(a, c)))
+
+
+def assert_bitwise_equal(got: C.Morphism, want: C.Morphism):
+    assert (got.src, got.dst) == (want.src, want.dst)
+    # the same keys in the same order, so that later sums run alike
+    assert list(got.entries) == list(want.entries)
+    for k, s in got.entries.items():
+        assert type(s) is type(want.entries[k]), k
+        assert C._dense(s).tobytes() == C._dense(want.entries[k]).tobytes(), k
+
+
+def test_plumbing_per_signature_equals_the_whole_composite():
+    # eval and the curry prefix assemble cached per-signature entries; each
+    # is the entry that the composite on the whole webs builds, bit for bit
+    nontrivial = shared = large = 0
+    for rng in seeds()[:40]:
+        a, b = plumbing_web(rng), plumbing_web(rng)
+        for got, want in ((C.eval_mor(a, b), eval_composite(a, b)),
+                          (C._curry_prefix(a, b), curry_prefix_composite(a, b))):
+            assert_bitwise_equal(got, want)
+            large += sum(map(sparse.issparse, got.entries.values()))
+        nontrivial += any(not g.is_trivial for _, _, g in a.elems + b.elems)
+        shared += len(set(a.elems[i][1:] for i in range(len(a.elems)))) < len(a.elems)
+    assert nontrivial > 10 and shared > 5 and large > 0
+
+
+def test_curry_tensors_only_the_reached_labels():
+    for rng in seeds()[:40]:
+        c, a, b = plumbing_web(rng), plumbing_web(rng), rand_obj(rng)
+        f = rand_mor(rng, C.tensor_obj(c, a), b)
+        want = C._curry_prefix(c, a).compose(C.identity(a).tensor(f))
+        assert C.curry(f, c, a, b).entries.keys() == want.entries.keys()
+        assert_close(C.curry(f, c, a, b), want, 1e-12)
+
+
+def test_shared_plumbing_entries_are_read_only():
+    a = C.CpmObject(tuple((("w", i), d, g) for i, (d, g) in enumerate(SIGNATURES)))
+    dense = 0
+    for m in (C.eval_mor(a, D2), C._curry_prefix(D2, a)):
+        for s in m.entries.values():
+            if isinstance(s, np.ndarray):
+                dense += 1
+                with pytest.raises(ValueError, match="read-only"):
+                    s[0, 0] = 1.0
+    assert dense > 5
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +665,7 @@ def test_perm_channel_is_the_conjugation_after_the_source_average():
             p = np.zeros((n, n))
             p[tau, np.arange(n)] = 1.0
             ref = C.so_conjugation(p) @ C._dense(C.group_channel(g))
-            chan = C.perm_channel(tau, g)
+            chan = perm_channel(tau, g)
             assert_entry_stored(chan)
             assert np.array_equal(C._dense(chan), ref), (n, g.order, tau)
             if sparse.issparse(chan):
@@ -627,7 +711,7 @@ def test_permute_entries_are_perm_channels(monkeypatch):
         built.append((permute(src, dst, moves), moves))
         return built[-1][0]
 
-    for cached in (C.swap, C.eval_mor, C._curry_prefix):
+    for cached in (C.swap, C._eval_entry, C._curry_entry):
         cached.cache_clear()  # so their permute maps are built here
     monkeypatch.setattr(C, "permute", recording)
     for law in (test_structural_isos, test_curry_eval_adjunction, test_comonoid_laws,
@@ -640,7 +724,7 @@ def test_permute_entries_are_perm_channels(monkeypatch):
     for m, moves in built:
         for l, lm, dims, order in moves:
             got = m.entries[(l, lm)]
-            want = C.perm_channel(C.digit_permutation(dims, order), m.src.group(l))
+            want = perm_channel(C.digit_permutation(dims, order), m.src.group(l))
             assert type(got) is type(want)
             for part in ("indptr", "indices", "data") if sparse.issparse(want) else ():
                 assert getattr(got, part).tobytes() == getattr(want, part).tobytes(), (l, lm)
@@ -793,14 +877,15 @@ def test_cp_preserved_by_constructors():
 
 D4 = C.tensor_obj(D2, D2)
 D8 = C.tensor_obj(D2, D4)
-# webs with entries on both sides of DENSE_MAX: D8's superoperators are
-# 64 x 64, and eta on D4 or on !D2S's 4-dimensional label is 256 x 1
+# webs with entries on both sides of DENSE_MAX**2 elements: D8's
+# superoperators are 64 x 64 and eta on D8 is 4096 x 1, while eta on D4 or on
+# !D2S's 4-dimensional label is 256 x 1, dense at the boundary
 STORAGE_POOL = POOL + [D4, D8, C.bang_obj(D2S, 2)]
 
 
 def assert_entry_stored(s):
     assert s.dtype == np.complex128
-    small = max(s.shape) <= C.DENSE_MAX
+    small = s.shape[0] * s.shape[1] <= C.DENSE_MAX ** 2
     assert type(s) is (np.ndarray if small else sparse.csr_array), (s.shape, type(s))
 
 
@@ -850,9 +935,9 @@ def test_storage_rule():
 def test_storage_across_the_threshold():
     rng = np.random.default_rng(3)
     # products leaving and entering the dense range, with dense, sparse and
-    # mixed operands: 4 x 64 @ 64 x 4, 64 x 4 @ 4 x 64, 64 x 16 @ 16 x 4,
+    # mixed operands: 16 x 64 @ 64 x 16, 64 x 4 @ 4 x 64, 64 x 16 @ 16 x 4,
     # 4 x 16 @ 16 x 64
-    for a, b, c in ((D2, D8, D2), (D8, D2, D8), (D2, D4, D8), (D8, D4, D2)):
+    for a, b, c in ((D4, D8, D4), (D8, D2, D8), (D2, D4, D8), (D8, D4, D2)):
         f, g = rand_mor(rng, a, b), rand_mor(rng, b, c)
         fg = f.compose(g)
         assert_stored(fg)
@@ -862,11 +947,11 @@ def test_storage_across_the_threshold():
         s = add(f, scale(f, 2.0))
         assert_stored(s)
         assert np.max(np.abs(s.entry(la, lb) - 3 * f.entry(la, lb))) <= 1e-12
-    # tensors on both sides of the threshold: 4 x 4 by 4 x 1 is dense,
-    # 16 x 4 by 4 x 1 and 16 x 16 by 4 x 4 have dense factors and a CSR
-    # result, and the last two a CSR factor
-    for sa, sb in (((4, 4), (4, 1)), ((16, 4), (4, 1)), ((16, 16), (4, 4)),
-                   ((1, 64), (4, 4)), ((4, 4), (64, 4))):
+    # tensors on both sides of the threshold: 4 x 4 by 4 x 1 and 16 x 1 by
+    # 16 x 1 are dense, 16 x 4 by 16 x 1 and 16 x 16 by 4 x 4 have dense
+    # factors and a CSR result, and the last two a CSR factor
+    for sa, sb in (((4, 4), (4, 1)), ((16, 1), (16, 1)), ((16, 4), (16, 1)),
+                   ((16, 16), (4, 4)), ((16, 64), (4, 4)), ((4, 4), (64, 16))):
         s1 = rng.normal(size=sa) + 1j * rng.normal(size=sa)
         s2 = rng.normal(size=sb) + 1j * rng.normal(size=sb)
         s1, s2 = C._stored(s1), C._stored(s2)
@@ -874,6 +959,13 @@ def test_storage_across_the_threshold():
         assert_entry_stored(t)
         got = t.toarray() if sparse.issparse(t) else t
         assert np.max(np.abs(got - dense_so_tensor(s1, s2))) <= 1e-12
+    # the form goes by the element count: tall and flat entries of up to
+    # DENSE_MAX**2 elements are dense, one more row or column makes them CSR
+    for shape, dense in (((256, 1), True), ((1, 256), True), ((64, 4), True), ((4, 64), True),
+                         ((256, 2), False), ((16, 256), False), ((64, 16), False)):
+        s = C._stored(rng.normal(size=shape) + 0j)
+        assert type(s) is (np.ndarray if dense else sparse.csr_array), shape
+        assert_entry_stored(s)
 
 
 def test_dense_tensor_with_large_result_is_sparse():
@@ -913,13 +1005,15 @@ def test_so_tensor_equals_regathered_kron():
         # and column vectors, a 1 x 1 factor
         ((4, 4), (4, 4)), ((4, 4), (4, 1)), ((1, 4), (16, 4)), ((1, 4), (1, 4)),
         ((4, 1), (4, 1)), ((16, 16), (1, 1)),
-        # dense x dense just above: 64 x 16, 16 x 64, 64 x 1, 1 x 64, 64 x 64
-        ((16, 4), (4, 4)), ((4, 16), (4, 4)), ((16, 1), (4, 1)), ((1, 16), (1, 4)),
+        # dense x dense at DENSE_MAX**2 elements: 256 x 1, 1 x 256, 64 x 4
+        ((16, 1), (16, 1)), ((1, 16), (1, 16)), ((16, 4), (4, 1)),
+        # dense x dense just above: 64 x 16, 16 x 64, 256 x 4, 4 x 256, 64 x 64
+        ((16, 4), (4, 4)), ((4, 16), (4, 4)), ((16, 1), (16, 4)), ((1, 16), (4, 16)),
         ((16, 16), (4, 4)), ((16, 16), (16, 16)),
         # dense x CSR and CSR x dense
-        ((4, 4), (64, 64)), ((64, 4), (4, 16)), ((1, 4), (1, 64)), ((64, 1), (4, 1)),
+        ((4, 4), (64, 64)), ((64, 16), (4, 16)), ((1, 4), (16, 64)), ((64, 16), (4, 1)),
         # CSR x CSR
-        ((64, 64), (64, 4)), ((1, 64), (64, 64)), ((64, 16), (16, 64)),
+        ((256, 4), (4, 256)), ((16, 64), (64, 16)), ((64, 16), (16, 64)),
     ]
     for (sa, sb), density in itertools.product(cases, (1.0, 0.4, 0.0)):
         s1, s2 = sparse_entry(rng, sa, density), sparse_entry(rng, sb, 0.5)
@@ -940,7 +1034,7 @@ def test_so_tensor_of_unsorted_csr_and_stored_zeros():
     a, b = sparse_entry(rng, (64, 64), 0.1), sparse_entry(rng, (64, 64), 0.1)
     prod = C._matmul(a, b)  # scipy leaves a product's columns unsorted
     assert not prod.has_sorted_indices
-    held = sparse_entry(rng, (64, 4), 0.5)
+    held = sparse_entry(rng, (64, 16), 0.5)
     held.data[::3] = 0.0  # zeros kept as stored entries
     for s1, s2 in ((prod, held), (held, prod), (prod, sparse_entry(rng, (4, 4), 0.5))):
         t, ref = C.so_tensor(s1, s2), kron_so_tensor(s1, s2)

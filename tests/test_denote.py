@@ -425,25 +425,10 @@ def test_route_errors_name_the_variable():
         D.route((("f", BANG_UQ), ("f", BANG_UQ)), [()], cfg)
 
 
-def unrestricted_curry_prefix(c, a):
-    """``_curry_prefix`` with its last step ``id_A (x) swap(A, C)`` built on
-    every label."""
-    m = C.lunit_intro(c)
-    m = m.compose(C.eta(a).tensor(C.identity(c)))
-    m = m.compose(C.assoc_right(a, a, c))
-    return m.compose(C.identity(a).tensor(C.swap(a, c)))
-
-
-def unrestricted_eval_mor(a, b):
-    """``eval_mor`` with its swap built on every label."""
-    m = C.swap(C.tensor_obj(a, b), a)
-    m = m.compose(C.assoc_left(a, a, b))
-    m = m.compose(C.epsilon(a).tensor(C.identity(b)))
-    return m.compose(C.lunit_elim(b))
-
-
 def five_step_curry(f, c, a, b):
-    return unrestricted_curry_prefix(c, a).compose(C.identity(a).tensor(f))
+    from test_cpm_laws import curry_prefix_composite
+
+    return curry_prefix_composite(c, a).compose(C.identity(a).tensor(f))
 
 
 def test_curry_equals_unfactored_chain(monkeypatch):
@@ -457,11 +442,17 @@ def test_curry_equals_unfactored_chain(monkeypatch):
         assert_same(C.curry(f, c, a, b), five_step_curry(f, c, a, b))
 
 
+def frozen(m):
+    """A cached morphism's text, or a cached plumbing entry's bytes."""
+    return C.serialize_morphism(m) if isinstance(m, C.Morphism) else C._dense(m).tobytes()
+
+
 def test_cached_plumbing_is_not_mutated(monkeypatch):
     clear_caches()  # the denote memo would otherwise hide calls
     # the denote memo too: adequacy's binding makes the outermost call and
     # the module's own the nested ones
-    builders = [(D, "route"), (C, "_curry_prefix"), (D, "denote"), (A, "denote")]
+    builders = [(D, "route"), (C, "_curry_entry"), (C, "_eval_entry"), (D, "denote"),
+                (A, "denote")]
     calls = [(getattr(mod, name), record_calls(monkeypatch, mod, name))
              for mod, name in builders]
     terms = fuzz_terms()
@@ -473,12 +464,12 @@ def test_cached_plumbing_is_not_mutated(monkeypatch):
         assert args, fn
         for a in args:
             m = fn(*a)
-            cached[id(m)] = (fn, a, m, C.serialize_morphism(m))
+            cached[id(m)] = (fn, a, m, frozen(m))
     for term in terms:
         A.scalar_denotation(term, D.DEFAULT_CONFIG)
     for fn, a, m, text in cached.values():
         assert fn(*a) is m
-        assert C.serialize_morphism(m) == text
+        assert frozen(m) == text
 
 
 def test_outputs_do_not_depend_on_process_history():
@@ -521,8 +512,8 @@ def test_memo_is_exact():
 
 # ---------------------------------------------------------------------------
 # compose gathers through index maps (relabel and permute maps, and the maps
-# built from them alone); eval and curry build only the labels that their
-# later steps read
+# built from them alone); eval and the curry prefix file entries built once
+# per pair of label signatures
 
 
 def large_denotations():
@@ -603,6 +594,10 @@ def test_compose_after_unequal_group_orders_multiplies():
 
 
 def test_restricted_plumbing_equals_unrestricted_build(monkeypatch):
+    # the plumbing assembled from per-signature entries is the composite on
+    # the whole webs, bit for bit, on every call of the large denotations
+    from test_cpm_laws import assert_bitwise_equal, curry_prefix_composite, eval_composite
+
     clear_caches()  # the denote memo would otherwise hide calls
     evals = record_calls(monkeypatch, C, "eval_mor")
     prefixes = record_calls(monkeypatch, C, "_curry_prefix")
@@ -611,14 +606,12 @@ def test_restricted_plumbing_equals_unrestricted_build(monkeypatch):
     # and on webs whose groups are not trivial, which the fuzz seldom reaches
     webs = [C.QUBIT_OBJ, D.denote_type(BANG_UQ, CFG), C.bang_obj(C.QUBIT_OBJ, 2)]
     pairs = set(itertools.product(webs, repeat=2))
-    builds = [(C.eval_mor, unrestricted_eval_mor, args) for args in set(evals) | pairs]
-    builds += [(C._curry_prefix, unrestricted_curry_prefix, args)
+    builds = [(C.eval_mor, eval_composite, args) for args in set(evals) | pairs]
+    builds += [(C._curry_prefix, curry_prefix_composite, args)
                for args in set(prefixes) | pairs]
     assert len(builds) > 50
     nontrivial = 0
-    for restricted, reference, args in builds:
-        got, want = restricted(*args), reference(*args)
-        assert got.entries.keys() == want.entries.keys()
-        assert entry_distance(got, want) <= 1e-12
+    for assembled, reference, args in builds:
+        assert_bitwise_equal(assembled(*args), reference(*args))
         nontrivial += any(not g.is_trivial for _, _, g in args[0].elems + args[1].elems)
     assert nontrivial > 10

@@ -31,17 +31,17 @@ LIBRARIES = {"np", "numpy", "scipy", "sparse"}
 # (hits over misses in one process, on perfbench's seed 77, session 0; that
 # session of denote-large denotes teleport)
 CACHES = {
-    "cpm._curry_prefix": "adequacy-fuzz",      # 124 / 54 over 256 items
-    "cpm._product_group": "denote-large",      # 2246 / 14 on one cold teleport
-    "cpm._vec_pair_parts": "denote-large",     # 1100 / 11 on one cold teleport
+    "cpm._curry_entry": "adequacy-fuzz",       # 348 / 4 over 256 items
+    "cpm._eval_entry": "adequacy-fuzz",        # 637 / 8
+    "cpm._product_group": "denote-large",      # 920 / 14 on one cold teleport
+    "cpm._vec_pair_parts": "denote-large",     # 351 / 8 on one cold teleport
     "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
-    "cpm.eta": "adequacy-fuzz",                # 121 / 53
-    "cpm.eval_mor": "adequacy-fuzz",           # 140 / 120
-    "cpm.group_channel": "denote-large",       # 187 / 3 on one cold teleport
-    "cpm.identity": "adequacy-fuzz",           # 876 / 54
-    "cpm.lunit_elim": "adequacy-fuzz",         # 1523 / 54
+    "cpm.eta": "adequacy-fuzz",                # 8 / 4
+    "cpm.group_channel": "denote-large",       # 96 / 3 on one cold teleport
+    "cpm.identity": "adequacy-fuzz",           # 534 / 56
+    "cpm.lunit_elim": "adequacy-fuzz",         # 1409 / 56
     "cpm.swap": "adequacy-fuzz",               # 910 / 35
-    "cpm.tensor_obj": "adequacy-fuzz",         # 5940 / 590
+    "cpm.tensor_obj": "adequacy-fuzz",         # 5567 / 334
     "denote._route": "adequacy-fuzz",          # 1205 / 193
     "denote.denote": "letrec-sandwich",        # 283 / 77 over 256 items
     "denote.denote_type": "adequacy-fuzz",     # 2616 / 67
