@@ -1137,7 +1137,6 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
             s = _move_columns(reduce(so_tensor, blocks), _vec_gather(tau))
             key = (lmu, lnu)
             entries[key] = entries.get(key, 0) + s
-    # the source average, once per key: the sum of its products is the product of the sum
     for key, s in entries.items():
         g = banga.group(key[0])
         if not g.is_trivial:
