@@ -16,7 +16,9 @@ channels on big labels) are mostly zero.
 :func:`so_tensor`, ``compose`` and the relabelling and group channels choose
 their path from the shape of the result, and a sum or multiple keeps the
 form of its same-shaped operands; ``Morphism`` puts whatever else it is
-given (a transpose, a hand-built array) into the form of its shape.
+given (a transpose, a hand-built array) into the form of its shape.  A
+small product of two CSR entries is the first times the dense form of the
+second, which scipy returns dense, with no CSR product built (:func:`_matmul`).
 
 The tensor of two entries (:func:`so_tensor`) pairs vec indices by digit
 arithmetic.  A vec index of a side-``d`` matrix has digits (column, row), and
@@ -42,7 +44,8 @@ A relabelling is an index array ``tau`` with ``tau[in_flat] = out_flat``
 over mixed-radix digits, the last digit varying fastest
 (:func:`digit_permutation`).  The groups come from the same helper: a
 product group relabels digit pairs, a wreath group acts per copy after
-permuting equal-label copies, and :func:`_vec_gather` turns a permutation
+permuting equal-label copies (built once per signature of its multiset,
+:func:`_wreath_group`), and :func:`_vec_gather` turns a permutation
 or a stacked group into the vec gathers behind every channel, ``eta``'s too.
 
 Both kinds are index maps (``Morphism.gathers``): each key keeps only the
@@ -172,8 +175,16 @@ def _stored(v):
 
 
 def _matmul(a, b):
-    """a @ b in the storage form of the product's shape."""
+    """a @ b in the storage form of the product's shape.
+
+    A small product of two CSR operands is a times the dense form of b:
+    scipy then returns a dense array, with no CSR product built and then
+    densified.  Each element is summed over a's row in the same order as in
+    the CSR product, and the extra terms are exact zeros, so the two agree
+    bit for bit."""
     if _is_small(a.shape[0], b.shape[1]):
+        if sparse.issparse(a) and sparse.issparse(b):
+            b = b.toarray()
         return _stored(a @ b)
     return _csr(a) @ _csr(b)
 
@@ -605,7 +616,12 @@ class Morphism:
                         passed.add(key)
         return Morphism(self.src, other.dst, acc, checked=passed)
 
-    def tensor(self, other: "Morphism") -> "Morphism":
+    def tensor(self, other: "Morphism", labels=None) -> "Morphism":
+        """self (x) other, its entries in the order of self's, then of
+        other's.  With ``labels`` set, only the entries whose target labels
+        are in it are built: the tensor restricted to them, for a composite
+        whose next factor reads no other target label.  The entries kept
+        stay in the same order, so later sums run as with the whole tensor."""
         src = tensor_obj(self.src, other.src)
         dst = tensor_obj(self.dst, other.dst)
         if self.gathers is not None and other.gathers is not None:
@@ -613,13 +629,15 @@ class Morphism:
             for (la, lb), (r1, e1) in self.gathers.items():
                 n1 = self.src.dim(la) ** 2
                 for (lc, ld), (r2, e2) in other.gathers.items():
-                    rows = _pair_rows(r1, n1, r2, other.src.dim(lc) ** 2)
-                    gathers[(("pair", la, lc), ("pair", lb, ld))] = (rows, e1 and e2)
+                    if labels is None or ("pair", lb, ld) in labels:
+                        rows = _pair_rows(r1, n1, r2, other.src.dim(lc) ** 2)
+                        gathers[(("pair", la, lc), ("pair", lb, ld))] = (rows, e1 and e2)
             return _index_map(src, dst, gathers)
         entries = {}
         for (la, lb), s1 in self.entries.items():
             for (lc, ld), s2 in other.entries.items():
-                entries[(("pair", la, lc), ("pair", lb, ld))] = so_tensor(s1, s2)
+                if labels is None or ("pair", lb, ld) in labels:
+                    entries[(("pair", la, lc), ("pair", lb, ld))] = so_tensor(s1, s2)
         return Morphism(src, dst, entries)
 
     def transpose(self) -> "Morphism":
@@ -996,35 +1014,42 @@ def sym_power(a: CpmObject, k: int) -> CpmObject:
     elems = []
     for combo in itertools.combinations_with_replacement(sorted(a.labels()), k):
         mu = _mset(combo)
-        elems.append((("mset", mu), math.prod(a.dim(l) for l in mu), _wreath_group(a, mu)))
+        sig = tuple((a.dim(l), a.group(l), mu.index(l)) for l in mu)
+        elems.append((("mset", mu), math.prod(d for d, _, _ in sig), _wreath_group(sig)))
     return CpmObject(tuple(elems))
 
 
-def _wreath_group(a: CpmObject, mu: tuple) -> PermGroup:
-    """Permutations of mu-indexed digit tuples: the per-copy action after a
-    permutation of equal-label copies, ``b[s]`` for every ``b`` in the product
-    of the copies' groups and every copy permutation ``s``.
+@lru_cache(maxsize=512)
+def _wreath_group(sig: tuple) -> PermGroup:
+    """Permutations of the digit tuples of a multiset: the per-copy action
+    after a permutation of equal-label copies, ``b[s]`` for every ``b`` in
+    the product of the copies' groups and every copy permutation ``s``.
 
-    Labels of dimension 1 contribute nothing to the action and are skipped,
-    so only the effective part of the multiset counts against ``GROUP_CAP``.
+    ``sig`` holds, per position of the multiset, its label's dimension and
+    group and the position of the label's first copy.  The group depends on
+    nothing else, so it is built once per signature, however many
+    multisets share it.  Labels of dimension 1 contribute nothing to the
+    action and are skipped, so only the effective part of the multiset
+    counts against ``GROUP_CAP``.
     """
-    dims = [a.dim(l) for l in mu]
+    dims = [d for d, _, _ in sig]
     total = math.prod(dims)
     if total == 1:
         return PermGroup.trivial(1)
-    slots = {}  # the positions of each effective label in mu
-    for pos, l in enumerate(mu):
-        if dims[pos] > 1:
-            slots.setdefault(l, []).append(pos)
-    order = math.prod(math.factorial(len(p)) * a.group(l).order ** len(p) for l, p in slots.items())
+    slots = {}  # the positions of each effective label, by its first one
+    for pos, (d, _, first) in enumerate(sig):
+        if d > 1:
+            slots.setdefault(first, []).append(pos)
+    order = math.prod(math.factorial(len(p)) * sig[f][1].order ** len(p) for f, p in slots.items())
     if order > GROUP_CAP:
-        raise GroupTooLargeError(f"wreath group of {mu} has order {order} > cap {GROUP_CAP}")
+        raise GroupTooLargeError(f"wreath group over dimensions {dims} has order {order} "
+                                 f"> cap {GROUP_CAP}")
 
-    base = np.array(reduce(PermGroup.product, (a.group(l) for l in mu)).perms)
+    base = np.array(reduce(PermGroup.product, (g for _, g, _ in sig)).perms)
     perms = set()
     for shuffles in itertools.product(*map(itertools.permutations, slots.values())):
         # output digit at slot t is input digit src[t]; copies swap slots
-        src = list(range(len(mu)))
+        src = list(range(len(sig)))
         for p, q in zip(slots.values(), shuffles):
             for t, u in zip(p, q):
                 src[t] = u

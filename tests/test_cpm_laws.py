@@ -5,6 +5,7 @@ multiset truncation K <= 3) and requires equality within 1e-9 in the
 entrywise sup norm.
 """
 
+import functools
 import itertools
 import math
 
@@ -486,14 +487,50 @@ WREATH_CASES = [(D2, 3), (D2S, 3), (D3S, 2), (TWO, 3), (TWO_S, 3), (MIXED, 3),
 def test_wreath_group_matches_reference():
     for base, k in WREATH_CASES:
         for j in range(k + 1):
-            for mu in itertools.combinations_with_replacement(sorted(base.labels()), j):
-                assert C._wreath_group(base, mu) == _wreath_group_reference(base, mu), mu
+            for l, _, g in C.sym_power(base, j).elems:
+                assert g == _wreath_group_reference(base, l[1]), l
     # a bang_obj of a bang_obj carries the same groups
     inner = C.bang_obj(D2S, 2)
     outer = C.bang_obj(inner, 2)
     assert max(g.order for _, _, g in outer.elems) == 2 * 8 * 8
     for l, _, g in outer.elems:
         assert g == _wreath_group_reference(inner, l[1]), l
+
+
+def _uncached_wreath_group(a: C.CpmObject, mu: tuple) -> C.PermGroup:
+    """The wreath group of ``mu`` built from its labels, with no cache."""
+    dims = [a.dim(l) for l in mu]
+    if math.prod(dims) == 1:
+        return C.PermGroup.trivial(1)
+    slots = {}  # the positions of each effective label in mu
+    for pos, l in enumerate(mu):
+        if dims[pos] > 1:
+            slots.setdefault(l, []).append(pos)
+    base = np.array(functools.reduce(C.PermGroup.product, (a.group(l) for l in mu)).perms)
+    perms = set()
+    for shuffles in itertools.product(*map(itertools.permutations, slots.values())):
+        src = list(range(len(mu)))
+        for p, q in zip(slots.values(), shuffles):
+            for t, u in zip(p, q):
+                src[t] = u
+        perms.update(map(tuple, base[:, C.digit_permutation(dims, src)].tolist()))
+    return C.PermGroup(math.prod(dims), tuple(sorted(perms)))
+
+
+def test_wreath_groups_are_shared_per_signature():
+    # labels of equal signature share groups, but a multiset that repeats a
+    # label has copy permutations that one of distinct labels lacks
+    triv = C.PermGroup.trivial
+    mixed = C.CpmObject(((("a",), 2, S2), (("b",), 2, S2), (("c",), 2, triv(2)),
+                         (("d",), 1, triv(1)), (("e",), 2, triv(2)), (("f",), 3, triv(3))))
+    C._wreath_group.cache_clear()
+    for web, k in ((mixed, 3), (C.bang_obj(mixed, 1), 2), (D2, 3), (TWO, 3)):
+        want = [(("mset", mu), math.prod(web.dim(l) for l in mu), _uncached_wreath_group(web, mu))
+                for j in range(k + 1)
+                for mu in itertools.combinations_with_replacement(sorted(web.labels()), j)]
+        assert list(C.bang_obj.__wrapped__(web, k).elems) == want
+    info = C._wreath_group.cache_info()
+    assert info.hits > info.misses > 10
 
 
 def test_product_group_matches_reference():
@@ -959,6 +996,16 @@ def test_storage_across_the_threshold():
         assert_entry_stored(t)
         got = t.toarray() if sparse.issparse(t) else t
         assert np.max(np.abs(got - dense_so_tensor(s1, s2))) <= 1e-12
+    # a dense product of two CSR operands, which have sorted or unsorted
+    # indices and may keep stored zeros: bit for bit the CSR product, densified
+    for sa, sb in (((16, 64), (64, 16)), ((16, 256), (256, 16)), ((4, 256), (256, 4))):
+        for form in (lambda s: s, reversed_rows, with_stored_zeros):
+            s1, s2 = form(sparse_entry(rng, sa, 0.3)), form(sparse_entry(rng, sb, 0.3))
+            assert sparse.issparse(s1) and sparse.issparse(s2)
+            p = C._matmul(s1, s2)
+            assert_entry_stored(p)
+            assert type(p) is np.ndarray
+            assert p.tobytes() == (s1 @ s2).toarray().tobytes(), (sa, sb)
     # the form goes by the element count: tall and flat entries of up to
     # DENSE_MAX**2 elements are dense, one more row or column makes them CSR
     for shape, dense in (((256, 1), True), ((1, 256), True), ((64, 4), True), ((4, 64), True),
@@ -996,6 +1043,22 @@ def sparse_entry(rng, shape, density):
     it exactly zero."""
     s = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return C._stored(s * (rng.random(shape) < density))
+
+
+def reversed_rows(s):
+    """The CSR entry s with each row's stored entries in reverse order."""
+    take = np.concatenate([np.arange(end - 1, start - 1, -1)
+                           for start, end in zip(s.indptr[:-1], s.indptr[1:])])
+    out = sparse.csr_array((s.data[take], s.indices[take], s.indptr.copy()), shape=s.shape)
+    assert not out.has_sorted_indices
+    return out
+
+
+def with_stored_zeros(s):
+    """The CSR entry s with every third stored value set to zero, kept stored."""
+    s = s.copy()
+    s.data[::3] = 0.0
+    return s
 
 
 def test_so_tensor_equals_regathered_kron():

@@ -615,3 +615,60 @@ def test_restricted_plumbing_equals_unrestricted_build(monkeypatch):
         assert_bitwise_equal(assembled(*args), reference(*args))
         nontrivial += any(not g.is_trivial for _, _, g in args[0].elems + args[1].elems)
     assert nontrivial > 10
+
+
+# ---------------------------------------------------------------------------
+# application builds f (x) x only on the labels that eval reads
+
+
+def application_composite(d, cfg):
+    """An application node's denotation with the whole tensor ``f (x) x``."""
+    df, da = d.children
+    ev = C.eval_mor(D.denote_type(df.type.arg, cfg), D.denote_type(df.type.res, cfg))
+    whole = D.denote(df, cfg).tensor(D.denote(da, cfg))
+    return D.route(d.ctx, [df.ctx, da.ctx], cfg).compose(whole).compose(ev), whole, ev
+
+
+def test_application_equals_the_unrestricted_composite(monkeypatch):
+    from test_cpm_laws import assert_bitwise_equal
+
+    clear_caches()  # the denote memo would otherwise hide calls
+    # adequacy's binding makes the outermost call and the module's own the nested ones
+    calls = [record_calls(monkeypatch, mod, "denote") for mod in (D, A)]
+    large_denotations()
+    monkeypatch.undo()
+    applications = {(d, cfg) for d, cfg in itertools.chain(*calls) if d.rule == "loli_E"}
+    assert len(applications) > 100
+    unread = 0
+    for d, cfg in applications:
+        want, whole, ev = application_composite(d, cfg)
+        assert_bitwise_equal(D.denote(d, cfg), want)
+        reads = {l for l, _ in ev.entries}
+        unread += sum(lb not in reads for _, lb in whole.entries)
+    # teleport's two 64-entry tensors leave 48 entries each unread
+    assert unread > 150
+
+
+def test_application_tensor_builds_no_key_that_eval_lacks(monkeypatch):
+    clear_caches()
+    tensor = C.Morphism.tensor
+    restricted = []
+
+    def recorder(self, other, labels=None):
+        out = tensor(self, other, labels=labels)
+        if labels is not None:
+            restricted.append(out)
+        return out
+
+    monkeypatch.setattr(C.Morphism, "tensor", recorder)
+    evals = record_calls(monkeypatch, C, "eval_mor")
+    large_denotations()
+    monkeypatch.undo()
+    reads = {}
+    for a, b in evals:
+        ev = C.eval_mor(a, b)
+        reads[ev.src] = {l for l, _ in ev.entries}
+    assert len(restricted) > 100
+    for t in restricted:
+        assert {lb for _, lb in t.entries} <= reads[t.dst]
+    assert sum(len(t.entries) for t in restricted) > 100

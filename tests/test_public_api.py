@@ -33,8 +33,9 @@ LIBRARIES = {"np", "numpy", "scipy", "sparse"}
 CACHES = {
     "cpm._curry_entry": "adequacy-fuzz",       # 348 / 4 over 256 items
     "cpm._eval_entry": "adequacy-fuzz",        # 637 / 8
-    "cpm._product_group": "denote-large",      # 920 / 14 on one cold teleport
-    "cpm._vec_pair_parts": "denote-large",     # 351 / 8 on one cold teleport
+    "cpm._product_group": "denote-large",      # 786 / 14 on one cold teleport
+    "cpm._vec_pair_parts": "denote-large",     # 159 / 8 on one cold teleport
+    "cpm._wreath_group": "denote-large",       # 150 / 6 on one cold teleport
     "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
     "cpm.eta": "adequacy-fuzz",                # 8 / 4
     "cpm.group_channel": "denote-large",       # 96 / 3 on one cold teleport
