@@ -5,7 +5,6 @@ multiset truncation K <= 3) and requires equality within 1e-9 in the
 entrywise sup norm.
 """
 
-import functools
 import itertools
 import math
 
@@ -497,26 +496,6 @@ def test_wreath_group_matches_reference():
         assert g == _wreath_group_reference(inner, l[1]), l
 
 
-def _uncached_wreath_group(a: C.CpmObject, mu: tuple) -> C.PermGroup:
-    """The wreath group of ``mu`` built from its labels, with no cache."""
-    dims = [a.dim(l) for l in mu]
-    if math.prod(dims) == 1:
-        return C.PermGroup.trivial(1)
-    slots = {}  # the positions of each effective label in mu
-    for pos, l in enumerate(mu):
-        if dims[pos] > 1:
-            slots.setdefault(l, []).append(pos)
-    base = np.array(functools.reduce(C.PermGroup.product, (a.group(l) for l in mu)).perms)
-    perms = set()
-    for shuffles in itertools.product(*map(itertools.permutations, slots.values())):
-        src = list(range(len(mu)))
-        for p, q in zip(slots.values(), shuffles):
-            for t, u in zip(p, q):
-                src[t] = u
-        perms.update(map(tuple, base[:, C.digit_permutation(dims, src)].tolist()))
-    return C.PermGroup(math.prod(dims), tuple(sorted(perms)))
-
-
 def test_wreath_groups_are_shared_per_signature():
     # labels of equal signature share groups, but a multiset that repeats a
     # label has copy permutations that one of distinct labels lacks
@@ -525,7 +504,7 @@ def test_wreath_groups_are_shared_per_signature():
                          (("d",), 1, triv(1)), (("e",), 2, triv(2)), (("f",), 3, triv(3))))
     C._wreath_group.cache_clear()
     for web, k in ((mixed, 3), (C.bang_obj(mixed, 1), 2), (D2, 3), (TWO, 3)):
-        want = [(("mset", mu), math.prod(web.dim(l) for l in mu), _uncached_wreath_group(web, mu))
+        want = [(("mset", mu), math.prod(web.dim(l) for l in mu), _wreath_group_reference(web, mu))
                 for j in range(k + 1)
                 for mu in itertools.combinations_with_replacement(sorted(web.labels()), j)]
         assert list(C.bang_obj.__wrapped__(web, k).elems) == want
