@@ -78,13 +78,32 @@ read: by a product (a general map, or the first side with unequal orders), a
 transpose other than a renaming's, a tensor with a general map, ``apply``,
 the order checks or serialization.  Reading only the keys builds nothing.
 
-The plumbing of application and abstraction, ``eval_mor`` and the
-``_curry_prefix`` of ``curry``, is natural in the labels: its entry at a
-label pair depends only on the dimension and group of each label, never on
-its name.  So each entry is built once per pair of signatures, by the
-composite on one-label webs (:func:`_eval_entry`, :func:`_curry_entry`), and
-shared read-only; a map only files the cached entries under its labels.
-``curry`` tensors ``id_A`` with ``f`` only on the labels the prefix reaches.
+Abstraction and application are index arithmetic on entries, not the
+composites that define them (Selinger, "Dagger compact closed categories and
+completely positive maps", QPL 2005).  A vec index of a side-``d`` matrix has
+digits (column, row), and an entry is indexed in C order over (rows, cols):
+
+- ``curry(f)``, the composite of ``eta_A (x) id_C``, exchanges and
+  ``id_A (x) f``, has at ``(lc, (la, lb))`` the entry
+  ``F.reshape(db, db, dc, da, dc, da).transpose(3, 0, 5, 1, 2, 4)``, as a
+  ``((da*db)**2, dc**2)`` matrix, F being f's entry at ``((lc, la), lb)``.
+  It only moves elements; a CSR entry moves its indices.
+- ``application(f, x, a, b)``, ``(f (x) x) ; eval_mor(a, b)`` with ``eval``
+  built from ``epsilon_A``, adds ``einsum('ibjkpq,ijrs->bkprqs', F, X)``,
+  as a ``(db**2, (dc1*dc2)**2)`` matrix, to its entry at
+  ``((lc1, lc2), lb)``, for f's entry F at ``(lc1, (la, lb))`` and x's X at
+  ``(lc2, la)``: A's column and row digits i, j pair F with X, and B's b, k,
+  C1's p, q and C2's r, s are moved into place.  It is one product of F,
+  its digits moved, with X (:func:`_applied`), and a large one stays CSR.
+
+The group averages inside ``eta``, ``epsilon`` and the exchanges drop out.
+Every entry of f and x is invariant under its webs' groups, and an average
+channel is the identity on invariant maps, so on f and x the composites
+only move and pair digits.  ``application`` sums the composite's terms in
+the composite's order, from zero, as its CSR products do (BLAS, which takes
+its dense ones, may order them its own way), so the two agree to rounding.
+``eval_mor`` is the composite; ``denote`` builds none of it, nor any group
+channel or tensor for these two.
 
 Each entry averages once, at its source, as an average over a group absorbs
 any later one over a subgroup (:func:`permute`, :func:`promotion`); ``eta``
@@ -358,6 +377,82 @@ def so_tensor(s1, s2):
     return sparse.csr_array((data, cols, indptr), shape=(m1 * m2, n1 * n2))
 
 
+def _entry_at(flat, vals, shape):
+    """The entry of ``shape`` holding ``vals`` at the distinct, ascending
+    C-order flat indices ``flat``, in its storage form; a CSR one keeps no
+    zero, as a CSR product keeps none."""
+    if _is_small(*shape):
+        out = np.zeros(shape[0] * shape[1], dtype=complex)
+        out[flat] = vals
+        return out.reshape(shape)
+    keep = vals != 0
+    rows, cols = np.divmod(flat[keep], shape[1])
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sparse.csr_array((vals[keep], cols, indptr), shape=shape)
+
+
+def _move_digits(v, dims, order, shape):
+    """The entry of ``shape`` whose elements, in C order, are v's viewed as
+    an array over ``dims`` with its axes transposed by ``order``, in v's
+    storage form (the element count is v's).  Adding 0.0 makes a dense
+    entry's zeros positive, as in the product this replaces.  A CSR entry
+    is never densified: each nonzero's flat index is moved by its digits."""
+    if isinstance(v, np.ndarray):
+        t = v.reshape(dims).transpose(order)
+        out = np.empty(t.shape, dtype=complex)
+        np.add(t, 0.0, out=out)
+        return out.reshape(shape)
+    rows, cols, vals, _, _ = _nonzeros(v)
+    digits = np.unravel_index(rows * v.shape[1] + cols, dims)
+    flat = np.ravel_multi_index([digits[i] for i in order], [dims[i] for i in order])
+    perm = np.argsort(flat)
+    return _entry_at(flat[perm], vals[perm], shape)
+
+
+def _applied(s, t, da: int, db: int, d1: int, d2: int):
+    """``einsum('ibjkpq,ijrs->bkprqs', S, T)`` as a ``(db**2, (d1*d2)**2)``
+    entry, for S of shape ``((da*db)**2, d1**2)`` and T of ``(da**2, d2**2)``:
+    the product of S, its digits moved to rows ``(b, k, p, q)`` and columns
+    ``(i, j)``, with T, its columns moved.  Each element is summed over
+    ``(i, j)`` in order, from zero, as a CSR product sums.  Two dense factors
+    are multiplied term by term; otherwise the terms come from the
+    nonzeros, each filed under its flat index, and no array over S's moved
+    rows is built."""
+    shape = (db * db, d1 * d1 * d2 * d2)
+    if isinstance(s, np.ndarray) and isinstance(t, np.ndarray):
+        # every term at once, over axes (i, j, b, k, p, r, q, s), then the
+        # planes of (i, j) added in order
+        terms = (s.reshape(da, db, da, db, d1, 1, d1, 1).transpose(0, 2, 1, 3, 4, 5, 6, 7)
+                 * t.reshape(da, da, 1, 1, 1, d2, 1, d2)).reshape(da * da, -1)
+        out = terms[0] + 0.0
+        for term in terms[1:]:
+            out += term
+        return _stored(out.reshape(shape))
+    sr, sc, sv, _, _ = _nonzeros(s)
+    _, tc, tv, _, tcount = _nonzeros(t)
+    i, b, j, k = np.unravel_index(sr, (da, db, da, db))
+    p, q = np.divmod(sc, d1)
+    ij = i * da + j
+    # each nonzero of S meets the n nonzeros of T's row ij, at pos
+    n = tcount[ij]
+    src = np.repeat(np.arange(sr.size), n)
+    pos = np.repeat((np.cumsum(tcount) - tcount)[ij] - (np.cumsum(n) - n), n) + np.arange(src.size)
+    r, c = np.divmod(tc[pos], d2)
+    flat = (b * db + k)[src] * shape[1] + (((p * d2)[src] + r) * d1 + q[src]) * d2 + c
+    order = np.lexsort((ij[src], flat))
+    flat, vals = flat[order], sv[src[order]] * tv[pos[order]]
+    # sum each run of equal flat indices in order, a term at a time
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    lens = np.diff(starts, append=flat.size)
+    acc = vals[starts]
+    for m in range(1, int(lens.max(initial=1))):
+        more = lens > m
+        acc[more] += vals[starts[more] + m]
+    acc += 0.0
+    return _entry_at(flat[starts], acc, shape)
+
+
 def choi(s) -> np.ndarray:
     """Choi matrix; positive semidefinite iff the map is completely positive."""
     s = _dense(s)
@@ -441,7 +536,11 @@ class CpmObject:
         if len(set(labels)) != len(labels):
             raise CpmError("duplicate labels in web")
 
-    def labels(self):
+    def labels(self) -> tuple:
+        return self._labels
+
+    @cached_property
+    def _labels(self) -> tuple:
         return tuple(l for l, _, _ in self.elems)
 
     def dim(self, label) -> int:
@@ -580,7 +679,7 @@ class Morphism:
         moved from an already-checked one is not checked again, since a
         bijection keeps its values and shape; every product and every sum
         is."""
-        if self.dst.labels() != other.src.labels():
+        if self.dst is not other.src and self.dst.labels() != other.src.labels():
             raise CpmError(f"compose mismatch: {self.dst} vs {other.src}")
         by_mid = {}
         for k2 in other.entries:
@@ -616,12 +715,9 @@ class Morphism:
                         passed.add(key)
         return Morphism(self.src, other.dst, acc, checked=passed)
 
-    def tensor(self, other: "Morphism", labels=None) -> "Morphism":
+    def tensor(self, other: "Morphism") -> "Morphism":
         """self (x) other, its entries in the order of self's, then of
-        other's.  With ``labels`` set, only the entries whose target labels
-        are in it are built: the tensor restricted to them, for a composite
-        whose next factor reads no other target label.  The entries kept
-        stay in the same order, so later sums run as with the whole tensor."""
+        other's."""
         src = tensor_obj(self.src, other.src)
         dst = tensor_obj(self.dst, other.dst)
         if self.gathers is not None and other.gathers is not None:
@@ -629,15 +725,13 @@ class Morphism:
             for (la, lb), (r1, e1) in self.gathers.items():
                 n1 = self.src.dim(la) ** 2
                 for (lc, ld), (r2, e2) in other.gathers.items():
-                    if labels is None or ("pair", lb, ld) in labels:
-                        rows = _pair_rows(r1, n1, r2, other.src.dim(lc) ** 2)
-                        gathers[(("pair", la, lc), ("pair", lb, ld))] = (rows, e1 and e2)
+                    rows = _pair_rows(r1, n1, r2, other.src.dim(lc) ** 2)
+                    gathers[(("pair", la, lc), ("pair", lb, ld))] = (rows, e1 and e2)
             return _index_map(src, dst, gathers)
         entries = {}
         for (la, lb), s1 in self.entries.items():
             for (lc, ld), s2 in other.entries.items():
-                if labels is None or ("pair", lb, ld) in labels:
-                    entries[(("pair", la, lc), ("pair", lb, ld))] = so_tensor(s1, s2)
+                entries[(("pair", la, lc), ("pair", lb, ld))] = so_tensor(s1, s2)
         return Morphism(src, dst, entries)
 
     def transpose(self) -> "Morphism":
@@ -873,7 +967,6 @@ def lunit_intro(a: CpmObject) -> Morphism:
 # compact closure ------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
 def eta(a: CpmObject) -> Morphism:
     """1 -> A (x) A: the scalar p goes to p * sum_ij S(E_ij) (x) S(E_ij), the
     0/1 column vec(sum_ij E_ij (x) E_ij) averaged over the product group."""
@@ -896,80 +989,50 @@ def epsilon(a: CpmObject) -> Morphism:
 
 
 def curry(f: Morphism, c: CpmObject, a: CpmObject, b: CpmObject) -> Morphism:
-    """Lambda(f) : C -> A -o B given f : C (x) A -> B.
-
-    ``id_A (x) f`` is built only on the labels ``(la, (lc, la))`` that the
-    prefix reaches, whose entries keep ``f``'s order, so that the products
-    sum as with the whole tensor."""
-    entries = {}
+    """Lambda(f) : C -> A -o B given f : C (x) A -> B, by moving f's elements
+    (the module docstring gives the formula, and why it is the composite).
+    The entries follow the labels of C (x) A, then f's order, as the
+    composite's do."""
+    by_src = {}
     for (lca, lb), s in f.entries.items():
-        la = lca[2]  # lca is the label ("pair", lc, la) of C (x) A
-        entries[(("pair", la, lca), ("pair", la, lb))] = so_tensor(group_channel(a.group(la)), s)
-    return _curry_prefix(c, a).compose(Morphism(tensor_obj(a, f.src), tensor_obj(a, b), entries))
-
-
-def _shared_entry(m: Morphism):
-    """The one entry of a map between one-label webs, or None where it
-    vanishes; a dense one is read-only, as the caches share it."""
-    e = next(iter(m.entries.values()), None)
-    if isinstance(e, np.ndarray):
-        e.setflags(write=False)
-    return e
-
-
-def _curry_prefix(c: CpmObject, a: CpmObject) -> Morphism:
-    """The part of ``curry`` before ``f``: C -> A (x) (C (x) A).
-
-    Its entry at ``(lc, (la, (lc, la)))`` depends only on the dimensions
-    and groups of ``lc`` and ``la`` (:func:`_curry_entry`); no other label
-    pair has one."""
+        by_src.setdefault(lca, []).append((lb, s))
     entries = {}
-    for lc, dc, gc in c.elems:
-        for la, da, ga in a.elems:
-            e = _curry_entry(dc, gc, da, ga)
-            if e is not None:
-                entries[(lc, ("pair", la, ("pair", lc, la)))] = e
-    return Morphism(c, tensor_obj(a, tensor_obj(c, a)), entries, checked=frozenset(entries))
-
-
-@lru_cache(maxsize=512)
-def _curry_entry(dc: int, gc: PermGroup, da: int, ga: PermGroup):
-    """The entry of ``_curry_prefix`` for labels of these signatures: its
-    composite on one-label webs."""
-    # C -> 1 (x) C -> (A (x) A) (x) C -> A (x) (A (x) C) -> A (x) (C (x) A)
-    c, a = CpmObject(((STAR, dc, gc),)), CpmObject(((STAR, da, ga),))
-    m = lunit_intro(c)
-    m = m.compose(eta(a).tensor(identity(c)))
-    m = m.compose(assoc_right(a, a, c))
-    m = m.compose(structural(m.dst, (0, (1, 2)), (0, (2, 1)), {0: a, 1: a, 2: c}))
-    return _shared_entry(m)
+    for lca in f.src.labels():
+        _, lc, la = lca
+        for lb, s in by_src.get(lca, ()):
+            dc, da, db = c.dim(lc), a.dim(la), b.dim(lb)
+            entries[(lc, ("pair", la, lb))] = _move_digits(
+                s, (db, db, dc, da, dc, da), (3, 0, 5, 1, 2, 4), (da * da * db * db, dc * dc))
+    return Morphism(c, tensor_obj(a, b), entries, checked=frozenset(entries))
 
 
 def eval_mor(a: CpmObject, b: CpmObject) -> Morphism:
-    """Eval : (A -o B) (x) A -> B.
-
-    Its entry at ``(((la, lb), la), lb)`` depends only on the dimensions and
-    groups of ``la`` and ``lb`` (:func:`_eval_entry`); ``epsilon`` pairs no
-    other label of A with ``la``, so no other label pair has one."""
-    entries = {}
-    for la, da, ga in a.elems:
-        for lb, db, gb in b.elems:
-            e = _eval_entry(da, ga, db, gb)
-            if e is not None:
-                entries[(("pair", ("pair", la, lb), la), lb)] = e
-    return Morphism(tensor_obj(tensor_obj(a, b), a), b, entries, checked=frozenset(entries))
-
-
-@lru_cache(maxsize=512)
-def _eval_entry(da: int, ga: PermGroup, db: int, gb: PermGroup):
-    """The entry of ``eval_mor`` for labels of these signatures: its
-    composite on one-label webs."""
-    a, b = CpmObject(((STAR, da, ga),)), CpmObject(((STAR, db, gb),))
-    hom = tensor_obj(a, b)
-    m = structural(tensor_obj(hom, a), (0, 1), (1, 0), {0: hom, 1: a})
-    m = m.compose(assoc_left(a, a, b))
+    """Eval : (A -o B) (x) A -> B, the composite of an exchange, an
+    associator, ``epsilon (x) id_B`` and the left unitor.  Application
+    builds none of it (:func:`application`)."""
+    m = swap(tensor_obj(a, b), a).compose(assoc_left(a, a, b))
     m = m.compose(epsilon(a).tensor(identity(b)))
-    return _shared_entry(m.compose(lunit_elim(b)))
+    return m.compose(lunit_elim(b))
+
+
+def application(f: Morphism, x: Morphism, a: CpmObject, b: CpmObject) -> Morphism:
+    """``(f (x) x) ; eval_mor(a, b)`` : C1 (x) C2 -> B, given f : C1 -> A -o B
+    and x : C2 -> A, by index arithmetic.
+
+    Each entry of f at ``(lc1, (la, lb))`` meets each of x at ``(lc2, la)``
+    (:func:`_applied`; the module docstring gives the formula), and no other
+    pair of entries meets in ``eval``.  The terms are summed, and the keys
+    come, in f's order, as the composite's do."""
+    by_a = {}
+    for (lc2, la), s in x.entries.items():
+        by_a.setdefault(la, []).append((lc2, s))
+    entries = {}
+    for (lc1, (_, la, lb)), s in f.entries.items():
+        for lc2, t in by_a.get(la, ()):
+            r = _applied(s, t, a.dim(la), b.dim(lb), f.src.dim(lc1), x.src.dim(lc2))
+            key = (("pair", lc1, lc2), lb)
+            entries[key] = entries[key] + r if key in entries else r
+    return Morphism(tensor_obj(f.src, x.src), b, entries)
 
 
 # lists ----------------------------------------------------------------------

@@ -14,19 +14,17 @@ the plumbing around them is a function of types and ``cfg`` alone.
 ``route``'s weakening/contraction/exchange map is built once per process, in
 a bounded ``lru_cache`` (``_route``, keyed by the context's types, each
 destination's positions in the context and ``cfg``, so alpha-renamed
-contexts share an entry).  The plumbing of abstraction and application, the
-part of ``curry`` before its argument and ``eval_mor``, is assembled in
-:mod:`qlam.cpm` from entries cached once per pair of label signatures
-(``_curry_entry``, ``_eval_entry``).  Equal keys give equal morphisms and
-entries, so reusing one is sound; only left prefixes of composites are
-cached, so every ``compose`` runs in the same order as an uncached build and
-the results are bit-identical.  The checks that name a variable (linear
-weakening or contraction) run before the lookup.
+contexts share an entry).  Equal keys give equal morphisms, so reusing one
+is sound; only left prefixes of composites are cached, so every ``compose``
+runs in the same order as an uncached build and the results are
+bit-identical.  The checks that name a variable (linear weakening or
+contraction) run before the lookup.
 
-Application, ``route ; (f (x) x) ; eval``, builds ``f (x) x`` only on the
-labels ``((la, lb), la)`` that ``eval`` reads (``Morphism.tensor``'s
-``labels``), in the same association, so every sum runs as with the whole
-tensor and the result is the same, bit for bit.
+Abstraction is ``cpm.curry``, and application is ``route ;
+cpm.application(f, x, a, b)``: both are index arithmetic on the entries of
+the children's denotations, with no ``eval`` or ``eta`` map, group channel
+or tensor built.  ``application`` is ``(f (x) x) ; eval`` with the sums in
+that composite's order (see the :mod:`qlam.cpm` docstring).
 
 ``denote`` itself is memoized beside that plumbing, in one bounded
 ``lru_cache`` keyed by the derivation and ``cfg``, so a sub-derivation that
@@ -410,14 +408,8 @@ def denote(d: T.Derivation, cfg: TruncationConfig = DEFAULT_CONFIG) -> Morphism:
             c1, c2 = df.ctx, da.ctx
             a = denote_type(df.type.arg, cfg)
             b = denote_type(df.type.res, cfg)
-            ev = C.eval_mor(a, b)
-            # eval reads only the labels ((la, lb), la), so f (x) x is built on those
-            reads = {l for l, _ in ev.entries}
-            return (
-                route(ctx, [c1, c2], cfg)
-                .compose(denote(df, cfg).tensor(denote(da, cfg), labels=reads))
-                .compose(ev)
-            )
+            return route(ctx, [c1, c2], cfg).compose(
+                C.application(denote(df, cfg), denote(da, cfg), a, b))
 
         case "unit_E":
             ds, db = d.children

@@ -325,9 +325,9 @@ SIGNATURES = [(1, C.PermGroup.trivial(1)), (2, C.PermGroup.trivial(2)),
 SIGNATURES += [(d, g) for _, d, g in C.bang_obj(D2, 2).elems]
 
 
-def plumbing_web(rng) -> C.CpmObject:
-    """A web of one to three labels, signatures possibly repeated."""
-    picks = rng.choice(len(SIGNATURES), size=rng.integers(1, 4))
+def plumbing_web(rng, most: int = 3) -> C.CpmObject:
+    """A web of one to ``most`` labels, signatures possibly repeated."""
+    picks = rng.choice(len(SIGNATURES), size=rng.integers(1, most + 1))
     return C.CpmObject(tuple((("w", i), *SIGNATURES[p]) for i, p in enumerate(picks)))
 
 
@@ -340,11 +340,20 @@ def eval_composite(a, b):
 
 
 def curry_prefix_composite(c, a):
-    """``_curry_prefix`` as the composite on the whole webs."""
+    """The part of ``curry`` before ``f``, C -> A (x) (C (x) A), as the
+    composite on the whole webs."""
     m = C.lunit_intro(c)
     m = m.compose(C.eta(a).tensor(C.identity(c)))
     m = m.compose(C.assoc_right(a, a, c))
     return m.compose(C.identity(a).tensor(C.swap(a, c)))
+
+
+def curry_composite(f, c, a, b):
+    return curry_prefix_composite(c, a).compose(C.identity(a).tensor(f))
+
+
+def tensor_eval_composite(f, x, a, b):
+    return f.tensor(x).compose(eval_composite(a, b))
 
 
 def assert_bitwise_equal(got: C.Morphism, want: C.Morphism):
@@ -356,40 +365,90 @@ def assert_bitwise_equal(got: C.Morphism, want: C.Morphism):
         assert C._dense(s).tobytes() == C._dense(want.entries[k]).tobytes(), k
 
 
-def test_plumbing_per_signature_equals_the_whole_composite():
-    # eval and the curry prefix assemble cached per-signature entries; each
-    # is the entry that the composite on the whole webs builds, bit for bit
-    nontrivial = shared = large = 0
-    for rng in seeds()[:40]:
-        a, b = plumbing_web(rng), plumbing_web(rng)
-        for got, want in ((C.eval_mor(a, b), eval_composite(a, b)),
-                          (C._curry_prefix(a, b), curry_prefix_composite(a, b))):
-            assert_bitwise_equal(got, want)
-            large += sum(map(sparse.issparse, got.entries.values()))
-        nontrivial += any(not g.is_trivial for _, _, g in a.elems + b.elems)
-        shared += len(set(a.elems[i][1:] for i in range(len(a.elems)))) < len(a.elems)
-    assert nontrivial > 10 and shared > 5 and large > 0
+def assert_same_keys_close(got: C.Morphism, want: C.Morphism, tol: float = 1e-12):
+    assert (got.src, got.dst) == (want.src, want.dst)
+    assert list(got.entries) == list(want.entries)
+    for k, s in got.entries.items():
+        assert type(s) is type(want.entries[k]), k
+        assert C._maxabs(s - want.entries[k]) <= tol, k
 
 
-def test_curry_tensors_only_the_reached_labels():
+def curry_cases(rng):
+    """f : C (x) A -> B on plumbing webs: every tenth instance has the S2
+    wreath web of !qubit at bound 2 as C, A or B, by turns."""
+    c, a, b = plumbing_web(rng), plumbing_web(rng), plumbing_web(rng, 2)
+    turn = int(rng.integers(30))
+    if turn < 3:
+        c, a, b = [C.bang_obj(D2, 2) if i == turn else w for i, w in enumerate((c, a, b))]
+    return rand_mor(rng, C.tensor_obj(c, a), b), c, a, b
+
+
+def test_curry_and_application_equal_the_whole_composites():
+    # curry moves f's elements and application sums products of entry
+    # pairs; on invariant maps the averages inside eta, epsilon and the
+    # exchanges of the composites are the identity, so the two agree, on S2
+    # and wreath webs too, and on CSR entries on both paths
+    nontrivial = large_curry = large_app = 0
     for rng in seeds()[:40]:
-        c, a, b = plumbing_web(rng), plumbing_web(rng), rand_obj(rng)
+        f, c, a, b = curry_cases(rng)
+        assert_same_keys_close(C.curry(f, c, a, b), curry_composite(f, c, a, b))
+        large_curry += sum(map(sparse.issparse, f.entries.values()))
+        # f : C1 -> A -o B and x : C2 -> A, with small B, C1 and C2, as the
+        # composite builds the whole tensor f (x) x
+        c1, c2, b = plumbing_web(rng, 2), rand_obj(rng), rand_obj(rng)
+        f, x = rand_mor(rng, c1, C.tensor_obj(a, b)), rand_mor(rng, c2, a)
+        assert_same_keys_close(C.application(f, x, a, b), tensor_eval_composite(f, x, a, b))
+        large_app += sum(map(sparse.issparse, [*f.entries.values(), *x.entries.values()]))
+        nontrivial += any(not g.is_trivial for _, _, g in c.elems + a.elems + c1.elems)
+    assert nontrivial > 10 and large_curry > 0 and large_app > 0
+
+
+def test_curry_moves_the_elements_of_f():
+    # each entry of curry(f) holds the elements of one entry of f, moved;
+    # with the composite within 1e-12 of it, the composite's entries are
+    # permutations of f's too, its averages notwithstanding
+    wreath = 0
+    for rng in seeds()[:40]:
+        f, c, a, b = curry_cases(rng)
+        lam = C.curry(f, c, a, b)
+        assert len(lam.entries) == len(f.entries)
+        for ((_, lc, la), lb), s in f.entries.items():
+            got = C._dense(lam.entries[(lc, ("pair", la, lb))])
+            assert np.array_equal(np.sort(got, axis=None), np.sort(C._dense(s), axis=None))
+        assert lam.sup_distance(curry_composite(f, c, a, b)) <= 1e-12
+        wreath += any(C.bang_obj(D2, 2) is w for w in (c, a, b))
+    assert wreath > 2
+
+
+def entry_arrays(m: C.Morphism) -> list:
+    """The value arrays of m's entries: a dense entry, or a CSR one's data."""
+    return [s.data if sparse.issparse(s) else s for s in m.entries.values()]
+
+
+def test_curry_and_application_leave_their_arguments_unchanged():
+    # read-only arguments, one-dimensional labels among them (where a moved
+    # entry could be a view), and results that share no memory with them
+    webs = POOL + POOL_DIM1
+    pairs = 0
+    for rng in seeds()[:40]:
+        c, a, b = rand_obj(rng, webs), plumbing_web(rng, 2), rand_obj(rng, webs)
         f = rand_mor(rng, C.tensor_obj(c, a), b)
-        want = C._curry_prefix(c, a).compose(C.identity(a).tensor(f))
-        assert C.curry(f, c, a, b).entries.keys() == want.entries.keys()
-        assert_close(C.curry(f, c, a, b), want, 1e-12)
-
-
-def test_shared_plumbing_entries_are_read_only():
-    a = C.CpmObject(tuple((("w", i), d, g) for i, (d, g) in enumerate(SIGNATURES)))
-    dense = 0
-    for m in (C.eval_mor(a, D2), C._curry_prefix(D2, a)):
-        for s in m.entries.values():
-            if isinstance(s, np.ndarray):
-                dense += 1
-                with pytest.raises(ValueError, match="read-only"):
-                    s[0, 0] = 1.0
-    assert dense > 5
+        g = rand_mor(rng, c, C.tensor_obj(a, b))
+        x = rand_mor(rng, rand_obj(rng, webs), a)
+        for m in (f, g, x):
+            for s in m.entries.values():
+                for part in (s.data, s.indices, s.indptr) if sparse.issparse(s) else (s,):
+                    part.setflags(write=False)
+        before = [C._dense(s).tobytes() for m in (f, g, x) for s in m.entries.values()]
+        lam, app = C.curry(f, c, a, b), C.application(g, x, a, b)
+        assert lam.sup_distance(curry_composite(f, c, a, b)) <= 1e-12
+        assert app.sup_distance(tensor_eval_composite(g, x, a, b)) <= 1e-12
+        assert [C._dense(s).tobytes() for m in (f, g, x) for s in m.entries.values()] == before
+        for out, args in ((lam, (f,)), (app, (g, x))):
+            for u, v in itertools.product(entry_arrays(out), sum(map(entry_arrays, args), [])):
+                assert not np.shares_memory(u, v)
+                pairs += 1
+    assert pairs > 100
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +786,7 @@ def test_permute_entries_are_perm_channels(monkeypatch):
         built.append((permute(src, dst, moves), moves))
         return built[-1][0]
 
-    for cached in (C.swap, C._eval_entry, C._curry_entry):
-        cached.cache_clear()  # so their permute maps are built here
+    C.swap.cache_clear()  # so its permute maps are built here
     monkeypatch.setattr(C, "permute", recording)
     for law in (test_structural_isos, test_curry_eval_adjunction, test_comonoid_laws,
                 test_comonad_triangles, test_digging_coassociativity, test_comonad_naturality,

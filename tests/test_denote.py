@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import qlam.adequacy as A
 import qlam.cpm as C
@@ -451,8 +452,7 @@ def test_cached_plumbing_is_not_mutated(monkeypatch):
     clear_caches()  # the denote memo would otherwise hide calls
     # the denote memo too: adequacy's binding makes the outermost call and
     # the module's own the nested ones
-    builders = [(D, "route"), (C, "_curry_entry"), (C, "_eval_entry"), (D, "denote"),
-                (A, "denote")]
+    builders = [(D, "route"), (D, "denote"), (A, "denote")]
     calls = [(getattr(mod, name), record_calls(monkeypatch, mod, name))
              for mod, name in builders]
     terms = fuzz_terms()
@@ -593,32 +593,30 @@ def test_compose_after_unequal_group_orders_multiplies():
     assert unequal > 0
 
 
-def test_restricted_plumbing_equals_unrestricted_build(monkeypatch):
-    # the plumbing assembled from per-signature entries is the composite on
-    # the whole webs, bit for bit, on every call of the large denotations
-    from test_cpm_laws import assert_bitwise_equal, curry_prefix_composite, eval_composite
+def test_curry_and_application_equal_the_composites_bit_for_bit(monkeypatch):
+    # curry and application by index arithmetic are the composites on the
+    # whole webs, bit for bit, on every call of the large denotations
+    from test_cpm_laws import assert_bitwise_equal, tensor_eval_composite
 
     clear_caches()  # the denote memo would otherwise hide calls
-    evals = record_calls(monkeypatch, C, "eval_mor")
-    prefixes = record_calls(monkeypatch, C, "_curry_prefix")
+    curries = record_calls(monkeypatch, C, "curry")
+    applications = record_calls(monkeypatch, C, "application")
     large_denotations()
     monkeypatch.undo()
-    # and on webs whose groups are not trivial, which the fuzz seldom reaches
-    webs = [C.QUBIT_OBJ, D.denote_type(BANG_UQ, CFG), C.bang_obj(C.QUBIT_OBJ, 2)]
-    pairs = set(itertools.product(webs, repeat=2))
-    builds = [(C.eval_mor, eval_composite, args) for args in set(evals) | pairs]
-    builds += [(C._curry_prefix, curry_prefix_composite, args)
-               for args in set(prefixes) | pairs]
-    assert len(builds) > 50
-    nontrivial = 0
-    for assembled, reference, args in builds:
-        assert_bitwise_equal(assembled(*args), reference(*args))
-        nontrivial += any(not g.is_trivial for _, _, g in args[0].elems + args[1].elems)
-    assert nontrivial > 10
+    assert len(curries) > 50 and len(applications) > 100
+    large = 0
+    for args in curries:
+        assert_bitwise_equal(C.curry(*args), five_step_curry(*args))
+        large += sum(map(sparse.issparse, args[0].entries.values()))
+    for f, x, a, b in applications:
+        assert_bitwise_equal(C.application(f, x, a, b), tensor_eval_composite(f, x, a, b))
+        large += sum(map(sparse.issparse, f.entries.values()))
+    # qlist's curries and applications have CSR entries of up to 1024 x 1024
+    assert large > 3
 
 
 # ---------------------------------------------------------------------------
-# application builds f (x) x only on the labels that eval reads
+# application: route ; application(f, x, a, b) is route ; (f (x) x) ; eval
 
 
 def application_composite(d, cfg):
@@ -649,26 +647,27 @@ def test_application_equals_the_unrestricted_composite(monkeypatch):
     assert unread > 150
 
 
-def test_application_tensor_builds_no_key_that_eval_lacks(monkeypatch):
+def test_curry_and_application_build_no_channel_and_no_tensor(monkeypatch):
+    # neither builds a group channel, an eval or curry plumbing map, or a
+    # tensor, nor multiplies by one: each call of the large denotations,
+    # replayed with those builders raising, gives the same entries
     clear_caches()
-    tensor = C.Morphism.tensor
-    restricted = []
-
-    def recorder(self, other, labels=None):
-        out = tensor(self, other, labels=labels)
-        if labels is not None:
-            restricted.append(out)
-        return out
-
-    monkeypatch.setattr(C.Morphism, "tensor", recorder)
-    evals = record_calls(monkeypatch, C, "eval_mor")
+    curries = record_calls(monkeypatch, C, "curry")
+    applications = record_calls(monkeypatch, C, "application")
     large_denotations()
     monkeypatch.undo()
-    reads = {}
-    for a, b in evals:
-        ev = C.eval_mor(a, b)
-        reads[ev.src] = {l for l, _ in ev.entries}
-    assert len(restricted) > 100
-    for t in restricted:
-        assert {lb for _, lb in t.entries} <= reads[t.dst]
-    assert sum(len(t.entries) for t in restricted) > 100
+    calls = [(C.curry, args) for args in curries] + [(C.application, args) for args in applications]
+    want = [fn(*args) for fn, args in calls]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built by curry or application")
+
+    for module, name in ((C, "group_channel"), (C, "so_tensor"), (C, "eta"), (C, "epsilon"),
+                         (C, "eval_mor"), (C, "swap"), (C.Morphism, "tensor"),
+                         (C.Morphism, "compose")):
+        monkeypatch.setattr(module, name, forbidden)
+    got = [fn(*args) for fn, args in calls]
+    monkeypatch.undo()
+    assert len(calls) > 150
+    for m1, m2 in zip(got, want):
+        assert_same(m1, m2)
