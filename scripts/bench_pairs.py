@@ -9,16 +9,24 @@ neither side reads uncommitted files or a stale bytecode cache), and the
 ``perfbench/run.py`` of each runs there, with the same seed, the
 ``run_seconds`` of ``BENCHMARK.json`` and ``--trace 0``.  Pairs alternate
 which side runs first.  ``denote-large`` gets 10 pairs, every other workload
-3; then each side makes one ``--trace 1`` run on ``denote-large`` for the
+6; then each side makes one ``--trace 1`` run on ``denote-large`` for the
 per-layer metrics.  Pair ``i`` of the ``w``-th
 workload (in ``BENCHMARK.json`` order) uses seed ``--seed + 100 * w + i``.
 
 The output holds, per workload and metric, each side's runs, median and
 quartiles and the pairs the change won (ties count for neither side, the
 direction read from ``BENCHMARK.json``), the failed items, both commits, the
-``src/`` line counts and the interpreter and library versions.  It runs one
-benchmark process at a time; at ``run_seconds`` 20 the whole run takes
-about 20 minutes.
+``src/`` line counts and the interpreter and library versions.
+
+Each end-to-end metric of each workload also gets a ``verdict``, by a rule
+fixed before any run.  It is "better" when the change wins at least 90% of
+the pairs (6 of 6, 9 of 10) and its median beats the parent's by more than
+the parent's quartile spread (q3 - q1); "worse" when the parent wins at
+least 90% of the pairs and its median beats the change's by more than that
+spread; and "unresolved" otherwise, which a drifting host often gives.
+
+It runs one benchmark process at a time; at ``run_seconds`` 20 the whole
+run takes about 40 minutes.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LARGE = "denote-large"
-PAIRS = {LARGE: 10}  # pairs per workload; 3 for any other
+PAIRS = {LARGE: 10}  # pairs per workload; 6 for any other
+WIN_SHARE = 0.9  # the share of pairs a verdict other than "unresolved" needs
 
 
 def git(*args) -> str:
@@ -78,8 +87,21 @@ def summary(values: list) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent: list, change: list, better: dict) -> dict:
-    """Per metric: each side's summary and the pairs the change won."""
+def verdict(row: dict, sign: int) -> str:
+    """"better", "worse" or "unresolved", by the rule of the module docstring."""
+    pairs, parent, change = row["pairs"], row["parent"], row["change"]
+    gap = sign * (change["median"] - parent["median"])
+    spread = parent["q3"] - parent["q1"]
+    if row["change_won"] >= WIN_SHARE * pairs and gap > spread:
+        return "better"
+    if row["parent_won"] >= WIN_SHARE * pairs and -gap > spread:
+        return "worse"
+    return "unresolved"
+
+
+def compare(parent: list, change: list, better: dict, end_to_end) -> dict:
+    """Per metric: each side's summary and the pairs each side won, and a
+    verdict for the end-to-end metrics."""
     out = {}
     for name in parent[0]["metrics"]:
         p = [r["metrics"][name] for r in parent]
@@ -88,7 +110,10 @@ def compare(parent: list, change: list, better: dict) -> dict:
         if None not in p + c and name in better:
             sign = 1 if better[name] == "higher" else -1
             row["change_won"] = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+            row["parent_won"] = sum(sign * (y - x) < 0 for x, y in zip(p, c))
             row["pairs"] = len(p)
+            if name in end_to_end:
+                row["verdict"] = verdict(row, sign)
         out[name] = row
     return out
 
@@ -126,7 +151,7 @@ def main(argv=None) -> int:
         for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
             runs = {"parent": [], "change": []}
             seeds = []
-            for i in range(PAIRS.get(workload, 3)):
+            for i in range(PAIRS.get(workload, 6)):
                 seed = args.seed + 100 * w + i
                 seeds.append(seed)
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -138,7 +163,8 @@ def main(argv=None) -> int:
                 "first": ["parent" if i % 2 == 0 else "change" for i in range(len(seeds))],
                 "failed": {s: sum(r["failed"] for r in rs) for s, rs in runs.items()},
                 "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in runs.items()},
-                "metrics": compare(runs["parent"], runs["change"], better),
+                "metrics": compare(runs["parent"], runs["change"], better,
+                                   {m["name"] for m in bench["end_to_end"]}),
             }
         seed = args.seed + 100 * len(bench["workloads"])
         traced = {side: run(trees[side], LARGE, seed, seconds, 1) for side in trees}

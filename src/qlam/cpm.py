@@ -16,9 +16,7 @@ channels on big labels) are mostly zero.
 :func:`so_tensor`, ``compose`` and the relabelling and group channels choose
 their path from the shape of the result, and a sum or multiple keeps the
 form of its same-shaped operands; ``Morphism`` puts whatever else it is
-given (a transpose, a hand-built array) into the form of its shape.  A
-small product of two CSR entries is the first times the dense form of the
-second, which scipy returns dense, with no CSR product built (:func:`_matmul`).
+given (a transpose, a hand-built array) into the form of its shape.
 
 The tensor of two entries (:func:`so_tensor`) pairs vec indices by digit
 arithmetic.  A vec index of a side-``d`` matrix has digits (column, row), and
@@ -194,16 +192,8 @@ def _stored(v):
 
 
 def _matmul(a, b):
-    """a @ b in the storage form of the product's shape.
-
-    A small product of two CSR operands is a times the dense form of b:
-    scipy then returns a dense array, with no CSR product built and then
-    densified.  Each element is summed over a's row in the same order as in
-    the CSR product, and the extra terms are exact zeros, so the two agree
-    bit for bit."""
+    """a @ b in the storage form of the product's shape."""
     if _is_small(a.shape[0], b.shape[1]):
-        if sparse.issparse(a) and sparse.issparse(b):
-            b = b.toarray()
         return _stored(a @ b)
     return _csr(a) @ _csr(b)
 
@@ -901,7 +891,8 @@ def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict,
     """Reassociate / permute / add-drop unit factors between tensor shapes.
 
     Shapes are nested 2-tuples whose leaves are ids into ``leaf_objs``; the
-    special leaf ``"u"`` in the destination inserts a unit factor, and ids
+    special leaf ``"u"`` stands for a unit factor in either shape: in the
+    destination it inserts one, and in the source it is dropped.  Ids
     present in the source but absent from the destination must denote
     1-dimensional labels (they are silently dropped).  With ``labels`` set,
     only the entries of those source labels are built: the map restricted to
@@ -1193,9 +1184,12 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
     """!f : !A -> !B from f : A -> B, acting multiset-pointwise.
 
     Entry (mu, nu) sums over the source sequences ``seq`` that sort to mu the
-    tensor of f's blocks, its columns moved from seq's digit order into mu's,
-    and then averages the sum once, over mu's group, where that is not
-    trivial: the product of a sum is the sum of the products.  One average
+    tensor of f's blocks at ``(seq[i], nu[i])``, its columns moved from seq's
+    digit order into mu's, and then averages the sum once, over mu's group,
+    where that is not trivial: the product of a sum is the sum of the
+    products.  The sequences are the products of f's keys at each target
+    label of nu, each list sorted by source label, so they come in
+    lexicographic order, and only the blocks they use are read.  One average
     suffices.  The group of nu acts on each copy by its label's group, which
     every block of ``f`` absorbs, and permutes equal-label copies.  That
     permutes the sequences the sum runs over, after the matching permutation
@@ -1204,26 +1198,24 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
     a, b = f.src, f.dst
     banga = bang_obj(a, bang_max)
     bangb = bang_obj(b, bang_max)
-    entries = {}
-    src_labels = sorted({la for la, _ in f.entries})
+    by_target = {}  # f's keys at each target label, sorted by source label
+    for key in sorted(f.entries):
+        by_target.setdefault(key[1], []).append(key)
+    empty = ("mset", ())
+    entries = {(empty, empty): np.eye(1, dtype=complex)}
     for lnu in bangb.labels():
         nu = lnu[1]
-        k = len(nu)
-        if k == 0:
-            key = (("mset", ()), lnu)
-            entries[key] = np.eye(1, dtype=complex)
+        if not nu:
             continue
-        # enumerate source sequences aligned with the sorted target sequence
-        for seq in itertools.product(src_labels, repeat=k):
-            blocks = [f.entries.get((seq[i], nu[i])) for i in range(k)]
-            if any(bl is None for bl in blocks):
-                continue
+        # the source sequences with a block at every position of nu, in
+        # lexicographic order
+        for keys in itertools.product(*(by_target.get(l, ()) for l in nu)):
+            seq = [la for la, _ in keys]
             mu = _mset(seq)
-            lmu = ("mset", mu)
             # reorder source digits from mu order into seq order, then tensor
             tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
-            s = _move_columns(reduce(so_tensor, blocks), _vec_gather(tau))
-            key = (lmu, lnu)
+            s = _move_columns(reduce(so_tensor, (f.entries[k] for k in keys)), _vec_gather(tau))
+            key = (("mset", mu), lnu)
             entries[key] = entries.get(key, 0) + s
     for key, s in entries.items():
         g = banga.group(key[0])
@@ -1298,38 +1290,21 @@ def deserialize_entries(text: str) -> dict:
     mapping (src-label, dst-label) to dense complex matrices."""
     import ast
 
-    entries = {}
-    it = iter(text.splitlines())
-    header = next(it, "")
+    header, *blocks = text.split("\nentry ")
     if not header.startswith("qlam-morphism"):
         raise CpmError("not a serialized morphism")
-    cur = None
-    rows = []
-    shape = None
-
-    def flush():
-        if cur is not None:
-            mat = np.array(rows, dtype=complex)
-            if shape is not None and mat.shape != shape:
-                raise CpmError(f"entry {cur}: expected shape {shape}, got {mat.shape}")
-            entries[cur] = mat
-
-    for line in it:
-        line = line.strip()
-        if not line or line.startswith(("src ", "dst ")):
-            continue
-        if line.startswith("entry "):
-            flush()
-            lhs, _, rhs = line[len("entry "):].partition(" -> ")
-            cur = (ast.literal_eval(lhs), ast.literal_eval(rhs))
-            rows = []
-            shape = None
-        elif line.startswith("shape "):
-            r, c = line.split()[1:]
-            shape = (int(r), int(c))
-        else:
-            rows.append([complex(*map(float, z.split(","))) for z in line.split()])
-    flush()
+    entries = {}
+    for block in blocks:
+        # "<src> -> <dst>", "shape <rows> <cols>", then one line per row
+        label, shape, *rows = block.strip().splitlines()
+        lhs, _, rhs = label.partition(" -> ")
+        key = (ast.literal_eval(lhs), ast.literal_eval(rhs))
+        mat = np.array([[complex(*map(float, z.split(","))) for z in row.split()] for row in rows],
+                       dtype=complex)
+        shape = tuple(map(int, shape.split()[1:]))
+        if mat.shape != shape:
+            raise CpmError(f"entry {key}: expected shape {shape}, got {mat.shape}")
+        entries[key] = mat
     return entries
 
 

@@ -53,6 +53,7 @@ labels have up to 16,777,216 vec indices, the reached ones at most 16,384.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -140,13 +141,10 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
     if len(pos) != len(ctx):
         raise DenotationError(f"context names are not distinct: {[x for x, _ in ctx]}")
     key = tuple(tuple(pos[x] for x, _ in dest) for dest in dests)
-    counts = [0] * len(ctx)
-    for dest in key:
-        for i in dest:
-            counts[i] += 1
-    for (x, t), n in zip(ctx, counts):
-        if n != 1 and not S.is_exponential(t):
-            verb = "weaken" if n == 0 else "contract"
+    counts = Counter(i for dest in key for i in dest)
+    for i, (x, t) in enumerate(ctx):
+        if counts[i] != 1 and not S.is_exponential(t):
+            verb = "weaken" if counts[i] == 0 else "contract"
             raise DenotationError(f"cannot {verb} linear variable {x}")
     return _route(tuple(t for _, t in ctx), key, cfg)
 
@@ -154,44 +152,31 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
 @lru_cache(maxsize=512)
 def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
     """``route`` on context positions: ``dests`` index into ``types``."""
-    counts = [0] * len(types)
-    for dest in dests:
-        for i in dest:
-            counts[i] += 1
+    counts = Counter(i for dest in dests for i in dest)
 
-    # per-variable block morphisms, tensored in context order
-    shapes = []       # leaf shapes of each block's destination
+    # per-variable block morphisms, tensored in context order.  A variable
+    # used n times gets weakening (n = 0), the identity (n = 1) or n - 1
+    # left-nested contractions ((!H (x) !H) (x) !H) ..., whose leaves are
+    # its copies i#0 .. i#(n-1); a weakened one leaves the unit leaf "u",
+    # which ``structural`` drops
+    shapes = []
     leaf_objs = {}
     mor = None
-    for i, (t, n) in enumerate(zip(types, counts)):
+    for i, t in enumerate(types):
+        n = counts[i]
         obj = denote_type(t, cfg)
-        if n == 1:
-            f = C.identity(obj)
-            shapes.append(f"{i}#0")
-            leaf_objs[f"{i}#0"] = obj
-        elif n == 0:
-            f = C.weakening(denote_type(t.underlying, cfg), cfg.bang_max)
-            shapes.append(f"{i}#w")
-            leaf_objs[f"{i}#w"] = C.UNIT_OBJ
-        else:
-            hom = denote_type(t.underlying, cfg)
-            contr = C.contraction(hom, cfg.bang_max)
-            # iterated contraction, left-nested: ((!H (x) !H) (x) !H) ...
-            f = contr
-            for _ in range(n - 2):
-                f = f.compose(contr.tensor(C.identity(obj)))
-            shape = f"{i}#0"
-            for j in range(1, n):
-                shape = (shape, f"{i}#{j}")
-            shapes.append(shape)
-            for j in range(n):
-                leaf_objs[f"{i}#{j}"] = obj
+        f = C.weakening(denote_type(t.underlying, cfg), cfg.bang_max) if n == 0 else C.identity(obj)
+        for j in range(1, n):
+            # contr ; (f (x) id), which for the first copy is contr itself
+            contr = C.contraction(denote_type(t.underlying, cfg), cfg.bang_max)
+            f = contr.compose(f.tensor(C.identity(obj))) if j > 1 else contr
+        ids = [f"{i}#{j}" for j in range(n)]
+        shapes.append(_nest(ids))
+        leaf_objs.update(dict.fromkeys(ids, obj))
         mor = f if mor is None else mor.tensor(f)
 
-    src_after = _nest(shapes)
     if mor is None:
         mor = C.identity(C.UNIT_OBJ)
-        src_after = "u"
 
     # destination shape: consume copies of each variable in reading order
     next_copy = [0] * len(types)
@@ -206,7 +191,7 @@ def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
 
     # compose reads only the labels mor reaches, so build the map on those
     reached = {lb for _, lb in mor.entries}
-    return mor.compose(C.structural(mor.dst, src_after, dst_shape, leaf_objs, labels=reached))
+    return mor.compose(C.structural(mor.dst, _nest(shapes), dst_shape, leaf_objs, labels=reached))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ multiset truncation K <= 3) and requires equality within 1e-9 in the
 entrywise sup norm.
 """
 
+import functools
 import itertools
 import math
 
@@ -673,6 +674,54 @@ def test_promotion_functorial():
         assert_close(C.promotion(C.identity(a), k), C.identity(C.bang_obj(a, k)))
 
 
+def promotion_scan(f: C.Morphism, bang_max: int) -> C.Morphism:
+    """``promotion`` by a scan of every sequence of f's source labels as long
+    as each target multiset, skipping the sequences with a missing block."""
+    a, b = f.src, f.dst
+    banga, bangb = C.bang_obj(a, bang_max), C.bang_obj(b, bang_max)
+    entries = {}
+    src_labels = sorted({la for la, _ in f.entries})
+    for lnu in bangb.labels():
+        nu = lnu[1]
+        k = len(nu)
+        if k == 0:
+            entries[(("mset", ()), lnu)] = np.eye(1, dtype=complex)
+            continue
+        for seq in itertools.product(src_labels, repeat=k):
+            blocks = [f.entries.get((seq[i], nu[i])) for i in range(k)]
+            if any(bl is None for bl in blocks):
+                continue
+            mu = C._mset(seq)
+            tau = C.digit_permutation([a.dim(l) for l in mu], C._copy_positions(seq))
+            s = C._move_columns(functools.reduce(C.so_tensor, blocks), C._vec_gather(tau))
+            key = (("mset", mu), lnu)
+            entries[key] = entries.get(key, 0) + s
+    for key, s in entries.items():
+        g = banga.group(key[0])
+        if not g.is_trivial:
+            entries[key] = C._matmul(s, C.group_channel(g))
+    return C.Morphism(banga, bangb, entries)
+
+
+def test_promotion_equals_the_sequence_scan():
+    # k = 2 on S2, S3 and mixed webs; the random maps leave blocks missing,
+    # some list their keys in reverse, and contraction is an index map
+    webs = [D2S, TWO_S, D3S]
+    cases = [rand_mor(rng, webs[i % 3], rand_obj(rng, webs)) for i, rng in enumerate(seeds()[:15])]
+    cases += [C.Morphism(f.src, f.dst, dict(reversed(f.entries.items()))) for f in cases]
+    cases += [C.contraction(a, 1) for a in webs]
+    missing = 0
+    for f in cases:
+        got, want = C.promotion(f, 2), promotion_scan(f, 2)
+        assert (got.src, got.dst) == (want.src, want.dst)
+        assert list(got.entries) == list(want.entries)
+        for key, e in got.entries.items():
+            assert type(e) is type(want.entries[key])
+            assert C._dense(e).tobytes() == C._dense(want.entries[key]).tobytes(), key
+        missing += len(f.entries) < len(f.src.labels()) * len(f.dst.labels())
+    assert missing >= 3
+
+
 def test_comonad_naturality():
     for rng in seeds():
         a, k = rand_bang_obj(rng)
@@ -1177,6 +1226,24 @@ def _structural_references(a, b, c):
         (runit_elim(a), C.structural(C.tensor_obj(a, U1), (0, "u0"), 0, {0: a, "u0": U1})),
         (runit_intro(a), C.structural(a, 0, (0, "u"), {0: a})),
     ]
+
+
+def test_structural_drops_a_unit_source_leaf():
+    # "u" stands for a unit factor in either shape: in the source it is
+    # dropped as a named 1-dimensional leaf is
+    for a, b in [(D2, D2S), (TWO_S, BIG), (U1, TWO)]:
+        objs = {0: a, 1: b}
+        cases = [
+            (C.tensor_obj(U1, a), ("u", 0), ("u0", 0), 0),
+            (C.tensor_obj(a, U1), (0, "u"), (0, "u0"), (0, "u")),
+            (C.tensor_obj(C.tensor_obj(a, U1), b), ((0, "u"), 1), ((0, "u0"), 1), (1, 0)),
+        ]
+        for src, shape, named, dst_shape in cases:
+            got = C.structural(src, shape, dst_shape, objs)
+            want = C.structural(src, named, dst_shape, {**objs, "u0": U1})
+            assert (got.src, got.dst) == (want.src, want.dst)
+            assert list(got.entries) == list(want.entries)
+            assert C.diff_entries(got.entries, want.entries)[None] == 0.0
 
 
 def test_relabel_maps_equal_their_structural_builds():

@@ -1,5 +1,6 @@
 """Denotational semantics: constants, structural rules, fixpoints."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -410,6 +411,24 @@ def test_plumbing_is_keyed_by_cfg():
             m = D.denote(d, cfg)
             assert (m.src, m.dst) == (D.ctx_obj(d.ctx, cfg), D.denote_type(d.type, cfg))
     assert webs[0] != webs[1]
+
+
+def test_route_copies_a_variable_any_number_of_times():
+    # a !-variable used n times, with every copy but the j-th weakened, is the
+    # identity (the counit law of the comonoid), for n up to 4; the weakened
+    # copies leave unit factors, which "u" source leaves drop
+    cfg = D.TruncationConfig(list_max=1, bang_max=1)
+    ctx = (("f", BANG_UQ),)
+    bang = D.denote_type(BANG_UQ, cfg)
+    weak = C.weakening(D.denote_type(BANG_UQ.underlying, cfg), cfg.bang_max)
+    for n in range(1, 5):
+        m = D.route(ctx, [ctx] * n, cfg)
+        for j in range(n):
+            blocks = [C.identity(bang) if i == j else weak for i in range(n)]
+            kept = functools.reduce(C.Morphism.tensor, blocks)
+            shape = D._nest([0 if i == j else "u" for i in range(n)])
+            drop = C.structural(kept.dst, shape, 0, {0: bang})
+            assert m.compose(kept).compose(drop).sup_distance(C.identity(bang)) <= 1e-12
 
 
 def test_route_errors_name_the_variable():

@@ -44,6 +44,7 @@ change log::
 import hashlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -236,6 +237,30 @@ def test_golden_morphism(stem):
     assert text.splitlines()[:3] == golden.splitlines()[:3]
     diff = C.diff_entries(C.deserialize_entries(golden), C.deserialize_entries(text))
     assert diff[None] <= TOL, stem
+
+
+def test_golden_text_round_trips():
+    # every golden file reads back into entries that write the same text
+    paths = sorted(GOLDEN.glob("*.txt"))
+    assert len(paths) == len(_cases())
+    for path in paths:
+        text = path.read_text()
+        src, dst = (line.split(" ", 1)[1] for line in text.splitlines()[1:3])
+        m = SimpleNamespace(src=src, dst=dst, entries=C.deserialize_entries(text))
+        assert C.serialize_morphism(m) == text, path.name
+
+
+def test_deserialize_rejects_a_bad_header_and_a_bad_shape():
+    text = (GOLDEN / "eta-d2s.txt").read_text()
+    with pytest.raises(C.CpmError, match="not a serialized morphism"):
+        C.deserialize_entries(text.replace("qlam-morphism", "morphism", 1))
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("shape "))
+    rows, cols = map(int, lines[at].split()[1:])
+    with pytest.raises(C.CpmError, match=rf"expected shape \({rows}, {cols + 1}\)"):
+        C.deserialize_entries("".join(lines[:at] + [f"shape {rows} {cols + 1}\n"] + lines[at + 1:]))
+    with pytest.raises(C.CpmError, match="expected shape"):
+        C.deserialize_entries("".join(lines[:at + 1] + lines[at + 2:]))
 
 
 def test_golden_scalars():
