@@ -6,12 +6,15 @@ keeps the denotations bit for bit.
 
 The sections are the finitary fuzz programs of seeds 0..299 (default
 config), the letrec programs of seeds 0..199 at the benchmark's
-``LETREC_CFG``, and the four programs of the ``denote-large`` workload.  Each
-digest covers every derivation node of every program, sub-derivations
-included, in preorder: for each morphism its source and target webs, its
-keys in order, and each entry's shape and dense ``ndarray.tobytes``.  Run
-it on two checkouts and compare the printed lines; it reads the ``src/`` and
-``perfbench/`` next to it.
+``LETREC_CFG``, the four programs of the ``denote-large`` workload, and the
+two golden letrecs under a nonempty exponential context
+(``LETREC_UNDER_BANG`` of ``tests/test_golden.py``, at its config), the only
+section that reaches ``bierman_tensor`` and the fixpoint under a nonempty
+exponential context.  Each digest covers every derivation node of every
+program, sub-derivations included, in preorder: for each morphism its
+source and target webs, its keys in order, and each entry's shape and dense
+``ndarray.tobytes``.  Run it on two checkouts and compare the printed lines;
+it reads the ``src/``, ``perfbench/`` and ``tests/`` next to it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import qlam.adequacy as A  # noqa: E402
 import qlam.cpm as C  # noqa: E402
@@ -29,6 +32,7 @@ import qlam.denote as D  # noqa: E402
 import qlam.parser as P  # noqa: E402
 import qlam.syntax as S  # noqa: E402
 import qlam.typecheck as T  # noqa: E402
+from test_golden import LETREC_UNDER_BANG  # noqa: E402
 from workloads import LETREC_CFG, DenoteLarge  # noqa: E402
 
 
@@ -55,6 +59,9 @@ def sections():
     items = sorted((wl.inputs(0, s)[0] for s in range(len(wl.PROGRAMS))), key=lambda i: i[1])
     yield "denote-large", ((T.typecheck(P.parse_term(text), None, ctx), cfg)
                            for _, _, text, ctx, cfg, _ in items)
+    yield "letrec under !", ((T.typecheck(P.parse_term(text), None, ctx),
+                              D.TruncationConfig(bang_max=k, fix_iters=5000, fix_tol=1e-15))
+                             for text, ctx, k in LETREC_UNDER_BANG.values())
 
 
 def main() -> int:

@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.cmd == "adequacy" and args.file is None and args.fuzz is None:
-        ap.error("adequacy needs a file or --fuzz")
+    if args.cmd == "adequacy" and (args.file is None) == (args.fuzz is None):
+        ap.error("adequacy needs a file or --fuzz, not both")
     try:
         return args.fn(args)
     except P.QlamSyntaxError as e:

@@ -40,11 +40,14 @@ routing; contraction, digging and the Bierman tensor) come from
 the source label's group, which absorbs the target's (see :func:`permute`).
 A relabelling is an index array ``tau`` with ``tau[in_flat] = out_flat``
 over mixed-radix digits, the last digit varying fastest
-(:func:`digit_permutation`).  The groups come from the same helper: a
-product group relabels digit pairs, a wreath group acts per copy after
-permuting equal-label copies (built once per signature of its multiset,
-:func:`_wreath_group`), and :func:`_vec_gather` turns a permutation
-or a stacked group into the vec gathers behind every channel, ``eta``'s too.
+(:func:`digit_permutation`).  The groups come from the same helper, in one
+builder keyed by a label's digit signature (:func:`_digit_group`): each
+element permutes equal-label copies and acts on each copy by its label's
+group, one ``digit_permutation`` each.  A product group is the signature
+whose digits are each their own first copy, so a tensor label and a
+multiset of distinct labels with the same groups share one group.
+:func:`_vec_gather` turns a permutation or a stacked group into the vec
+gathers behind every channel, ``eta``'s too.
 
 Both kinds are index maps (``Morphism.gathers``): each key keeps only the
 vec gather ``rows`` of its relabelling (none for a renaming), and stands for
@@ -57,15 +60,18 @@ map multiplies nothing where the product is known to be a gather:
   the average channel of a group is the identity on invariant maps (an
   idempotent projection onto them), so ``G`` does nothing to X.
 - *First* (``P ; X``), it moves the columns of X's entry by ``rows``, but only
-  on a key whose source and target groups have equal orders.  The
-  relabelling carries the source group onto a group that contains the
-  target's, so with equal orders onto the target group itself: then ``G``,
-  moved through the relabelling, is the target average, which X absorbs,
-  and only the relabelling is left.  With a larger source group, ``G`` also
+  on a key whose source and target groups, read off the two webs, have
+  equal orders.  The relabelling carries the source group onto a group that
+  contains the target's, so with equal orders onto the target group itself:
+  then ``G``, moved through the relabelling, is the target average, which X
+  absorbs, and only the relabelling is left.  With a larger source group, ``G`` also
   averages over permutations that X is not invariant under, and the product
   is taken.  Renamings, ``structural`` and ``swap`` always have equal
   orders; contraction, digging and the Bierman tensor on trivial groups do
-  too.
+  too.  No key has a smaller source group than target group, so a
+  composite or tensor of index maps has equal orders at a key exactly
+  where each of its factors has them, and an index map stores nothing but
+  its gathers.
 
 Index maps compose (``rows1[rows2]``, or re-keyed through a renaming) and
 tensor (the paired gathers of :func:`_pair_rows`) into index maps, so
@@ -483,21 +489,47 @@ class PermGroup:
 
     def product(self, other: "PermGroup") -> "PermGroup":
         """Direct product acting on the lexicographic pairing (i, j) -> i*d2 + j."""
-        return _product_group(self, other)
+        return _digit_group(((self.degree, self, 0), (other.degree, other, 1)))
 
 
 @lru_cache(maxsize=4096)
-def _product_group(g1: PermGroup, g2: PermGroup) -> PermGroup:
-    d1, d2 = g1.degree, g2.degree
-    if g1.is_trivial and g2.is_trivial:
-        return PermGroup.trivial(d1 * d2)
-    order = g1.order * g2.order
+def _digit_group(sig: tuple) -> PermGroup:
+    """The permutations of digit tuples that permute equal-label copies and
+    then act on each copy by its label's group: ``digit_permutation(dims,
+    src, acts)`` for every permutation ``src`` of equal-label copies and
+    every choice ``acts`` of an element of each copy's group.
+
+    ``sig`` holds, per digit, its dimension, its label's group and the
+    position of the label's first copy.  A product group is the signature in
+    which every digit is its own first copy (:meth:`PermGroup.product`), a
+    wreath group one in which the copies of a multiset's label share it
+    (:func:`sym_power`).  The group depends on nothing else, so it is built
+    once per signature, and a product and a multiset of distinct labels with
+    one signature share one object.  Digits of dimension 1 contribute
+    nothing to the action, so only the effective part counts against
+    ``GROUP_CAP``, which is checked before any element is built.
+    """
+    dims = [d for d, _, _ in sig]
+    slots = {}  # the positions of each effective label, by its first one
+    for pos, (d, _, first) in enumerate(sig):
+        if d > 1:
+            slots.setdefault(first, []).append(pos)
+    order = math.prod(math.factorial(len(p)) * sig[f][1].order ** len(p) for f, p in slots.items())
+    if order == 1:
+        return PermGroup.trivial(math.prod(dims))
     if order > GROUP_CAP:
-        raise GroupTooLargeError(f"product group has order {order} > cap {GROUP_CAP}")
-    # (g, h) sends the digit pair (i, j) to (g[i], h[j])
-    perms = {tuple(digit_permutation((d1, d2), (0, 1), (g, h)).tolist())
-             for g in g1.perms for h in g2.perms}
-    return PermGroup(d1 * d2, tuple(sorted(perms)))
+        raise GroupTooLargeError(f"group over dimensions {dims} has order {order} "
+                                 f"> cap {GROUP_CAP}")
+    perms = set()
+    for shuffles in itertools.product(*map(itertools.permutations, slots.values())):
+        # output digit at slot t is input digit src[t]; copies swap slots
+        src = list(range(len(sig)))
+        for p, q in zip(slots.values(), shuffles):
+            for t, u in zip(p, q):
+                src[t] = u
+        for acts in itertools.product(*(g.perms for _, g, _ in sig)):
+            perms.add(tuple(digit_permutation(dims, src, acts).tolist()))
+    return PermGroup(math.prod(dims), tuple(sorted(perms)))
 
 
 @lru_cache(maxsize=4096)
@@ -592,7 +624,7 @@ class _GatheredEntries(Mapping):
     def __getitem__(self, key):
         e = self._built.get(key)
         if e is None:
-            rows = self._gathers[key][0]
+            rows = self._gathers[key]
             e = group_channel(self._src.group(key[0]))
             if rows is not None:
                 e = _take_rows(e, rows)
@@ -618,9 +650,8 @@ class Morphism:
     dropped: float = field(default=0.0, init=False, compare=False)
     _: KW_ONLY
     # set for an index map (relabel, permute and the maps built from them
-    # alone): key -> (rows, exact), the entry being the source label's average
-    # channel with its rows gathered by ``rows`` (None: not moved), and
-    # ``exact`` telling that the source and target groups have equal orders
+    # alone): key -> rows, the entry being the source label's average channel
+    # with its rows gathered by ``rows`` (None: not moved)
     gathers: dict | None = field(default=None, compare=False)
     # keys whose entries compose passed through from checked ones, moved by a
     # bijection, so that their values, norms and shapes need no new check
@@ -649,7 +680,7 @@ class Morphism:
     @property
     def renames(self) -> bool:
         """True for an index map that moves no digit: a renaming of labels."""
-        return self.gathers is not None and all(r is None for r, _ in self.gathers.values())
+        return self.gathers is not None and all(r is None for r in self.gathers.values())
 
     def entry(self, la, lb) -> np.ndarray:
         e = self.entries.get((la, lb))
@@ -686,11 +717,11 @@ class Morphism:
                 key = (k1[0], k2[1])
                 moved = True
                 if g2 is not None:
-                    prod, rows = self.entries[k1], g2[k2][0]
+                    prod, rows = self.entries[k1], g2[k2]
                     if rows is not None:
                         prod = _take_rows(prod, rows)
-                elif g1 is not None and g1[k1][1]:
-                    prod, rows = other.entries[k2], g1[k1][0]
+                elif g1 is not None and self.src.group(k1[0]).order == self.dst.group(k1[1]).order:
+                    prod, rows = other.entries[k2], g1[k1]
                     if rows is not None:
                         prod = _move_columns(prod, rows)
                 else:
@@ -712,11 +743,11 @@ class Morphism:
         dst = tensor_obj(self.dst, other.dst)
         if self.gathers is not None and other.gathers is not None:
             gathers = {}
-            for (la, lb), (r1, e1) in self.gathers.items():
+            for (la, lb), r1 in self.gathers.items():
                 n1 = self.src.dim(la) ** 2
-                for (lc, ld), (r2, e2) in other.gathers.items():
-                    rows = _pair_rows(r1, n1, r2, other.src.dim(lc) ** 2)
-                    gathers[(("pair", la, lc), ("pair", lb, ld))] = (rows, e1 and e2)
+                for (lc, ld), r2 in other.gathers.items():
+                    gathers[(("pair", la, lc), ("pair", lb, ld))] = _pair_rows(
+                        r1, n1, r2, other.src.dim(lc) ** 2)
             return _index_map(src, dst, gathers)
         entries = {}
         for (la, lb), s1 in self.entries.items():
@@ -728,8 +759,7 @@ class Morphism:
         """B -> A with every key reversed and every entry transposed."""
         if self.renames:
             # a group channel is symmetric, so a relabel's transpose renames back
-            return _index_map(self.dst, self.src,
-                              {(lb, la): g for (la, lb), g in self.gathers.items()})
+            return _index_map(self.dst, self.src, {(lb, la): None for la, lb in self.gathers})
         entries = {(lb, la): s.T for (la, lb), s in self.entries.items()}
         return Morphism(self.dst, self.src, entries)
 
@@ -763,13 +793,13 @@ def _chained(g1: dict, g2: dict, by_mid: dict):
     their source labels in ``by_mid``; None where two paths meet at one key.
     The composite gathers the first's rows by the second's rows."""
     out = {}
-    for (la, lb), (r1, e1) in g1.items():
+    for (la, lb), r1 in g1.items():
         for k2 in by_mid.get(lb, ()):
             key = (la, k2[1])
             if key in out:
                 return None
-            r2, e2 = g2[k2]
-            out[key] = (r1 if r2 is None else r2 if r1 is None else r1[r2], e1 and e2)
+            r2 = g2[k2]
+            out[key] = r1 if r2 is None else r2 if r1 is None else r1[r2]
     return out
 
 
@@ -789,7 +819,7 @@ def relabel(src: CpmObject, dst: CpmObject, pairs) -> Morphism:
     for l, m in pairs:
         if src.group(l) != dst.group(m):
             raise CpmError(f"relabel pairs {l} and {m}, whose groups differ")
-        gathers[(l, m)] = (None, True)
+        gathers[(l, m)] = None
     return _index_map(src, dst, gathers)
 
 
@@ -862,10 +892,9 @@ def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
     average over ``l``'s group.  Entries follow the order of ``moves``, and
     no two moves share a key.
 
-    The map is an index map: each key keeps the vec gather of its
-    relabelling and whether ``l``'s and ``m``'s groups have equal orders,
-    and its entry, the average channel of ``l``'s group with its rows
-    gathered, is built only when read (see the module docstring).
+    The map is an index map: each key keeps only the vec gather of its
+    relabelling, and its entry, the average channel of ``l``'s group with
+    its rows gathered, is built only when read (see the module docstring).
 
     One average suffices.  Conjugating by the relabelling carries the source
     group onto a group that contains the target group of ``m``, and an
@@ -880,10 +909,8 @@ def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
     copies of their union; ``bierman_tensor``'s permutes equal label pairs
     together, a subset of permuting the copies of each side independently.
     """
-    return _index_map(src, dst, {
-        (l, m): (_vec_gather(digit_permutation(dims, order)),
-                 src.group(l).order == dst.group(m).order)
-        for l, m, dims, order in moves})
+    return _index_map(src, dst, {(l, m): _vec_gather(digit_permutation(dims, order))
+                                 for l, m, dims, order in moves})
 
 
 def structural(src: CpmObject, src_shape, dst_shape, leaf_objs: dict,
@@ -1069,46 +1096,8 @@ def sym_power(a: CpmObject, k: int) -> CpmObject:
     for combo in itertools.combinations_with_replacement(sorted(a.labels()), k):
         mu = _mset(combo)
         sig = tuple((a.dim(l), a.group(l), mu.index(l)) for l in mu)
-        elems.append((("mset", mu), math.prod(d for d, _, _ in sig), _wreath_group(sig)))
+        elems.append((("mset", mu), math.prod(d for d, _, _ in sig), _digit_group(sig)))
     return CpmObject(tuple(elems))
-
-
-@lru_cache(maxsize=512)
-def _wreath_group(sig: tuple) -> PermGroup:
-    """Permutations of the digit tuples of a multiset: the per-copy action
-    after a permutation of equal-label copies, ``b[s]`` for every ``b`` in
-    the product of the copies' groups and every copy permutation ``s``.
-
-    ``sig`` holds, per position of the multiset, its label's dimension and
-    group and the position of the label's first copy.  The group depends on
-    nothing else, so it is built once per signature, however many
-    multisets share it.  Labels of dimension 1 contribute nothing to the
-    action and are skipped, so only the effective part of the multiset
-    counts against ``GROUP_CAP``.
-    """
-    dims = [d for d, _, _ in sig]
-    total = math.prod(dims)
-    if total == 1:
-        return PermGroup.trivial(1)
-    slots = {}  # the positions of each effective label, by its first one
-    for pos, (d, _, first) in enumerate(sig):
-        if d > 1:
-            slots.setdefault(first, []).append(pos)
-    order = math.prod(math.factorial(len(p)) * sig[f][1].order ** len(p) for f, p in slots.items())
-    if order > GROUP_CAP:
-        raise GroupTooLargeError(f"wreath group over dimensions {dims} has order {order} "
-                                 f"> cap {GROUP_CAP}")
-
-    base = np.array(reduce(PermGroup.product, (g for _, g, _ in sig)).perms)
-    perms = set()
-    for shuffles in itertools.product(*map(itertools.permutations, slots.values())):
-        # output digit at slot t is input digit src[t]; copies swap slots
-        src = list(range(len(sig)))
-        for p, q in zip(slots.values(), shuffles):
-            for t, u in zip(p, q):
-                src[t] = u
-        perms.update(map(tuple, base[:, digit_permutation(dims, src)].tolist()))
-    return PermGroup(total, tuple(sorted(perms)))
 
 
 @lru_cache(maxsize=1024)

@@ -131,6 +131,17 @@ def test_adequacy_fuzz():
     assert "total 5 failures 0" in out
 
 
+@pytest.mark.parametrize("args", [(), (str(PROGRAMS / "omega.qlam"), "--fuzz", "1")])
+def test_adequacy_takes_a_file_or_fuzz_not_both(capsys, args):
+    # a file beside --fuzz would be ignored, and the fuzz verdict read as its
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["adequacy", *args])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "adequacy needs a file or --fuzz, not both" in err
+
+
 def test_main_entry_point_inprocess(capsys):
     rc = cli.main(["check", str(PROGRAMS / "tt.qlam")])
     assert rc == 0

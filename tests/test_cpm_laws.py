@@ -487,6 +487,12 @@ def test_group_cap(monkeypatch):
         for g1, g2 in ((g7, S2), (S2, g7), (g7, g7)):
             with pytest.raises(C.GroupTooLargeError):
                 g1.product(g2)
+        # so does a wreath signature: S8 on eight qubit copies, and S2 wr S6
+        # of order 6! * 2**6 = 46080
+        with pytest.raises(C.GroupTooLargeError):
+            C.sym_power(D2, 8)
+        with pytest.raises(C.GroupTooLargeError):
+            C._digit_group(((2, S2, 0),) * 6)
     with pytest.raises(C.GroupTooLargeError):
         C.tensor_obj(s7, D2S)
     assert g7.product(C.PermGroup.trivial(2)).order == C.GROUP_CAP
@@ -562,13 +568,13 @@ def test_wreath_groups_are_shared_per_signature():
     triv = C.PermGroup.trivial
     mixed = C.CpmObject(((("a",), 2, S2), (("b",), 2, S2), (("c",), 2, triv(2)),
                          (("d",), 1, triv(1)), (("e",), 2, triv(2)), (("f",), 3, triv(3))))
-    C._wreath_group.cache_clear()
+    C._digit_group.cache_clear()
     for web, k in ((mixed, 3), (C.bang_obj(mixed, 1), 2), (D2, 3), (TWO, 3)):
         want = [(("mset", mu), math.prod(web.dim(l) for l in mu), _wreath_group_reference(web, mu))
                 for j in range(k + 1)
                 for mu in itertools.combinations_with_replacement(sorted(web.labels()), j)]
         assert list(C.bang_obj.__wrapped__(web, k).elems) == want
-    info = C._wreath_group.cache_info()
+    info = C._digit_group.cache_info()
     assert info.hits > info.misses > 10
 
 
@@ -582,6 +588,22 @@ def test_product_group_matches_reference():
             assert got == _product_group_reference(g1, g2), (g1, g2)
             checked += not got.is_trivial
     assert checked > 100
+
+
+def test_a_product_and_a_distinct_label_wreath_are_one_group():
+    # a multiset of distinct labels carries the product of its copies'
+    # groups, and one signature makes one object: the product group of a
+    # tensor label is the wreath group of such a multiset (tensor_obj's own
+    # cache is skipped: it may hold groups built before a cache_clear)
+    web = C.CpmObject(((("a",), 2, S2), (("b",), 2, S2), (("c",), 3, S3)))
+    pairs = C.sym_power(web, 2)
+    for x, y, l1, l2 in ((D2S, D2S, ("a",), ("b",)), (D2S, D3S, ("a",), ("c",))):
+        g = C.tensor_obj.__wrapped__(x, y).group(("pair", C.STAR, C.STAR))
+        assert not g.is_trivial
+        assert g is pairs.group(("mset", (l1, l2)))
+    # three copies nest differently from a left-nested tensor, but act alike
+    triple = C.tensor_fold([D2S, D2S, D3S]).group(("pair", ("pair", C.STAR, C.STAR), C.STAR))
+    assert triple == C.sym_power(web, 3).group(("mset", (("a",), ("b",), ("c",))))
 
 
 def test_stacked_vec_gather():
@@ -888,7 +910,7 @@ def test_index_maps_compose_and_tensor_like_their_entries():
             assert list(got.entries) == list(want.entries)
             assert_close(got, want, 1e-12)
         moved += sum(rows is not None for m in (rotate, flip, contr)
-                     for rows, _ in m.gathers.values())
+                     for rows in m.gathers.values())
     assert moved > 100
 
 

@@ -564,7 +564,7 @@ def multiplied(m):
 def moved_groups(m) -> int:
     """The keys of an index map that move digits under a nontrivial group."""
     return sum(rows is not None and not m.src.group(la).is_trivial
-               for (la, _), (rows, _) in (m.gathers or {}).items())
+               for (la, _), rows in (m.gathers or {}).items())
 
 
 def test_gathered_compose_equals_product(monkeypatch):
@@ -608,8 +608,38 @@ def test_compose_after_unequal_group_orders_multiplies():
         want = multiplied(p).compose(x)
         assert got.entries.keys() == want.entries.keys()
         assert entry_distance(got, want) <= 1e-12
-        unequal += sum(not exact for _, exact in p.gathers.values())
+        unequal += sum(p.src.group(la).order != p.dst.group(lb).order for la, lb in p.gathers)
     assert unequal > 0
+
+
+def test_index_map_keys_never_grow_the_group(monkeypatch):
+    # compose reads a key as exact, its relabelling carrying the source
+    # group onto the target's, when the two orders are equal; that holds
+    # because the relabelled source group contains the target's, so no key
+    # of an index map has a smaller source group than target group
+    from test_cpm_laws import (test_bierman_maps, test_comonad_naturality,
+                               test_comonad_triangles, test_comonoid_laws,
+                               test_constructors_invariant, test_cp_preserved_by_constructors,
+                               test_curry_eval_adjunction, test_digging_coassociativity,
+                               test_maps_that_move_digits_absorb_the_target_average,
+                               test_structural_isos)
+
+    clear_caches()  # so the cached index maps are built here
+    built = record_calls(monkeypatch, C, "_index_map")
+    for law in (test_structural_isos, test_curry_eval_adjunction, test_comonoid_laws,
+                test_comonad_triangles, test_digging_coassociativity, test_comonad_naturality,
+                test_bierman_maps, test_maps_that_move_digits_absorb_the_target_average,
+                test_constructors_invariant, test_cp_preserved_by_constructors):
+        law()
+    large_denotations()
+    monkeypatch.undo()
+    keys = larger = 0
+    for src, dst, gathers in built:
+        for la, lb in gathers:
+            assert src.group(la).order >= dst.group(lb).order, (la, lb)
+            keys += 1
+            larger += src.group(la).order > dst.group(lb).order
+    assert keys > 10000 and larger > 100
 
 
 def test_curry_and_application_equal_the_composites_bit_for_bit(monkeypatch):

@@ -33,9 +33,8 @@ LIBRARIES = {"np", "numpy", "scipy", "sparse"}
 # (hits over misses in one process, on perfbench's seed 77, session 0; that
 # session of denote-large denotes teleport)
 CACHES = {
-    "cpm._product_group": "denote-large",      # 204 / 7 on one cold teleport
+    "cpm._digit_group": "denote-large",        # 353 / 12 on one cold teleport
     "cpm._vec_pair_parts": "denote-large",     # 27 / 2 on one cold teleport
-    "cpm._wreath_group": "denote-large",       # 150 / 6 on one cold teleport
     "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
     "cpm.group_channel": "denote-large",       # 19 / 3 on one cold teleport
     "cpm.identity": "adequacy-fuzz",           # 524 / 54
