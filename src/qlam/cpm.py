@@ -64,9 +64,9 @@ map multiplies nothing where the product is known to be a gather:
   equal orders.  The relabelling carries the source group onto a group that
   contains the target's, so with equal orders onto the target group itself:
   then ``G``, moved through the relabelling, is the target average, which X
-  absorbs, and only the relabelling is left.  With a larger source group, ``G`` also
-  averages over permutations that X is not invariant under, and the product
-  is taken.  Renamings, ``structural`` and ``swap`` always have equal
+  absorbs, and only the relabelling is left.  With a larger source group,
+  ``G`` also averages over permutations that X is not invariant under, and
+  the product is taken.  Renamings, ``structural`` and ``swap`` always have equal
   orders; contraction, digging and the Bierman tensor on trivial groups do
   too.  No key has a smaller source group than target group, so a
   composite or tensor of index maps has equal orders at a key exactly
