@@ -2,16 +2,18 @@
 """Alternated parent/change benchmark pairs, summarized into one JSON file.
 
     python scripts/bench_pairs.py --parent HEAD~1 --change HEAD --seed 2101 --out BENCH_1.json
+    python scripts/bench_pairs.py --target letrec-sandwich --seed 2101 --out BENCH_2.json
 
 Both commits are extracted with ``git archive`` into new temporary
 directories (so no worktree is left registered in the repository, and
 neither side reads uncommitted files or a stale bytecode cache), and the
 ``perfbench/run.py`` of each runs there, with the same seed, the
 ``run_seconds`` of ``BENCHMARK.json`` and ``--trace 0``.  Pairs alternate
-which side runs first.  ``denote-large`` gets 10 pairs, every other workload
-6; then each side makes one ``--trace 1`` run on ``denote-large`` for the
-per-layer metrics.  Pair ``i`` of the ``w``-th
-workload (in ``BENCHMARK.json`` order) uses seed ``--seed + 100 * w + i``.
+which side runs first.  The workload a change targets (``--target``,
+``denote-large`` by default) gets 10 pairs, every other workload 6; then
+each side makes one ``--trace 1`` run on the target for the per-layer
+metrics.  Pair ``i`` of the ``w``-th workload (in ``BENCHMARK.json`` order)
+uses seed ``--seed + 100 * w + i``.
 
 The output holds, per workload and metric, each side's runs, median and
 quartiles and the pairs the change won (ties count for neither side, the
@@ -43,8 +45,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LARGE = "denote-large"
-PAIRS = {LARGE: 10}  # pairs per workload; 6 for any other
+TARGET_PAIRS, PAIRS = 10, 6  # pairs on the target workload, and on any other
 WIN_SHARE = 0.9  # the share of pairs a verdict other than "unresolved" needs
 
 
@@ -119,14 +120,17 @@ def compare(parent: list, change: list, better: dict, end_to_end) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1", help="the commit to compare against")
     ap.add_argument("--change", default="HEAD", help="the commit to measure")
     ap.add_argument("--seed", type=int, required=True, help="the first seed")
+    ap.add_argument("--target", default="denote-large",
+                    choices=[wl["name"] for wl in bench["workloads"]],
+                    help="the workload the change targets: 10 pairs and the traced run")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     import numpy as np
@@ -151,7 +155,7 @@ def main(argv=None) -> int:
         for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
             runs = {"parent": [], "change": []}
             seeds = []
-            for i in range(PAIRS.get(workload, 6)):
+            for i in range(TARGET_PAIRS if workload == args.target else PAIRS):
                 seed = args.seed + 100 * w + i
                 seeds.append(seed)
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -167,8 +171,8 @@ def main(argv=None) -> int:
                                    {m["name"] for m in bench["end_to_end"]}),
             }
         seed = args.seed + 100 * len(bench["workloads"])
-        traced = {side: run(trees[side], LARGE, seed, seconds, 1) for side in trees}
-        report["trace"] = {"workload": LARGE, "seed": seed,
+        traced = {side: run(trees[side], args.target, seed, seconds, 1) for side in trees}
+        report["trace"] = {"workload": args.target, "seed": seed,
                            **{side: r["metrics"] for side, r in traced.items()}}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0

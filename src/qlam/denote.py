@@ -53,7 +53,6 @@ labels have up to 16,777,216 vec indices, the reached ones at most 16,384.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -128,6 +127,15 @@ def _nest(ids):
     return shape
 
 
+def _uses(dests: tuple, n: int) -> list:
+    """How often each of ``n`` context positions occurs in ``dests``."""
+    counts = [0] * n
+    for dest in dests:
+        for i in dest:
+            counts[i] += 1
+    return counts
+
+
 def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
     """``[[ctx]] -> [[dests[0]]] (x) ... (x) [[dests[-1]]]``.
 
@@ -141,7 +149,7 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
     if len(pos) != len(ctx):
         raise DenotationError(f"context names are not distinct: {[x for x, _ in ctx]}")
     key = tuple(tuple(pos[x] for x, _ in dest) for dest in dests)
-    counts = Counter(i for dest in key for i in dest)
+    counts = _uses(key, len(ctx))
     for i, (x, t) in enumerate(ctx):
         if counts[i] != 1 and not S.is_exponential(t):
             verb = "weaken" if counts[i] == 0 else "contract"
@@ -152,7 +160,7 @@ def route(ctx: T.Ctx, dests, cfg: TruncationConfig) -> Morphism:
 @lru_cache(maxsize=512)
 def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
     """``route`` on context positions: ``dests`` index into ``types``."""
-    counts = Counter(i for dest in dests for i in dest)
+    counts = _uses(dests, len(types))
 
     # per-variable block morphisms, tensored in context order.  A variable
     # used n times gets weakening (n = 0), the identity (n = 1) or n - 1

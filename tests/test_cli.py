@@ -167,6 +167,7 @@ def test_bad_truncation_bound_is_an_error_line(args):
 
 @pytest.mark.parametrize("extra", [(), ("--mode", "sample")])
 def test_qubit_cap_is_an_error_line(monkeypatch, capsys, extra):
+    cli.M._EVALUATIONS.cache_clear()  # a result kept under the default cap would not raise
     # teleport-roundtrip allocates three qubits
     monkeypatch.setattr(cli.M, "MAX_QUBITS", 2)
     rc = cli.main(["run", str(PROGRAMS / "teleport-roundtrip.qlam"), *extra])
@@ -200,6 +201,7 @@ def test_zero_step_budget_is_valid(capsys):
 
 
 def test_frontier_cap_is_an_error_line(monkeypatch, capsys):
+    cli.M._EVALUATIONS.cache_clear()  # a result kept under the default cap would not raise
     # cointoss's measurement leaves two branches
     monkeypatch.setattr(cli.M, "MAX_FRONTIER", 1)
     rc = cli.main(["run", str(PROGRAMS / "cointoss.qlam")])

@@ -286,10 +286,11 @@ def fuzz_terms():
 
 
 def clear_caches():
-    # the machine's plans, syntax's stripped terms and the checker's memo too
+    # the machine's plans and results, syntax's stripped terms and the
+    # checker's memo too (a class's cache_clear is no cache)
     for mod in (C, D, M, S, T):
         for fn in vars(mod).values():
-            if hasattr(fn, "cache_clear"):
+            if hasattr(fn, "cache_clear") and not isinstance(fn, type):
                 fn.cache_clear()
 
 

@@ -230,6 +230,7 @@ def test_four_masses_sum_to_one():
 
 
 def test_qubit_cap(monkeypatch):
+    M._EVALUATIONS.cache_clear()  # a result kept under the default cap would not raise
     term = P.parse_term("<new ff, <new tt, new ff>>")
     monkeypatch.setattr(M, "MAX_QUBITS", 2)
     for run in (M.evaluate, lambda c: M.sample(c, 0)):
@@ -321,7 +322,9 @@ def test_each_distinct_closure_is_stepped_once(monkeypatch):
     monkeypatch.setattr(M, "step", recording)
     for seed in range(10):
         stepped.clear()
+        M._EVALUATIONS.cache_clear()  # so the call steps, though its program recurs
         dist = M.evaluate(M.load(A.random_letrec_program(seed)), max_steps=300)
+        assert stepped, seed
         assert len(stepped) == len(set(stepped)), seed
         assert len(stepped) < dist.steps_used
 
@@ -329,6 +332,7 @@ def test_each_distinct_closure_is_stepped_once(monkeypatch):
 def test_table_amplitude_cap_keeps_the_distribution(monkeypatch):
     from test_golden import MACHINE_PROGRAMS, MACHINE_STEPS
 
+    M._EVALUATIONS.cache_clear()
     term = load("qlist-run")
     want = M.evaluate(M.load(term), max_steps=200)
     for cap in (64, 1024):
@@ -350,6 +354,7 @@ def test_table_amplitude_cap_keeps_the_distribution(monkeypatch):
     monkeypatch.setattr(M._ClosureTable, "clear", counting)
     monkeypatch.setattr(M, "MAX_TABLE_AMPS", 64)
     for (term, max_steps), w in zip(cases, want):
+        M._EVALUATIONS.cache_clear()  # the runs above are kept, and the letrecs recur
         _assert_same_distribution(M.evaluate(M.load(term), max_steps), w)
     # besides the clear that ends each call
     assert len(cut) > 2 * len(cases) and sum(c > 0 for c in cut) > len(cases)
@@ -370,19 +375,25 @@ def test_links_hold_no_memory(monkeypatch):
         finally:
             tracemalloc.stop()
 
+    M._EVALUATIONS.cache_clear()
     M.evaluate(M.load(term), 200)  # every measured run finds the plans made
     with_table = peak(M.evaluate)
     monkeypatch.setattr(M, "MAX_TABLE_AMPS", 0)
     without = peak(M.evaluate)
+    # its result is too large to keep, so each of the three calls stepped
+    assert (M._EVALUATIONS.hits, M._EVALUATIONS.misses) == (0, 3)
     assert with_table <= 1.1 * without
     assert without <= 1.1 * peak(_reference_evaluate)
 
 
 def test_frontier_cap(monkeypatch):
+    M._EVALUATIONS.cache_clear()  # a result kept under the default cap would not raise
     # cointoss's frontier holds two branches after its measurement
     monkeypatch.setattr(M, "MAX_FRONTIER", 1)
-    with pytest.raises(M.FrontierTooLarge, match="would keep 2 branches beyond the cap of 1"):
-        M.evaluate(M.load(load("cointoss")))
+    for _ in range(2):  # a call that raises keeps nothing, so the next raises too
+        with pytest.raises(M.FrontierTooLarge, match="would keep 2 branches beyond the cap of 1"):
+            M.evaluate(M.load(load("cointoss")))
+    assert not M._EVALUATIONS.entries
     monkeypatch.setattr(M, "MAX_FRONTIER", 2)
     assert M.evaluate(M.load(load("cointoss"))).halt_mass == pytest.approx(1.0)
     # sample follows one branch, so the cap does not apply to it
@@ -390,8 +401,73 @@ def test_frontier_cap(monkeypatch):
     assert not M.sample(M.load(load("cointoss")), 0).timed_out
 
 
+def _memo_key(c, max_steps):
+    return c.term, c.linking, c.state.amps.tobytes(), max_steps
+
+
+def test_memo_returns_what_a_cold_call_computes():
+    cases = [(M.load(A.random_finitary_program(seed, 10)), 2000) for seed in range(300)]
+    cases += [(M.load(A.random_letrec_program(seed)), 300) for seed in range(200)]
+    # one closure at three budgets, and one term and linking in three states
+    cases += [(M.load(load("qlist-run")), max_steps) for max_steps in (20, 40, 60)]
+    meas = S.App(S.Meas(), S.Var("x"))
+    cases += [(M.Closure(Q.QState(np.array(amps, dtype=complex)), (("x", 1),), meas), 10)
+              for amps in ([1, 0], [0, 1], [0.6, 0.8])]
+    cold = []
+    for c, max_steps in cases:
+        M._EVALUATIONS.cache_clear()
+        cold.append(M.evaluate(c, max_steps))
+    M._EVALUATIONS.cache_clear()
+    for (c, max_steps), want in zip(cases, cold):
+        for _ in range(2):  # the second call, at least, is served by the memo
+            _assert_same_distribution(M.evaluate(replace(c), max_steps), want)
+    assert M._EVALUATIONS.hits >= len(cases)
+    assert M._EVALUATIONS.hits + M._EVALUATIONS.misses == 2 * len(cases)
+
+
+def test_memo_hands_out_copies():
+    M._EVALUATIONS.cache_clear()
+    c = M.load(load("cointoss"))
+    want = _reference_evaluate(c, 10_000)
+    first = M.evaluate(c)
+    for o in first.outcomes.values():
+        o.prob = 0.0
+    second = M.evaluate(c)
+    _assert_same_distribution(second, want)
+    second.outcomes.clear()
+    second.blocked = 1.0
+    _assert_same_distribution(M.evaluate(c), want)
+    assert (M._EVALUATIONS.hits, M._EVALUATIONS.misses) == (2, 1)
+
+
+def test_memo_bounds(monkeypatch):
+    M._EVALUATIONS.cache_clear()
+    # qlist-run at 200 steps holds 524286 amplitudes in its outcome keys alone
+    M.evaluate(M.load(load("qlist-run")), 200)
+    assert not M._EVALUATIONS.entries and M._EVALUATIONS.amps == 0
+    closures = list({c.term: c for c in (M.load(A.random_finitary_program(seed, 10))
+                                          for seed in range(20))}.values())
+    monkeypatch.setattr(M, "MAX_EVALUATIONS", 4)
+    for c in closures:
+        M.evaluate(c, 2000)
+    M.evaluate(closures[-4], 2000)  # a hit makes its entry the most recent
+    M.evaluate(closures[0], 2000)
+    kept = [_memo_key(c, 2000) for c in closures[-3:] + [closures[-4], closures[0]]]
+    assert list(M._EVALUATIONS.entries) == kept[1:]
+    # by amplitudes: a result of one step holds its start state's one
+    # amplitude, and the memo keeps the newest entries that fit with it
+    amps = [a for _, a in M._EVALUATIONS.entries.values()]
+    assert M._EVALUATIONS.amps == sum(amps) and min(amps) > 1
+    monkeypatch.setattr(M, "MAX_EVALUATIONS", 256)
+    monkeypatch.setattr(M, "MAX_TABLE_AMPS", sum(amps[-2:]))
+    M.evaluate(closures[1], 1)
+    assert list(M._EVALUATIONS.entries) == [kept[-1], _memo_key(closures[1], 1)]
+    assert M._EVALUATIONS.amps == amps[-1] + 1
+
+
 
 def _clear_memos():
+    M._EVALUATIONS.cache_clear()
     M._plan.cache_clear()
     S.strip_ascriptions.cache_clear()
     T.check.cache_clear()
@@ -455,8 +531,10 @@ def test_plans_do_not_change_evaluations():
         cold[name] = M.evaluate(M.load(load(name)), MACHINE_STEPS)
     _clear_memos()
     _warm_memos()
+    hits = M._EVALUATIONS.hits
     for name in MACHINE_PROGRAMS:
         _assert_same_distribution(M.evaluate(M.load(load(name)), MACHINE_STEPS), cold[name])
+    assert M._EVALUATIONS.hits == hits  # each of them stepped, on the warm plans
 
 
 def test_new_names_avoid_the_whole_term():

@@ -8,12 +8,15 @@ of reference do not count: one inside a definition of that name (a recursive
 call is no caller), and an attribute of a numerical library (``np.linalg.norm``
 does not call ``QState.norm``).
 
-Every ``functools.lru_cache`` of ``src/qlam`` is listed, too, with a
-``perfbench`` workload on which it hits: a cache that no workload hits is
-dead weight, and a new one must name the workload it serves.
+Every memo of ``src/qlam`` is listed, too, with a ``perfbench`` workload on
+which it hits: a cache that no workload hits is dead weight, and a new one
+must name the workload it serves.  A memo is a function decorated with a
+``functools.lru_cache``, or a module-level object with a ``cache_clear``, as
+``machine._EVALUATIONS`` is.
 """
 
 import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -24,6 +27,7 @@ EXCEPTIONS = {
     "cpm.eval_mor": "the laws check application against it; perfbench/tracer.py patches it by name",
     "cpm.lunit_intro": "the laws build curry's composite from it; perfbench/tracer.py patches it by name",
     "denote.denote_closure": "the planned density-level adequacy check calls it",
+    "machine._Evaluations.cache_clear": "the tests empty the memo with it, as every lru_cache",
     "parser.parse_type": "perfbench/tracer.py patches it by name, from a string",
     "syntax.lower_approximant": "the golden corpus and the finitary-approximant tests call it",
 }
@@ -44,6 +48,7 @@ CACHES = {
     "denote._route": "adequacy-fuzz",          # 1205 / 193
     "denote.denote": "letrec-sandwich",        # 283 / 77 over 256 items
     "denote.denote_type": "adequacy-fuzz",     # 2616 / 67
+    "machine._EVALUATIONS": "letrec-sandwich",  # 249 / 7 over 256 items
     "machine._plan": "sample-teleport",        # 1868 / 52 over 64 samples
     "syntax.strip_ascriptions": "adequacy-fuzz",  # 1823 / 1486
     "typecheck.check": "letrec-sandwich",      # 290 / 77 over 256 items
@@ -109,10 +114,15 @@ def _names_lru_cache(node) -> bool:
 
 
 def cached_functions() -> set:
-    """Module-qualified names of the functions of ``src/qlam`` decorated with
-    an ``lru_cache``; any other use of ``lru_cache`` fails the check."""
+    """Module-qualified names of the memos of ``src/qlam``: the functions
+    decorated with an ``lru_cache`` and the other module-level objects with
+    a ``cache_clear``; any other use of ``lru_cache`` fails the check."""
     names = set()
     for path in sorted((ROOT / "src" / "qlam").glob("*.py")):
+        module = importlib.import_module(f"qlam.{path.stem}")
+        names.update(f"{path.stem}.{name}" for name, obj in vars(module).items()
+                     if hasattr(obj, "cache_clear") and not isinstance(obj, type)
+                     and getattr(obj, "__module__", None) == module.__name__)
         tree = ast.parse(path.read_text())
         uses = sum(map(_names_lru_cache, ast.walk(tree)))
         for node in ast.walk(tree):
