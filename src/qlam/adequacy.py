@@ -19,6 +19,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,12 +171,20 @@ def is_finitary(m: S.Term) -> bool:
 
 
 def scalar_denotation(m: S.Term, cfg: TruncationConfig = DEFAULT_CONFIG) -> float:
-    """The number ``[[M]](1)`` for a closed unit-type term."""
+    """The number ``[[M]](1)`` for a closed unit-type term.
+
+    When the check against unit fails, the program's own type tells why: a
+    program with no type raises its own ``TypingError``, and one of another
+    type raises ``NotUnitType`` naming that type.
+    """
     if S.free_vars(m):
         raise NotClosed(f"free variables {sorted(S.free_vars(m))}")
     try:
         deriv = T.typecheck(m, S.UNIT)
     except T.TypingError as e:
+        found = T.typecheck(m).type
+        if found != S.UNIT:
+            raise NotUnitType(f"the program has type {found}, expected unit") from None
         raise NotUnitType(str(e)) from None
     mor = denote(deriv, cfg)
     src = mor.src.labels()[0]
@@ -193,7 +202,25 @@ def check_adequacy(m: S.Term, cfg: TruncationConfig = DEFAULT_CONFIG,
 
     Finitary programs must match exactly (up to ``TOL``); general programs
     must satisfy ``halt_lower - TOL <= denot <= halt_lower + residual + TOL``.
+
+    Reports are memoized per process (``_check_adequacy``), keyed exactly by
+    ``(m, cfg, max_steps)``, over the 256 most recently used keys.  A hit is
+    the report the call would compute: every field is a function of the
+    key, and terms compare with ``==``, under which a gate written with
+    ``-0.0`` equals its ``+0.0`` twin, but gates hold ``+0j``, so equal terms
+    print alike and share one source hash.  A hit returns the same report,
+    which is frozen and holds no mutable field.  A call that raises keeps
+    nothing, so it raises again.  Module constants (``TOL``, the machine's
+    caps) are not in the key: a test that patches one must clear the memo
+    with ``_check_adequacy.cache_clear()`` first.
     """
+    if max_steps < 0:  # checked before the lookup, with the machine's message
+        raise M.MachineError(f"step budget must be nonnegative, got {max_steps}")
+    return _check_adequacy(m, cfg, max_steps)
+
+
+@lru_cache(maxsize=256)
+def _check_adequacy(m: S.Term, cfg: TruncationConfig, max_steps: int) -> AdequacyReport:
     denot = scalar_denotation(m, cfg)
     dist = M.evaluate(M.load(m), max_steps=max_steps)
     halt = dist.halt_mass

@@ -47,7 +47,8 @@ group, one ``digit_permutation`` each.  A product group is the signature
 whose digits are each their own first copy, so a tensor label and a
 multiset of distinct labels with the same groups share one group.
 :func:`_vec_gather` turns a permutation or a stacked group into the vec
-gathers behind every channel, ``eta``'s too.
+gathers behind every channel, ``eta``'s too; a digit move's gather is built
+once per ``(dims, order)`` (:func:`_digit_gather`).
 
 Both kinds are index maps (``Morphism.gathers``): each key keeps only the
 vec gather ``rows`` of its relabelling (none for a renaming), and stands for
@@ -265,6 +266,17 @@ def _vec_gather(perms) -> np.ndarray:
     inv = np.argsort(perms, axis=-1)
     n = inv.shape[-1]
     return (inv[..., :, None] * n + inv[..., None, :]).reshape(*inv.shape[:-1], n * n)
+
+
+@lru_cache(maxsize=256)
+def _digit_gather(dims: tuple, order: tuple) -> np.ndarray:
+    """The vec gather of the relabelling ``digit_permutation(dims, order)``,
+    built once per process: ``permute``'s maps and ``promotion``'s terms move
+    the same digits again and again.  It is read-only, as the cache shares
+    it."""
+    rows = _vec_gather(digit_permutation(dims, order))
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=256)
@@ -909,7 +921,7 @@ def permute(src: CpmObject, dst: CpmObject, moves) -> Morphism:
     copies of their union; ``bierman_tensor``'s permutes equal label pairs
     together, a subset of permuting the copies of each side independently.
     """
-    return _index_map(src, dst, {(l, m): _vec_gather(digit_permutation(dims, order))
+    return _index_map(src, dst, {(l, m): _digit_gather(tuple(dims), tuple(order))
                                  for l, m, dims, order in moves})
 
 
@@ -1202,8 +1214,8 @@ def promotion(f: Morphism, bang_max: int) -> Morphism:
             seq = [la for la, _ in keys]
             mu = _mset(seq)
             # reorder source digits from mu order into seq order, then tensor
-            tau = digit_permutation([a.dim(l) for l in mu], _copy_positions(seq))
-            s = _move_columns(reduce(so_tensor, (f.entries[k] for k in keys)), _vec_gather(tau))
+            rows = _digit_gather(tuple(a.dim(l) for l in mu), tuple(_copy_positions(seq)))
+            s = _move_columns(reduce(so_tensor, (f.entries[k] for k in keys)), rows)
             key = (("mset", mu), lnu)
             entries[key] = entries.get(key, 0) + s
     for key, s in entries.items():

@@ -31,32 +31,16 @@ Successors are resolved only when their branch is popped, so a pruned or
 residual closure is never stepped.  The table holds at most
 ``MAX_TABLE_AMPS`` amplitudes and is emptied when the next node would pass
 that; slots link only nodes the table holds and are cut when it empties, so
-they keep no memory alive that the table does not.
-
-``evaluate``'s results are memoized per process (``_Evaluations``), keyed by
-``(term, linking, amplitude bytes, max_steps)``: the table's exact key plus
-the step budget.  Terms compare with ``==``, under which a gate written with
-``-0.0`` equals its ``+0.0`` twin, and gates hold ``+0j``, so equal keys
-print alike, and a hit is bit for bit the result the call would compute: no
-output depends on which calls came before.  The memo keeps the
-``MAX_EVALUATIONS`` most recently used results, holding at most
-``MAX_TABLE_AMPS`` amplitudes in all, counted over the start closures'
-states, the outcome closures' states and the outcome keys; a result that
-holds more on its own is returned and not kept.  Each result is kept frozen,
-and every hit builds a new ``Distribution`` of new ``Outcome``s, since
-``Outcome.prob`` is mutable; closures and keys are immutable and shared.  A
-call that raises keeps nothing, so it raises again.  ``sample`` follows one
-path, drawn by its seed, where a per-call closure table would not hit, so
-across calls it shares only the plans.  Runaway growth raises a typed error:
-``new`` past ``MAX_QUBITS`` qubits, or a frontier past ``MAX_FRONTIER``
-branches.
+they keep no memory alive that the table does not.  ``sample`` follows one
+path, where a per-call closure table would not hit, so it shares only the
+plans.  Runaway growth raises a typed error: ``new`` past ``MAX_QUBITS``
+qubits, or a frontier past ``MAX_FRONTIER`` branches.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,13 +59,9 @@ from .syntax import (
 # ``new`` rule refuses to go past this instead of exhausting memory.
 MAX_QUBITS = 20
 # The most amplitudes one ``evaluate`` call's closure table holds (see
-# ``_ClosureTable``), and the most that the memo of its results holds (see
-# ``_Evaluations``); unbounded, the table more than tripled the peak memory
-# of ``qlist-run`` at 200 steps.
+# ``_ClosureTable``); unbounded, it more than tripled the peak memory of
+# ``qlist-run`` at 200 steps.
 MAX_TABLE_AMPS = 1 << 16
-# The most results ``evaluate`` keeps across calls (see ``_Evaluations``); a
-# stream of distinct programs, as on the fuzz corpus, reuses few of them.
-MAX_EVALUATIONS = 256
 # The most branches ``evaluate`` keeps in one frontier.
 MAX_FRONTIER = 1 << 14
 PRUNE_EPS = 1e-12  # ``evaluate`` drops branches this unlikely as pruned mass
@@ -462,71 +442,16 @@ class _ClosureTable:
         self.amps = 0
 
 
-class _Evaluations:
-    """The process's memo of ``evaluate``: frozen results keyed by exact
-    closure and step budget, least recently used out first.
-
-    A result is kept as its outcomes' ``(key, prob, closure)`` triples and its
-    four other fields, with the amplitudes it holds; ``get`` builds a new
-    ``Distribution`` from them on every hit.
-    """
-
-    def __init__(self):
-        self.entries = OrderedDict()  # key -> (frozen result, amplitudes)
-        self.amps = 0
-        self.hits = self.misses = 0
-
-    def get(self, key) -> Optional[Distribution]:
-        entry = self.entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.entries.move_to_end(key)
-        (outcomes, *rest), _ = entry
-        return Distribution({k: Outcome(p, cl) for k, p, cl in outcomes}, *rest)
-
-    def put(self, key, c: Closure, dist: Distribution):
-        outcomes = tuple((k, o.prob, o.closure) for k, o in dist.outcomes.items())
-        amps = c.state.amps.size + sum(len(k[3]) + cl.state.amps.size for k, _, cl in outcomes)
-        if amps > MAX_TABLE_AMPS:
-            return
-        while self.entries and (len(self.entries) >= MAX_EVALUATIONS
-                                or self.amps + amps > MAX_TABLE_AMPS):
-            self.amps -= self.entries.popitem(last=False)[1][1]
-        frozen = (outcomes, dist.blocked, dist.residual, dist.pruned, dist.steps_used)
-        self.entries[key] = (frozen, amps)
-        self.amps += amps
-
-    def cache_clear(self):
-        self.entries.clear()
-        self.amps = self.hits = self.misses = 0
-
-
-_EVALUATIONS = _Evaluations()
-
-
 def evaluate(c: Closure, max_steps: int = 10_000) -> Distribution:
-    """Exhaustive breadth-first evaluation of the branching reduction tree:
-    a result kept by ``_EVALUATIONS``, or else ``_evaluate``'s."""
-    if max_steps < 0:
-        raise MachineError(f"step budget must be nonnegative, got {max_steps}")
-    key = (c.term, c.linking, c.state.amps.tobytes(), max_steps)
-    dist = _EVALUATIONS.get(key)
-    if dist is None:
-        dist = _evaluate(c, max_steps)
-        _EVALUATIONS.put(key, c, dist)
-    return dist
-
-
-def _evaluate(c: Closure, max_steps: int) -> Distribution:
-    """``evaluate``, resolving each distinct closure once through a
-    ``_ClosureTable``.
+    """Exhaustive breadth-first evaluation of the branching reduction tree,
+    resolving each distinct closure once through a ``_ClosureTable``.
 
     A frontier entry is ``(prob, parent node, successor index)``: a branch
     whose parent has linked that successor's node follows the link, and any
     other branch looks its closure up in the table when it is popped.
     """
+    if max_steps < 0:
+        raise MachineError(f"step budget must be nonnegative, got {max_steps}")
     dist = Distribution()
     # the start closure is the one successor of a node that no table holds
     frontier = [(1.0, _Node((Step(1.0, c, "load"),), None, False), 0)]

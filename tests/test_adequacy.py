@@ -1,6 +1,8 @@
 """Adequacy harness: generators, consumers, biased coins, fuzz plumbing, and
 adequacy at the density level for gates that are neither real nor symmetric."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,133 @@ def test_not_unit_type():
 def test_not_closed():
     with pytest.raises(A.NotClosed):
         A.check_adequacy(S.Var("x"))
+
+
+def test_not_unit_type_names_the_program_type(monkeypatch):
+    # a program with no type raises its own error, not a mismatch with unit
+    dup = S.Abs("x", S.QUBIT, S.Pair(S.Var("x"), S.Var("x")))
+    with pytest.raises(T.TypingError, match="^LinearVarDuplicated: "):
+        A.check_adequacy(dup)
+    # one of another type names that type, not the term
+    with pytest.raises(A.NotUnitType, match=r"^the program has type unit \+ unit, expected unit$"):
+        A.check_adequacy(S.tt())
+    # a check against unit that fails where synthesis gives unit keeps its error
+    typecheck = T.typecheck
+
+    def failing(m, expected=None, ctx=()):
+        if expected == S.UNIT:
+            raise T.TypingError("Probe", "the check against unit")
+        return typecheck(m, expected, ctx)
+
+    monkeypatch.setattr(T, "typecheck", failing)
+    with pytest.raises(A.NotUnitType, match="^Probe: the check against unit$"):
+        A.scalar_denotation(S.UnitVal())
+
+
+# -- the memo of check_adequacy
+
+LETREC_CFG = D.TruncationConfig(list_max=2, bang_max=2, fix_iters=2000, fix_tol=1e-12)
+
+
+def _fields(rep):
+    return dataclasses.astuple(rep) + (rep.line(),)
+
+
+def _memo_cases():
+    """``(build, cfg, max_steps)``, with ``build`` making the program anew."""
+    cases = [(lambda s=seed: A.random_finitary_program(s, 10), D.DEFAULT_CONFIG, 2000)
+             for seed in range(300)]
+    cases += [(lambda s=seed: A.random_letrec_program(s), LETREC_CFG, 300) for seed in range(200)]
+    # one program at three budgets, and at three fixpoint bounds
+    letrec = lambda: A.random_letrec_program(0)  # noqa: E731
+    cases += [(letrec, LETREC_CFG, max_steps) for max_steps in (20, 40, 60)]
+    cases += [(letrec, D.TruncationConfig(fix_iters=n), 300) for n in (1, 2, 2000)]
+    return cases
+
+
+def test_memo_returns_what_a_cold_call_computes():
+    cases = _memo_cases()
+    cold = []
+    for build, cfg, max_steps in cases:
+        A._check_adequacy.cache_clear()
+        cold.append(_fields(A.check_adequacy(build(), cfg, max_steps)))
+    # the cases differ where their keys do
+    assert len(set(cold[-6:])) == 6
+    A._check_adequacy.cache_clear()
+    for (build, cfg, max_steps), want in zip(cases, cold):
+        hits = A._check_adequacy.cache_info().hits
+        term = build()
+        assert _fields(A.check_adequacy(term, cfg, max_steps)) == want
+        # rebuilt from its seed, the program is equal but another object, and
+        # the second call, at least, is served by the memo
+        again = build()
+        assert again == term and again is not term
+        assert _fields(A.check_adequacy(again, cfg, max_steps)) == want
+        assert A._check_adequacy.cache_info().hits > hits
+
+
+def test_call_forms_share_one_entry():
+    A._check_adequacy.cache_clear()
+    term = A.random_finitary_program(3, 10)
+    reps = [A.check_adequacy(term),
+            A.check_adequacy(term, D.DEFAULT_CONFIG, 2000),
+            A.check_adequacy(term, cfg=D.DEFAULT_CONFIG, max_steps=2000)]
+    assert reps[1] is reps[0] and reps[2] is reps[0]
+    info = A._check_adequacy.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+
+
+def test_memo_hands_out_one_frozen_report():
+    A._check_adequacy.cache_clear()
+    term = S.App(A.consume_term(S.BIT), A.COIN)
+    rep = A.check_adequacy(term)
+    assert A.check_adequacy(term) is rep
+    # its fields are immutable scalars, so no caller can change what the next
+    # one is handed
+    for f in dataclasses.fields(rep):
+        assert type(getattr(rep, f.name)) in (str, int, float, bool), f.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, f.name, getattr(rep, f.name))
+    assert rep.line() == A.check_adequacy(S.App(A.consume_term(S.BIT), A.COIN)).line()
+
+
+def test_memo_keeps_no_error(monkeypatch):
+    A._check_adequacy.cache_clear()  # a report kept under the default cap would not raise
+    coin = S.App(A.consume_term(S.BIT), A.COIN)
+    monkeypatch.setattr(M, "MAX_FRONTIER", 1)
+    for term, error in ((S.Var("x"), A.NotClosed), (S.tt(), A.NotUnitType),
+                        (coin, M.FrontierTooLarge)):
+        for _ in range(2):  # a call that raises keeps nothing, so the next raises too
+            with pytest.raises(error):
+                A.check_adequacy(term)
+    assert A._check_adequacy.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert A.check_adequacy(coin).verdict == "PASS"
+
+
+def test_negative_budget_raises_before_the_lookup():
+    A._check_adequacy.cache_clear()
+    info = A._check_adequacy.cache_info()
+    with pytest.raises(M.MachineError, match="^step budget must be nonnegative, got -1$"):
+        A.check_adequacy(S.UnitVal(), max_steps=-1)
+    assert A._check_adequacy.cache_info() == info
+
+
+def test_memo_drops_the_least_recently_used_first():
+    A._check_adequacy.cache_clear()
+    size = A._check_adequacy.cache_info().maxsize
+    term = S.UnitVal()
+    for n in range(size):  # one entry per budget
+        A.check_adequacy(term, max_steps=n)
+    A.check_adequacy(term, max_steps=0)  # a hit makes its entry the most recent
+    A.check_adequacy(term, max_steps=size)  # so this one drops budget 1's
+    info = A._check_adequacy.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, size + 1, size)
+    for n in [0, *range(2, size + 1)]:
+        A.check_adequacy(term, max_steps=n)
+    assert A._check_adequacy.cache_info().hits == info.hits + size
+    A.check_adequacy(term, max_steps=1)
+    assert A._check_adequacy.cache_info().misses == info.misses + 1
 
 
 def test_generator_shapes():

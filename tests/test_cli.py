@@ -131,6 +131,21 @@ def test_adequacy_fuzz():
     assert "total 5 failures 0" in out
 
 
+@pytest.mark.parametrize("name, message", [
+    # the program's own type error, as `qlam check` prints it
+    ("ill-linear", "LinearVarDuplicated: linear variable x used on both sides of a split"),
+    # its type, not the program, which would fill one line of 950 characters
+    ("teleport", "the program has type !(unit -o (qubit -o (unit + unit) * (unit + unit)) "
+                 "* ((unit + unit) * (unit + unit) -o qubit)), expected unit"),
+])
+def test_adequacy_of_a_program_not_of_unit_type(capsys, name, message):
+    rc = cli.main(["adequacy", str(PROGRAMS / f"{name}.qlam")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [(), (str(PROGRAMS / "omega.qlam"), "--fuzz", "1")])
 def test_adequacy_takes_a_file_or_fuzz_not_both(capsys, args):
     # a file beside --fuzz would be ignored, and the fuzz verdict read as its
@@ -167,7 +182,6 @@ def test_bad_truncation_bound_is_an_error_line(args):
 
 @pytest.mark.parametrize("extra", [(), ("--mode", "sample")])
 def test_qubit_cap_is_an_error_line(monkeypatch, capsys, extra):
-    cli.M._EVALUATIONS.cache_clear()  # a result kept under the default cap would not raise
     # teleport-roundtrip allocates three qubits
     monkeypatch.setattr(cli.M, "MAX_QUBITS", 2)
     rc = cli.main(["run", str(PROGRAMS / "teleport-roundtrip.qlam"), *extra])
@@ -201,7 +215,6 @@ def test_zero_step_budget_is_valid(capsys):
 
 
 def test_frontier_cap_is_an_error_line(monkeypatch, capsys):
-    cli.M._EVALUATIONS.cache_clear()  # a result kept under the default cap would not raise
     # cointoss's measurement leaves two branches
     monkeypatch.setattr(cli.M, "MAX_FRONTIER", 1)
     rc = cli.main(["run", str(PROGRAMS / "cointoss.qlam")])

@@ -286,11 +286,10 @@ def fuzz_terms():
 
 
 def clear_caches():
-    # the machine's plans and results, syntax's stripped terms and the
-    # checker's memo too (a class's cache_clear is no cache)
+    # the machine's plans, syntax's stripped terms and the checker's memo too
     for mod in (C, D, M, S, T):
         for fn in vars(mod).values():
-            if hasattr(fn, "cache_clear") and not isinstance(fn, type):
+            if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
 
 

@@ -11,8 +11,8 @@ does not call ``QState.norm``).
 Every memo of ``src/qlam`` is listed, too, with a ``perfbench`` workload on
 which it hits: a cache that no workload hits is dead weight, and a new one
 must name the workload it serves.  A memo is a function decorated with a
-``functools.lru_cache``, or a module-level object with a ``cache_clear``, as
-``machine._EVALUATIONS`` is.
+``functools.lru_cache``, or any other module-level object with a
+``cache_clear``.
 """
 
 import ast
@@ -27,31 +27,31 @@ EXCEPTIONS = {
     "cpm.eval_mor": "the laws check application against it; perfbench/tracer.py patches it by name",
     "cpm.lunit_intro": "the laws build curry's composite from it; perfbench/tracer.py patches it by name",
     "denote.denote_closure": "the planned density-level adequacy check calls it",
-    "machine._Evaluations.cache_clear": "the tests empty the memo with it, as every lru_cache",
     "parser.parse_type": "perfbench/tracer.py patches it by name, from a string",
     "syntax.lower_approximant": "the golden corpus and the finitary-approximant tests call it",
 }
 # attributes reached from these names belong to the libraries, not to qlam
 LIBRARIES = {"np", "numpy", "scipy", "sparse"}
-# every lru_cache of src/qlam, with a workload of BENCHMARK.json that hits it
+# every memo of src/qlam, with a workload of BENCHMARK.json that hits it
 # (hits over misses in one process, on perfbench's seed 77, session 0; that
 # session of denote-large denotes teleport)
 CACHES = {
+    "adequacy._check_adequacy": "letrec-sandwich",  # 249 / 7 over 256 items
+    "cpm._digit_gather": "denote-large",       # 206 / 11 on one cold teleport
     "cpm._digit_group": "denote-large",        # 353 / 12 on one cold teleport
     "cpm._vec_pair_parts": "denote-large",     # 27 / 2 on one cold teleport
     "cpm.bang_obj": "letrec-sandwich",         # 30 / 4 over 256 items
     "cpm.group_channel": "denote-large",       # 19 / 3 on one cold teleport
-    "cpm.identity": "adequacy-fuzz",           # 524 / 54
+    "cpm.identity": "adequacy-fuzz",           # 526 / 54
     "cpm.lunit_elim": "adequacy-fuzz",         # 1403 / 54
     "cpm.swap": "adequacy-fuzz",               # 910 / 35
     "cpm.tensor_obj": "adequacy-fuzz",         # 4320 / 153
     "denote._route": "adequacy-fuzz",          # 1205 / 193
-    "denote.denote": "letrec-sandwich",        # 283 / 77 over 256 items
+    "denote.denote": "letrec-sandwich",        # 34 / 77 over 256 items
     "denote.denote_type": "adequacy-fuzz",     # 2616 / 67
-    "machine._EVALUATIONS": "letrec-sandwich",  # 249 / 7 over 256 items
     "machine._plan": "sample-teleport",        # 1868 / 52 over 64 samples
-    "syntax.strip_ascriptions": "adequacy-fuzz",  # 1823 / 1486
-    "typecheck.check": "letrec-sandwich",      # 290 / 77 over 256 items
+    "syntax.strip_ascriptions": "adequacy-fuzz",  # 1775 / 1486
+    "typecheck.check": "letrec-sandwich",      # 34 / 77 over 256 items
 }
 
 
