@@ -18,7 +18,8 @@ uses seed ``--seed + 100 * w + i``.
 The output holds, per workload and metric, each side's runs, median and
 quartiles and the pairs the change won (ties count for neither side, the
 direction read from ``BENCHMARK.json``), the failed items, both commits, the
-``src/`` line counts and the interpreter and library versions.
+``src/`` line counts (all lines, and code lines: not blank, a comment or a
+docstring) and the interpreter and library versions.
 
 Each end-to-end metric of each workload also gets a ``verdict``, by a rule
 fixed before any run.  It is "better" when the change wins at least 90% of
@@ -34,6 +35,7 @@ run takes about 40 minutes.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import platform
 import signal
@@ -66,6 +68,23 @@ def extract(rev: str, dest: Path) -> None:
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines())
                for p in sorted((tree / "src").rglob("*.py")))
+
+
+def src_code_lines(tree: Path) -> int:
+    """The lines of ``src/`` that are not blank, a comment or a docstring."""
+    count = 0
+    for p in sorted((tree / "src").rglob("*.py")):
+        text = p.read_text(encoding="utf-8")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = node.body[0] if node.body else None
+                if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                        and isinstance(first.value.value, str)):
+                    docs.update(range(first.lineno, first.end_lineno + 1))
+        count += sum(1 for i, line in enumerate(text.splitlines(), 1)
+                     if line.strip() and not line.lstrip().startswith("#") and i not in docs)
+    return count
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -152,6 +171,7 @@ def main(argv=None) -> int:
             trees[side] = Path(tmp, side)
             extract(report[side]["commit"], trees[side])
             report[side]["src_lines"] = src_lines(trees[side])
+            report[side]["src_code_lines"] = src_code_lines(trees[side])
         for w, workload in enumerate(wl["name"] for wl in bench["workloads"]):
             runs = {"parent": [], "change": []}
             seeds = []

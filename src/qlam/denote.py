@@ -34,9 +34,10 @@ term, type and children, which is everything the interpretation reads (a
 context split is read off the premises' contexts, a letrec's bound off its
 term).  So equal keys are equal derivations, which the interpretation,
 defined by induction on derivations, sends to equal morphisms.  A hit
-returns the morphism the first build returned.  The checker hash-conses
-derivations, so the memo holds one copy of each sub-derivation, not every
-program's tree.
+returns the morphism the first build returned.  The checker's memo returns
+one object for a recurring ``check`` call, so most of this memo's keys are
+the derivations that the checker's memo holds, not a copy of every program's
+tree.
 
 Cached morphisms, the memo's included, are shared and must not be mutated.
 
@@ -208,30 +209,12 @@ def _route(types: tuple, dests: tuple, cfg: TruncationConfig) -> Morphism:
 
 def _meas_mor() -> Morphism:
     bit = C.biproduct([C.UNIT_OBJ, C.UNIT_OBJ])
-    # column-major vec of a 2x2 density: (r00, r10, r01, r11)
+    # column-major vec of a 2x2 density: (r00, r10, r01, r11), so outcome b
+    # reads r_bb at 3 * b
     return Morphism(
         C.QUBIT_OBJ,
         bit,
-        {
-            (C.STAR, ("inj", 0, C.STAR)): np.array([[1, 0, 0, 0]], dtype=complex),
-            (C.STAR, ("inj", 1, C.STAR)): np.array([[0, 0, 0, 1]], dtype=complex),
-        },
-    )
-
-
-def _new_mor() -> Morphism:
-    bit = C.biproduct([C.UNIT_OBJ, C.UNIT_OBJ])
-    e00 = np.zeros((2, 2), dtype=complex)
-    e00[0, 0] = 1
-    e11 = np.zeros((2, 2), dtype=complex)
-    e11[1, 1] = 1
-    return Morphism(
-        bit,
-        C.QUBIT_OBJ,
-        {
-            (("inj", 0, C.STAR), C.STAR): C.vec(e00).reshape(-1, 1),
-            (("inj", 1, C.STAR), C.STAR): C.vec(e11).reshape(-1, 1),
-        },
+        {(C.STAR, ("inj", b, C.STAR)): np.eye(1, 4, 3 * b, dtype=complex) for b in (0, 1)},
     )
 
 
@@ -249,7 +232,8 @@ def _const_mor(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphi
         case S.Meas():
             f = _meas_mor()
         case S.New():
-            f = _new_mor()
+            # preparation is the transpose of measurement
+            f = _meas_mor().transpose()
         case S.Gate():
             f = _gate_mor(term, cfg)
         case S.Split(elem):

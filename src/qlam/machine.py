@@ -410,7 +410,7 @@ class _ClosureTable:
     """One ``evaluate`` call's nodes, keyed by exact closure.
 
     The amplitudes held are counted over the keys' states, their successors'
-    states and their outcome keys.
+    states and their outcome keys, each of which rounds its key's state.
     """
 
     def __init__(self):
@@ -425,7 +425,7 @@ class _ClosureTable:
         if node is None:
             succs, out_key = _resolve(c)
             amps = (c.state.amps.size + sum(s.closure.state.amps.size for s in succs)
-                    + (len(out_key[3]) if out_key is not None else 0))
+                    + (c.state.amps.size if out_key is not None else 0))
             if self.amps + amps > MAX_TABLE_AMPS:
                 self.clear()
             node = _Node(succs, out_key, amps <= MAX_TABLE_AMPS)

@@ -426,35 +426,33 @@ def let_term(x: str, tx: Type, subject: Term, body: Term) -> Term:
 
 
 def free_vars(m: Term) -> frozenset:
-    """The free variables of ``m``, computed once per node and cached on it."""
+    """The free variables of ``m``, computed once per node, from its
+    subterms' cached sets, and cached on it."""
     fv = m._fv
-    if fv is None:
-        fv = _node_free_vars(m)
-        object.__setattr__(m, "_fv", fv)
-    return fv
-
-
-def _node_free_vars(m: Term) -> frozenset:
-    # one level: the subterms' sets are cached, so this costs one node
+    if fv is not None:
+        return fv
     match m:
         case Var(x):
-            return frozenset((x,))
+            fv = frozenset((x,))
         case App(a, b) | Pair(a, b) | LetUnit(a, b):
-            return _union(free_vars(a), free_vars(b))
+            fv = _union(free_vars(a), free_vars(b))
         case Abs(x, _, body):
-            return _minus(free_vars(body), x)
+            fv = _minus(free_vars(body), x)
         case InL(b, _) | InR(b, _) | Ascribe(b, _):
-            return free_vars(b)
+            fv = free_vars(b)
         case UnitVal() | Meas() | New() | Split() | Gate() | Omega():
-            return _NO_VARS
+            fv = _NO_VARS
         case LetPair(x, _, y, _, s, b):
-            return _union(free_vars(s), _minus(free_vars(b), x, y))
+            fv = _union(free_vars(s), _minus(free_vars(b), x, y))
         case Match(s, x, _, lb, y, _, rb):
-            return _union(_union(free_vars(s), _minus(free_vars(lb), x)),
-                          _minus(free_vars(rb), y))
+            fv = _union(_union(free_vars(s), _minus(free_vars(lb), x)),
+                        _minus(free_vars(rb), y))
         case LetRec(f, _, _, x, body, cont, _):
-            return _union(_minus(free_vars(body), f, x), _minus(free_vars(cont), f))
-    raise TypeError(f"not a term: {m!r}")
+            fv = _union(_minus(free_vars(body), f, x), _minus(free_vars(cont), f))
+        case _:
+            raise TypeError(f"not a term: {m!r}")
+    object.__setattr__(m, "_fv", fv)
+    return fv
 
 
 # ``_minus`` and ``_union`` return an operand itself when it already is the

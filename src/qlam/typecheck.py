@@ -16,16 +16,14 @@ variables that a premise binds.
 ``check`` is memoized per process over its 4096 most recent
 ``(context, term, expected type)`` calls, the recursive calls included, so a
 program that recurs, or shares subterms with one checked before, is checked
-once.  A ``TypingError`` is not memoized, so a list type's fallback to the
-coercion rule runs as before.  On a miss, the new node is hash-consed: equal
-nodes are one object while any of them is alive, the memo's included, which
-is what lets ``qlam.denote`` memoize by derivation.
+once.  A hit returns the derivation the first call built, so a recurring
+sub-derivation is one object while the memo holds it.  A ``TypingError`` is
+not memoized, so a list type's fallback to the coercion rule runs as before.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -138,23 +136,12 @@ def _qubits_tensor(k: int) -> Type:
     return t
 
 
-# every live derivation node, for hash-consing after Filliâtre–Conchon
-# ("Type-safe modular hash-consing", 2006); held weakly, so it keeps no
-# derivation alive
-_NODES = weakref.WeakValueDictionary()
-
-
 @functools.lru_cache(maxsize=4096)
 def check(ctx: Ctx, m: Term, expected: Optional[Type] = None) -> Derivation:
     """Check ``m`` against ``expected`` (or synthesise when ``None``).
 
     Memoized per process; a ``TypingError`` is raised afresh each time.
     """
-    d = _check(ctx, m, expected)
-    return _NODES.setdefault((d.rule, d.ctx, d.term, d.type, d.children), d)
-
-
-def _check(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
     if isinstance(m, Ascribe):
         d = check(ctx, m.body, m.ann)
         return _finish(Derivation("ascribe", ctx, m, m.ann, (d,)), expected)

@@ -7,8 +7,11 @@ denotation at small bounds, the exponential's structural maps on webs with a
 nontrivial group and with mixed dimensions, the compact-closure, list,
 biproduct and distributor maps and their inverses on the same two webs, a
 tensor of two Haar-random gates large enough for ``so_tensor``'s sparse
-path, two unbounded letrecs under a nonempty exponential context (frozen from
-the step-by-step Kleene iteration at ``fix_tol=1e-15``, where it reaches float
+path, the promotion of a map with a distinct Haar channel at every key of a
+web of two 2-dim labels (the only case in which ``promotion``'s move of a
+source sequence's columns into sorted order changes an entry), two
+unbounded letrecs under a nonempty exponential context (frozen from the
+step-by-step Kleene iteration at ``fix_tol=1e-15``, where it reaches float
 precision), and the scalar denotations of the first fifty finitary fuzz
 programs.
 
@@ -95,6 +98,17 @@ def _gate(u) -> C.Morphism:
     return C.Morphism(obj, obj, {(C.STAR, C.STAR): C.so_conjugation(u)})
 
 
+def _haar_promotion(bang_max: int) -> C.Morphism:
+    """``promotion`` of a map on two 2-dim labels with a different Haar gate's
+    channel at each key, so a source sequence out of sorted order moves its
+    columns."""
+    trivial = C.PermGroup.trivial(2)
+    web = C.CpmObject(((("a",), 2, trivial), (("b",), 2, trivial)))
+    keys = [(la, lb) for la in web.labels() for lb in web.labels()]
+    f = C.Morphism(web, web, {k: C.so_conjugation(_haar(2, 31 + i)) for i, k in enumerate(keys)})
+    return C.promotion(f, bang_max)
+
+
 def _program(name: str) -> C.Morphism:
     term = P.parse_term((PROGRAMS / f"{name}.qlam").read_text())
     return D.denote(T.typecheck(term), D.DEFAULT_CONFIG)
@@ -158,6 +172,8 @@ def _cases() -> dict:
     # a 4 x 4 by 64 x 64 tensor of gates that are not symmetric under any
     # swap of digits: the 256 x 256 result takes so_tensor's sparse path
     cases["so_tensor-haar2-haar8"] = lambda: _gate(_haar(2, 21)).tensor(_gate(_haar(8, 23)))
+    # source sequences out of sorted order, with unequal blocks
+    cases["promotion-haar-ab-K2"] = lambda: _haar_promotion(2)
     for name in LETREC_UNDER_BANG:
         cases[name] = lambda name=name: _letrec_under_bang(name)
     return cases

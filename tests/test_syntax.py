@@ -115,6 +115,14 @@ def test_cached_free_vars_match_reference():
                 assert S.free_vars(u) == _reference_free_vars(u), S.pretty(u)
 
 
+def test_free_vars_of_a_deep_chain_under_the_default_recursion_limit():
+    # a fresh node costs ``free_vars`` one frame
+    m = S.Var("x")
+    for _ in range(700):
+        m = S.App(S.STANDARD_GATES["H"], m)
+    assert S.free_vars(m) == {"x"}
+
+
 def test_subst_shares_subterms_without_the_variable():
     for term in _fuzz_terms():
         for u in _all_subterms(term):

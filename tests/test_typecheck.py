@@ -121,26 +121,35 @@ def test_derivation_hash_is_cached_and_structural():
     assert hash(again) == hash(a)
 
 
-def test_derivations_are_hash_consed():
-    # equal derivations are one object while one of them is alive, the
-    # shared sub-derivations of different programs included
+def test_check_memo_shares_recurring_derivations():
+    # a program checked twice is one root, and a subterm checked twice in one
+    # context against one type is one sub-derivation, in one program or two
+    T.check.cache_clear()
     a = T.typecheck(load("teleport"))
     assert T.typecheck(load("teleport")) is a
+    coin = load("cointoss")
+    d = T.typecheck(S.Pair(coin, coin))
+    assert d.children[0] is d.children[1] is T.typecheck(coin)
+    assert T.typecheck(S.LetUnit(S.UnitVal(), S.Pair(coin, coin))).children[1] is d
+    # across the fuzz programs, the 1997 nodes are 375 objects and 364
+    # distinct derivations: equal ones are two objects only where calls with
+    # different keys built them
     progs = [T.typecheck(A.random_finitary_program(s), S.UNIT) for s in range(20)]
-    nodes, distinct = [], set()
-    stack = list(progs)
+    nodes, stack = [], list(progs)
     while stack:
-        d = stack.pop()
-        nodes.append(d)
-        distinct.add(d)
-        stack.extend(d.children)
-    assert len({id(d) for d in nodes}) == len(distinct) < len(nodes)
-    # the table holds its nodes weakly (a program nothing else has built)
-    d = T.typecheck(A.random_finitary_program(10**9), S.UNIT)
-    held = len(T._NODES)
-    T.check.cache_clear()  # the memo holds its derivations strongly
-    del d
-    assert len(T._NODES) < held
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].children)
+    assert len({id(n) for n in nodes}) <= 1.05 * len(set(nodes)) < len(nodes) / 5
+
+
+def test_a_deep_gate_chain_checks_under_the_default_recursion_limit():
+    # a nesting level costs the checker the memoized ``check`` frame and the
+    # frames of its rule, and a fresh subterm's ``free_vars`` one frame a level
+    m = S.App(S.New(), S.ff())
+    for _ in range(275):
+        m = S.App(S.STANDARD_GATES["H"], m)
+    T.check.cache_clear()
+    assert T.typecheck(S.App(S.Meas(), m)).type == S.BIT
 
 
 def test_check_memo_is_exact():
