@@ -168,10 +168,6 @@ def vec(x: np.ndarray) -> np.ndarray:
     return np.asarray(x).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape((d, d), order="F")
-
-
 def _dense(v) -> np.ndarray:
     return v.toarray() if sparse.issparse(v) else np.asarray(v)
 
@@ -234,12 +230,7 @@ def so_conjugation(a: np.ndarray) -> np.ndarray:
 
 def so_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     dout = int(math.isqrt(s.shape[0]))
-    return unvec(s @ vec(x), dout)
-
-
-def _to_tensor(s: np.ndarray, dout: int, din: int) -> np.ndarray:
-    # S[i + j*dout, k + l*din] -> T[i,j,k,l]
-    return s.reshape((dout, dout, din, din), order="F")
+    return np.asarray(s @ vec(x)).reshape((dout, dout), order="F")
 
 
 def digit_permutation(dims, order, acts=None) -> np.ndarray:
@@ -466,7 +457,8 @@ def choi(s) -> np.ndarray:
     s = _dense(s)
     dout = int(math.isqrt(s.shape[0]))
     din = int(math.isqrt(s.shape[1]))
-    t = _to_tensor(s, dout, din)
+    # S[i + j*dout, k + l*din] -> T[i,j,k,l]
+    t = s.reshape((dout, dout, din, din), order="F")
     return t.transpose(2, 0, 3, 1).reshape(din * dout, din * dout)
 
 
@@ -611,14 +603,6 @@ def tensor_obj(a: CpmObject, b: CpmObject) -> CpmObject:
         for lb, db, gb in b.elems:
             elems.append((("pair", la, lb), da * db, ga.product(gb)))
     return CpmObject(tuple(elems))
-
-
-def tensor_fold(objs) -> CpmObject:
-    """Left-nested tensor of a list of objects; empty product is the unit."""
-    objs = list(objs)
-    if not objs:
-        return UNIT_OBJ
-    return reduce(tensor_obj, objs)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,9 @@ def denote_type(t: S.Type, cfg: TruncationConfig = DEFAULT_CONFIG) -> CpmObject:
 
 
 def ctx_obj(ctx: T.Ctx, cfg: TruncationConfig) -> CpmObject:
-    return C.tensor_fold(denote_type(t, cfg) for _, t in ctx)
+    """The left-nested tensor of the context's types; the unit when empty."""
+    objs = [denote_type(t, cfg) for _, t in ctx]
+    return reduce(C.tensor_obj, objs) if objs else C.UNIT_OBJ
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +220,6 @@ def _meas_mor() -> Morphism:
     )
 
 
-def _gate_mor(g: S.Gate, cfg: TruncationConfig) -> Morphism:
-    qt = denote_type(T._qubits_tensor(g.arity), cfg)
-    label = qt.labels()[0]
-    return Morphism(qt, qt, {(label, label): C.so_conjugation(g.as_array())})
-
-
 def _const_mor(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphism:
     """``1 -> (A -o B)``: a constant's direct morphism ``A -> B``, curried."""
     a = denote_type(arrow.arg, cfg)
@@ -235,7 +231,9 @@ def _const_mor(term: S.Term, arrow: S.LinArrow, cfg: TruncationConfig) -> Morphi
             # preparation is the transpose of measurement
             f = _meas_mor().transpose()
         case S.Gate():
-            f = _gate_mor(term, cfg)
+            # ``a`` and ``b`` are both the gate's qubit tensor, a single label
+            label = a.labels()[0]
+            f = Morphism(a, a, {(label, label): C.so_conjugation(term.as_array())})
         case S.Split(elem):
             f = C.list_unroll(denote_type(elem, cfg), cfg.list_max)
         case _:

@@ -103,19 +103,15 @@ class Closure:
     def validate(self):
         link = self.link_map()
         fv = free_vars(self.term)
-        if set(link) != fv:
-            raise ErroneousLinking(
-                f"linking domain {sorted(link)} != free variables {sorted(fv)}"
-            )
+        # a repeated pair collapses in the dict, so count the pairs too
+        if link.keys() != fv or len(link) != len(self.linking):
+            names = sorted(x for x, _ in self.linking)
+            raise ErroneousLinking(f"linking domain {names} != free variables {sorted(fv)}")
         pos = sorted(link.values())
         if pos != list(range(1, self.num_qubits + 1)):
             raise ErroneousLinking(
                 f"linking positions {pos} do not enumerate 1..{self.num_qubits}"
             )
-
-    def __str__(self) -> str:
-        link = ", ".join(f"{x}->{i}" for x, i in self.linking)
-        return f"[{self.num_qubits} qubits; {link}; {S.pretty(self.term)}]"
 
 
 def load(term: Term, state: Optional[QS.QState] = None, linking=()) -> Closure:
@@ -165,8 +161,8 @@ def _bit_value(v: Term) -> int:
 def step(c: Closure) -> list:
     """All one-step successors of a closure with their probabilities.
 
-    A value, an omega-blocked term, or any other normal form returns the
-    empty list; use :func:`is_blocked` to tell the cases apart.
+    A normal form, which is a value or an omega-blocked term, returns the
+    empty list; a term that is neither and has no redex raises ``StuckTerm``.
     """
     rule, op, terms = _plan(c.term)
     state, link = c.state, c.link_map()
@@ -234,15 +230,6 @@ _EVAL_ORDER = {
 }
 
 
-def _focus(m: Term):
-    """The (field, rebuild) pair of the field that holds the next redex of
-    ``m``; None when no field does."""
-    for focus in _EVAL_ORDER.get(type(m), ()):
-        if not is_value(getattr(m, focus[0])):
-            return focus
-    return None
-
-
 @functools.lru_cache(maxsize=256)
 def _plan(m: Term):
     """The part of a step from ``m`` that the term alone fixes:
@@ -258,11 +245,11 @@ def _plan(m: Term):
 
 
 def _redex_plan(m: Term, linked: frozenset):
-    focus = _focus(m)
-    if focus is not None:
-        name, rebuild = focus
-        rule, op, terms = _redex_plan(getattr(m, name), linked)
-        return rule, op, tuple(rebuild(m, m2) for m2 in terms)
+    for name, rebuild in _EVAL_ORDER.get(type(m), ()):
+        sub = getattr(m, name)
+        if not is_value(sub):
+            rule, op, terms = _redex_plan(sub, linked)
+            return rule, op, tuple(rebuild(m, m2) for m2 in terms)
     match m:
         case App(Abs(x, _, body), a):
             return "beta", None, (subst(body, x, a),)
@@ -306,13 +293,6 @@ def _redex_plan(m: Term, linked: frozenset):
         case _ if is_value(m):
             return None, None, ()
     raise StuckTerm(f"no rule applies to {S.pretty(m)}")
-
-
-def is_blocked(m: Term) -> bool:
-    """A term is omega-blocked when the next redex is an exhausted letrec."""
-    while (focus := _focus(m)) is not None:
-        m = getattr(m, focus[0])
-    return isinstance(m, Omega)
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +357,11 @@ def _resolve(c: Closure):
     """What ``evaluate`` needs of a closure: ``(successors, outcome key)``.
 
     A closure that steps has its successor list and no key; a value has no
-    successors and its ``canonical_key``; a blocked term has neither.
+    successors and its ``canonical_key``; an omega-blocked term, the other
+    normal form, has neither.
     """
     succs = step(c)
-    if succs:
-        return succs, None
-    if is_value(c.term):
-        return succs, canonical_key(c)
-    if is_blocked(c.term):
-        return succs, None
-    raise StuckTerm(f"stuck non-value {S.pretty(c.term)}")
+    return succs, (canonical_key(c) if not succs and is_value(c.term) else None)
 
 
 class _Node:

@@ -100,9 +100,10 @@ def split_ctx(ctx: Ctx, fv_left: frozenset, fv_right: frozenset):
     return tuple(left), tuple(right)
 
 
-def _require_exponential(ctx: Ctx, what: str):
+def _require_exponential(ctx: Ctx, what: str, keep: Optional[str] = None):
+    """Every binding of ``ctx`` but ``keep``'s can be discarded at ``what``."""
     for x, t in ctx:
-        if not is_exponential(t):
+        if x != keep and not is_exponential(t):
             raise TypingError("LinearVarUnused", f"linear variable {x} cannot be discarded at {what}")
 
 
@@ -113,19 +114,12 @@ def _mismatch(term: Term, expected: Type, actual: Type):
     )
 
 
-def _fresh_binder(name: str, ctx: Ctx, *terms: Term) -> str:
-    avoid = {x for x, _ in ctx}
-    for t in terms:
-        avoid |= free_vars(t)
-    return S.fresh_name(name, avoid)
-
-
 def _unshadow(x: str, clash: bool, ctx: Ctx, *terms: Term) -> tuple:
     """The binder ``x`` and the ``terms`` in its scope; when ``clash``, ``x``
     is renamed to a name fresh for ``ctx`` and the terms, in the terms too."""
     if not clash:
         return (x, *terms)
-    x2 = _fresh_binder(x, ctx, *terms)
+    x2 = S.fresh_name(x, {y for y, _ in ctx}.union(*map(free_vars, terms)))
     return (x2, *(S.subst(t, x, Var(x2)) for t in terms))
 
 
@@ -154,7 +148,7 @@ def check(ctx: Ctx, m: Term, expected: Optional[Type] = None) -> Derivation:
             return _check_core(ctx, m, expected)
         # a variable already of the promoted type reuses its binding directly
         if isinstance(m, Var) and ctx_lookup(ctx, m.name) == expected:
-            _require_other_linear_unused(ctx, m)
+            _require_exponential(ctx, m.name, keep=m.name)
             return Derivation("ax", ctx, m, expected)
         for x, t in ctx:
             if not is_exponential(t):
@@ -164,9 +158,6 @@ def check(ctx: Ctx, m: Term, expected: Optional[Type] = None) -> Derivation:
                 )
         child = check(ctx, m, expected.underlying)
         return Derivation("promotion", ctx, m, expected, (child,))
-
-    if isinstance(expected, ListT) and isinstance(m, (InL, InR)) and m.ann is None:
-        return _coerce_list(ctx, m, expected)
 
     if isinstance(expected, ListT):
         try:
@@ -183,12 +174,6 @@ def _coerce_list(ctx: Ctx, m: Term, expected: ListT) -> Derivation:
     return Derivation("list_I", ctx, m, expected, (child,))
 
 
-def _require_other_linear_unused(ctx: Ctx, m: Var):
-    for y, t in ctx:
-        if y != m.name and not is_exponential(t):
-            raise TypingError("LinearVarUnused", f"linear variable {y} is never used")
-
-
 def _finish(d: Derivation, expected: Optional[Type]) -> Derivation:
     if expected is not None and d.type != expected:
         _mismatch(d.term, expected, d.type)
@@ -201,7 +186,7 @@ def _check_core(ctx: Ctx, m: Term, expected: Optional[Type]) -> Derivation:
             t = ctx_lookup(ctx, x)
             if t is None:
                 raise TypingError("UnboundVariable", f"unbound variable {x}")
-            _require_other_linear_unused(ctx, m)
+            _require_exponential(ctx, x, keep=x)
             if isinstance(t, BangArrow):
                 # dereliction: an exponential variable is used at its arrow type
                 return _finish(Derivation("axd", ctx, m, t.underlying), expected)

@@ -77,6 +77,11 @@ def test_run_omega_timeout_note():
     assert code == 0
     assert "residual 1.000000000" in out
     assert "TIMEOUT" in out
+    # a sampled run stops at the same budget
+    code, out, _ = run_cli("run", str(PROGRAMS / "omega.qlam"),
+                           "--mode", "sample", "--max-steps", "5")
+    assert code == 0
+    assert "steps 5\n" in out and out.endswith("note TIMEOUT\n")
 
 
 def test_run_sample_trace():

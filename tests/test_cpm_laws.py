@@ -602,7 +602,7 @@ def test_a_product_and_a_distinct_label_wreath_are_one_group():
         assert not g.is_trivial
         assert g is pairs.group(("mset", (l1, l2)))
     # three copies nest differently from a left-nested tensor, but act alike
-    triple = C.tensor_fold([D2S, D2S, D3S]).group(("pair", ("pair", C.STAR, C.STAR), C.STAR))
+    triple = C.tensor_obj(C.tensor_obj(D2S, D2S), D3S).group(("pair", ("pair", C.STAR, C.STAR), C.STAR))
     assert triple == C.sym_power(web, 3).group(("mset", (("a",), ("b",), ("c",))))
 
 
@@ -912,6 +912,22 @@ def test_index_maps_compose_and_tensor_like_their_entries():
         moved += sum(rows is not None for m in (rotate, flip, contr)
                      for rows in m.gathers.values())
     assert moved > 100
+
+
+def test_index_maps_whose_paths_meet_sum_their_entries():
+    # the star label goes to m1 and m2 and both come back to n: two paths
+    # meet at (star, n), so the composite is no index map but the sum of the
+    # products of the built entries
+    mid = C.CpmObject(((("m1",), 2, S2), (("m2",), 2, S2)))
+    dst = C.CpmObject(((("n",), 2, S2),))
+    fork = C.relabel(D2S, mid, [(C.STAR, m) for m in mid.labels()])
+    join = C.relabel(mid, dst, [(m, ("n",)) for m in mid.labels()])
+    got = fork.compose(join)
+    assert got.gathers is None and list(got.entries) == [(C.STAR, ("n",))]
+    want = sum(C._dense(join.entries[(m, ("n",))]) @ C._dense(fork.entries[(C.STAR, m)])
+               for m in mid.labels())
+    assert np.abs(C._dense(got.entries[(C.STAR, ("n",))]) - want).max() <= 1e-12
+    assert np.abs(want).max() > 0
 
 
 def test_compose_checks_sums_of_moved_entries():

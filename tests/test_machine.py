@@ -124,15 +124,37 @@ def test_sample_reproducible():
         [(r, S.pretty(c.term)) for r, _, c in b.steps]
 
 
+def _is_blocked(m: S.Term) -> bool:
+    """Whether the next redex of ``m``, followed down the evaluation order,
+    is an exhausted letrec's omega."""
+    while True:
+        names = [n for n, _ in M._EVAL_ORDER.get(type(m), ()) if not S.is_value(getattr(m, n))]
+        if not names:
+            return isinstance(m, S.Omega)
+        m = getattr(m, names[0])
+
+
 def test_is_blocked_follows_the_evaluation_order():
     omega = S.Omega(S.UNIT)
-    assert M.is_blocked(omega)
-    assert M.is_blocked(S.Pair(S.UnitVal(), omega))
-    assert M.is_blocked(S.App(S.Abs("x", S.UNIT, S.Var("x")), omega))
-    # omega under a binder, or after a redex that is not blocked, is not next
-    assert not M.is_blocked(S.Abs("x", S.UNIT, omega))
-    assert not M.is_blocked(S.Pair(S.App(S.New(), S.ff()), omega))
-    assert not M.is_blocked(S.UnitVal())
+    cases = [
+        (omega, True),
+        (S.Pair(S.UnitVal(), omega), True),
+        (S.App(S.Abs("x", S.UNIT, S.Var("x")), omega), True),
+        # omega under a binder, or after a redex that is not blocked, is not next
+        (S.Abs("x", S.UNIT, omega), False),
+        (S.Pair(S.App(S.New(), S.ff()), omega), False),
+        (S.UnitVal(), False),
+    ]
+    for term, blocked in cases:
+        assert _is_blocked(term) == blocked
+        # the machine's normal forms are the values and the blocked terms
+        c = M.load(term)
+        succs = M.step(c)
+        assert (not succs and not S.is_value(term)) == blocked
+        assert all(_is_blocked(s.closure.term) for s in succs)
+        dist = M.evaluate(c)
+        assert dist.blocked == (1.0 if blocked or succs else 0.0)
+        assert dist.halt_mass == 1.0 - dist.blocked
 
 
 def test_focus_rebuild_changes_only_its_field():
@@ -149,6 +171,33 @@ def test_focus_rebuild_changes_only_its_field():
             assert rebuild(m, c) == replace(m, **{name: c})
 
 
+@pytest.mark.parametrize("linking, message", [
+    ((("y", 1),), r"linking domain \['y'\] != free variables \['x'\]"),
+    ((("x", 2),), r"linking positions \[2\] do not enumerate 1\.\.1"),
+    # a repeated pair is two pairs for one qubit
+    ((("x", 1), ("x", 1)), r"linking domain \['x', 'x'\] != free variables \['x'\]"),
+])
+def test_erroneous_linking(linking, message):
+    qubit = Q.QState(np.array([1.0, 0.0]))
+    assert M.load(S.Var("x"), qubit, (("x", 1),)).linking == (("x", 1),)
+    with pytest.raises(M.ErroneousLinking, match=message):
+        M.load(S.Var("x"), qubit, linking)
+
+
+def test_split_consumes_a_generated_list():
+    # generate_term's list has a coin-chosen length, which consume_term takes
+    # apart with split; check_adequacy is not run here, since the L4/K2
+    # denotation of this program does not fit in memory
+    lst = S.ListT(S.QUBIT)
+    term = S.App(A.consume_term(lst), S.App(A.generate_term(lst), S.UnitVal()))
+    T.typecheck(term)
+    for seed in range(10):
+        trace = M.sample(M.load(term), seed)
+        assert "split" in [rule for rule, _, _ in trace.steps]
+        assert not trace.timed_out
+        assert trace.final.term == S.UnitVal() and trace.final.num_qubits == 0
+
+
 def test_sample_frequency_band():
     term = load("cointoss")
     hits = sum(M.sample(M.load(term), seed).final.term == S.tt()
@@ -162,6 +211,9 @@ def test_halt_probability():
     assert dist.halt_mass == pytest.approx(1.0, abs=1e-12) and dist.residual == 0.0
     dist = M.evaluate(M.load(load("omega")), max_steps=50)
     assert dist.halt_mass == 0.0 and dist.residual == pytest.approx(1.0)
+    trace = M.sample(M.load(load("omega")), 0, max_steps=5)
+    assert trace.timed_out and len(trace.steps) == 5
+    assert trace.final is trace.steps[-1][2]
 
 
 def test_dimension_bookkeeping():
@@ -261,7 +313,7 @@ def _reference_evaluate(c, max_steps):
                     else:
                         dist.outcomes[key] = M.Outcome(prob, cl)
                 else:
-                    assert M.is_blocked(cl.term)
+                    assert _is_blocked(cl.term)
                     dist.blocked += prob
                 continue
             for s in succs:

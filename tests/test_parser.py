@@ -117,6 +117,20 @@ def test_letrec_bounded_form():
     t = P.parse_term("letrec f(x:unit):unit = f x in f ()")
     assert isinstance(t, S.LetRec) and t.bound is None
     assert t.cont == S.App(S.Var("f"), S.UnitVal())
+    t = P.parse_term("letrec^2 f(x:unit):unit = x in f ()")
+    assert isinstance(t, S.LetRec) and t.bound == 2
+    assert P.parse_term(S.pretty(t)) == t
+
+
+@pytest.mark.parametrize("src, entry", [
+    ("#U[[0.6,0.8i],[0.8i,0.6]]", 0.8j),
+    ("#U[[0.6,-0.48+0.64i],[0.48+0.64i,0.6]]", -0.48 + 0.64j),
+])
+def test_complex_inline_gates_print_and_parse_back(src, entry):
+    g = P.parse_term(src)
+    assert g.as_array()[0, 1] == entry
+    assert S.pretty(g) == src
+    assert P.parse_term(S.pretty(g)) == g
 
 
 def test_comments_ignored():

@@ -55,6 +55,25 @@ def test_linear_discard_rejected():
     assert err_of(lambda: T.typecheck(drop)) == "LinearVarUnused"
 
 
+@pytest.mark.parametrize("src, code, message", [
+    ("() ()", "TypeMismatch", "applied term () has non-function type unit"),
+    ("(<(), ()> : unit)", "TypeMismatch", "term <(), ()> has type unit * unit, expected unit"),
+    ("let <x:unit, x:unit> = <(), ()> in x", "TypeMismatch", "tensor pattern binds x twice"),
+    ("inl ()", "CannotInfer", "injection inl () needs an annotation or an expected sum type"),
+    ("((lam x:unit. x) : qubit -o unit)", "TypeMismatch",
+     "term lam x:unit. x has type unit, expected qubit"),
+    # the branches have types unit and qubit
+    ("match (inl[unit + unit] ()) with (a:unit -> a | b:unit -> b; new ff)", "TypeMismatch",
+     "has type qubit, expected unit"),
+    ("lam x:qubit. lam y:qubit. x", "LinearVarUnused",
+     "linear variable y cannot be discarded at x"),
+])
+def test_typing_errors(src, code, message):
+    with pytest.raises(T.TypingError) as exc:
+        T.typecheck(P.parse_term(src))
+    assert exc.value.code == code and message in exc.value.msg
+
+
 def test_unbound_variable():
     assert err_of(lambda: T.typecheck(S.Var("nope"))) == "UnboundVariable"
 
