@@ -101,7 +101,7 @@ def split_ctx(ctx: Ctx, fv_left: frozenset, fv_right: frozenset):
 
 
 def _require_exponential(ctx: Ctx, what: str, keep: Optional[str] = None):
-    """Every binding of ``ctx`` but ``keep``'s can be discarded at ``what``."""
+    """Raise unless every binding of ``ctx`` but ``keep``'s is exponential."""
     for x, t in ctx:
         if x != keep and not is_exponential(t):
             raise TypingError("LinearVarUnused", f"linear variable {x} cannot be discarded at {what}")
