@@ -6,42 +6,51 @@ right; classical steps have probability 1, measurement branches carry the
 Born probabilities.  Bounded ``letrec^n`` unfolds at most n times, with
 ``letrec^0`` substituting the explicitly divergent function.
 
-The control is classical: the term alone fixes which rule fires, which
-quantum operation it applies to which variables, and the successor terms.
-A plan (``_plan``) holds exactly that: the rule, the operation (the bit and
-fresh name of a ``new``, the matrix and variable names of a gate, the
-measured variable) and the successor terms.  ``step`` applies the operation
-to the state and the linking, which supply only the amplitudes and the Born
-probabilities.  Plans are memoized per process, keyed by the whole term: a
-``new`` names its qubit apart from the linked variables, which are the free
-variables of the whole term, not of the redex.  So a term that recurs, along
-one ``sample`` or across calls, costs one lookup.  The table keeps the 256
-most recent plans, since a stream of distinct programs reuses none: one
-program steps through at most 129 distinct terms on the fuzz corpus.
+The machine is an environment machine (Felleisen-Friedman's CEK).  A
+closure's control is a code node of the loaded program under an environment
+of values, trimmed to the code's free variables, or a value returned to a
+continuation of evaluation frames.  A value is a qubit variable, a constant,
+a pair or injection of values, or a function: an ``Abs`` code node with its
+environment (a ``letrec`` binds its one unfolding as such a function).  A
+step binds variables, pushes frames and pops them; it never substitutes,
+rebuilds the term or descends from its root, so a fresh program's step costs
+what a recurring one's does.  ``new`` names its qubit apart from the linked
+variables, which are the free variables of the whole term.
+
+The term is read back, by substituting each environment into its code, only
+where output needs it: ``Closure.term`` (cached), ``canonical_key`` at
+values, traces.  It is the term substitution would have made, binder names
+included: a step whose bound name is free in a value of its environment (so
+that substitution renamed the binder), or that binds the second name of a
+pair in which the first value holds a qubit of that name (so that
+substitution captured it), goes on from its term with no environment.  A
+step that drops a value holding qubits measures out those the term no
+longer names.
 
 ``evaluate`` runs the branching reduction as a Markov chain over shared
 closures: one table per call keeps a node for each distinct closure, holding
 its successor steps, or, for a normal form, its ``canonical_key`` or the fact
-that it is blocked.  The key is ``(term, linking, amplitude bytes)`` with exact
-equality, so the result is bit for bit the one plain stepping gives.  A
-frontier entry names its closure as a parent node and a successor index, and
-a node keeps a slot for each successor's node, filled on the first visit: a
-branch that revisits a closure follows a slot instead of hashing its key.
-Successors are resolved only when their branch is popped, so a pruned or
-residual closure is never stepped.  The table holds at most
-``MAX_TABLE_AMPS`` amplitudes and is emptied when the next node would pass
-that; slots link only nodes the table holds and are cut when it empties, so
-they keep no memory alive that the table does not.  ``sample`` follows one
-path, where a per-call closure table would not hit, so it shares only the
-plans.  Runaway growth raises a typed error: ``new`` past ``MAX_QUBITS``
-qubits, or a frontier past ``MAX_FRONTIER`` branches.
+that it is blocked.  The key is ``(control, environment, frames, linking,
+amplitude bytes)`` with exact equality; a frame around the second field of
+an application or pair holds the node's class, not the node, so that calls
+from different places meet.  A frontier entry names its closure as a parent
+node and a successor index, and a node keeps a slot for each successor's
+node, filled on the first visit: a branch that revisits a closure follows a
+slot instead of hashing its key.  Successors are resolved only when their
+branch is popped, so a pruned or residual closure is never stepped.  The
+table holds at most ``MAX_TABLE_AMPS`` amplitudes and is emptied when the
+next node would pass that; slots link only nodes the table holds and are cut
+when it empties, so they keep no memory alive that the table does not.
+``sample`` follows one path, where a per-call closure table would not hit.
+Runaway growth raises a typed error: ``new`` past ``MAX_QUBITS`` qubits, or
+a frontier past ``MAX_FRONTIER`` branches.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -50,7 +59,7 @@ from . import qstate as QS
 from . import syntax as S
 from .syntax import (
     Abs, App, Gate, InL, InR, LetPair, LetRec, LetUnit, Match, Meas, New,
-    Omega, Pair, Split, Term, UnitVal, Var, free_vars, is_value, subst,
+    Omega, Pair, Split, Term, UnitVal, Var, free_vars, subst,
 )
 
 
@@ -87,11 +96,155 @@ class StuckTerm(MachineError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)  # not frozen: a frozen init costs a tenth of a step
+class _Fun:
+    """A function value: an ``Abs`` code node and the values of its free
+    program variables."""
+
+    code: Abs
+    env: tuple
+
+    @functools.cached_property
+    def _fv(self) -> frozenset:
+        """The free (qubit) variables of the term, where ``free_vars`` looks."""
+        keys = [x for x, _ in self.env]
+        return free_vars(self.code).difference(keys).union(*(free_vars(v) for _, v in self.env))
+
+
+def _plug(frame: tuple, hole: Term) -> Term:
+    """The term of an evaluation context with ``hole`` in it.
+
+    A frame is a tuple ``(node, env, done, up)``.  Around the first field of
+    code node ``node``, ``env`` holds the environment of the node's other
+    parts; around the second field of an ``App`` or a ``Pair``, ``node`` is
+    the class and ``done`` holds the first field's value.  ``up`` is the
+    frame around this one, or None.
+    """
+    node, env, done, _ = frame
+    if done:
+        return node(_read(done[0]), hole)
+    return replace(_subst_env(node, env), **{_DESCEND[type(node)][0]: hole})
+
+
+# Call-by-value evaluation order: each node whose first field is evaluated
+# before the node itself is a redex or a value (then the second, for ``App``
+# and ``Pair``), that field's name, and the variables free in the rest.
+_DESCEND = {
+    App: ("fn", lambda m: free_vars(m.arg)),
+    Pair: ("left", lambda m: free_vars(m.right)),
+    InL: ("body", lambda m: frozenset()),
+    InR: ("body", lambda m: frozenset()),
+    LetUnit: ("subject", lambda m: free_vars(m.body)),
+    LetPair: ("subject", lambda m: free_vars(m.body) - {m.lvar, m.rvar}),
+    Match: ("subject", lambda m: (free_vars(m.lbody) - {m.lvar}) | (free_vars(m.rbody) - {m.rvar})),
+}
+_CONSTANTS = {UnitVal, Meas, New, Split, Gate}
+_FF, _TT = S.ff(), S.tt()
+
+
+def _read(v) -> Term:
+    """The term of a value."""
+    return _subst_env(v.code, v.env) if isinstance(v, _Fun) else S.map_subterms(v, _read)
+
+
+def _subst_env(m: Term, env: tuple) -> Term:
+    for x, v in env:
+        m = subst(m, x, _read(v))
+    return m
+
+
+def _read_back(m, env: Optional[tuple], kont: Optional[tuple]) -> Term:
+    """The term of code ``m`` under ``env`` (of value ``m``, if ``env`` is
+    None) inside the frames ``kont``."""
+    t = _read(m) if env is None else _subst_env(m, env)
+    while kont is not None:
+        t, kont = _plug(kont, t), kont[3]
+    return t
+
+
+def _trim(env: tuple, keep: frozenset) -> tuple:
+    return tuple([p for p in env if p[0] in keep]) if env else env
+
+
+def _atom(m: Term, env: tuple):
+    """The value of code ``m`` under ``env`` if it takes no evaluation: a
+    variable's, a function's or a constant's; None otherwise."""
+    t = type(m)
+    if t is Var:
+        for x, v in env:
+            if x == m.name:
+                return v
+        return m
+    if t is Abs:
+        return _Fun(m, _trim(env, free_vars(m)))
+    return m if t in _CONSTANTS else None
+
+
+def _settle(m, env, kont):
+    """Run from code ``m`` under ``env`` (or from value ``m``, if ``env`` is
+    None) up to the next redex or normal form: a value returned to the frame
+    of a redex or to none, or a ``letrec`` or omega under its environment."""
+    while True:
+        if env is not None:
+            t = type(m)
+            if t is App or t is Pair:
+                first = _atom(m.fn if t is App else m.left, env)
+                if first is not None:  # no frame for a field that takes no step
+                    m, kont = m.arg if t is App else m.right, (t, (), (first,), kont)
+                    continue
+            if t in _DESCEND:
+                if (t is InL or t is InR) and type(m.body) is UnitVal:  # a bit literal
+                    env = None
+                    continue
+                field, later = _DESCEND[t]
+                m, kont = getattr(m, field), (m, _trim(env, later(m)), (), kont)
+                continue
+            if t is LetRec or t is Omega:
+                return m, _trim(env, free_vars(m)), kont
+            v = _atom(m, env)
+            if v is None:
+                raise StuckTerm(f"no rule applies to {S.pretty(m)}")
+            m, env = v, None
+        if kont is None:
+            return m, None, None
+        node, fenv, done, up = kont
+        t = type(node)
+        if node is Pair:
+            m, kont = Pair(done[0], m), up
+        elif t is App or t is Pair:
+            m, env, kont = node.arg if t is App else node.right, fenv, (t, (), (m,), up)
+        elif t is InL or t is InR:
+            m, kont = t(m, node.ann), up
+        else:
+            return m, None, kont
+
+
+@dataclass(frozen=True, init=False)
 class Closure:
+    """A quantum state, a linking of term variables to its qubits, and the
+    control: code ``code`` under ``env``, or, when ``env`` is None, the
+    value ``code``, inside the frames ``kont``.
+
+    Built from a bare term (``Closure(state, linking, term)``), it settles
+    at once on the term's first redex.  ``term`` reads the closure back.
+    """
+
     state: QS.QState
     linking: tuple  # ordered ((var, position), ...), positions 1-based
-    term: Term
+    code: object
+    env: Optional[tuple] = ()
+    kont: Optional[tuple] = None
+
+    def __init__(self, state: QS.QState, linking: tuple, code, env=(), kont=None):
+        d = self.__dict__
+        d["state"], d["linking"] = state, linking
+        if env == () and kont is None:
+            d["term"] = code
+        d["code"], d["env"], d["kont"] = _settle(code, env, kont)
+
+    @functools.cached_property
+    def term(self) -> Term:
+        return _read_back(self.code, self.env, self.kont)
 
     def link_map(self) -> dict:
         return dict(self.linking)
@@ -101,17 +254,13 @@ class Closure:
         return self.state.num_qubits
 
     def validate(self):
-        link = self.link_map()
-        fv = free_vars(self.term)
-        # a repeated pair collapses in the dict, so count the pairs too
-        if link.keys() != fv or len(link) != len(self.linking):
-            names = sorted(x for x, _ in self.linking)
-            raise ErroneousLinking(f"linking domain {names} != free variables {sorted(fv)}")
-        pos = sorted(link.values())
-        if pos != list(range(1, self.num_qubits + 1)):
-            raise ErroneousLinking(
-                f"linking positions {pos} do not enumerate 1..{self.num_qubits}"
-            )
+        # a repeated pair is two names for one variable, so compare sorted lists
+        names, fv = sorted(x for x, _ in self.linking), sorted(free_vars(self.term))
+        if names != fv:
+            raise ErroneousLinking(f"linking domain {names} != free variables {fv}")
+        pos, n = sorted(i for _, i in self.linking), self.num_qubits
+        if pos != list(range(1, n + 1)):
+            raise ErroneousLinking(f"linking positions {pos} do not enumerate 1..{n}")
 
 
 def load(term: Term, state: Optional[QS.QState] = None, linking=()) -> Closure:
@@ -127,18 +276,6 @@ class Step:
     rule: str
 
 
-def _unfold_letrec(m: LetRec) -> Term:
-    """One unfolding of the recursive binder inside the body."""
-    f, x = m.fname, m.var
-    if m.bound is None:
-        wrapped = Abs(x, m.arg_type, LetRec(f, m.arg_type, m.res_type, x, m.body, m.body, None))
-    elif m.bound == 0:
-        wrapped = Abs(x, m.arg_type, Omega(m.res_type))
-    else:
-        wrapped = Abs(x, m.arg_type, LetRec(f, m.arg_type, m.res_type, x, m.body, m.body, m.bound - 1))
-    return subst(m.cont, f, wrapped)
-
-
 def _tensor_vars(v: Term) -> list:
     """Flatten a value of nested-pair shape into its variable leaves."""
     match v:
@@ -146,16 +283,52 @@ def _tensor_vars(v: Term) -> list:
             return [x]
         case Pair(l, r):
             return _tensor_vars(l) + _tensor_vars(r)
-    raise StuckTerm(f"gate argument {S.pretty(v)} is not a tensor of qubit variables")
+    raise StuckTerm(f"gate argument {S.pretty(_read(v))} is not a tensor of qubit variables")
 
 
 def _bit_value(v: Term) -> int:
-    match v:
-        case InL(UnitVal(), _):
-            return 0
-        case InR(UnitVal(), _):
-            return 1
-    raise StuckTerm(f"new argument {S.pretty(v)} is not a bit literal")
+    if isinstance(v, (InL, InR)) and isinstance(v.body, UnitVal):
+        return int(isinstance(v, InR))
+    raise StuckTerm(f"new argument {S.pretty(_read(v))} is not a bit literal")
+
+
+def _unfolded(m: LetRec) -> Abs:
+    """The function a ``letrec`` binds: one unfolding of itself, or the
+    divergent function once its bound is spent."""
+    bound = None if m.bound is None else m.bound - 1
+    body = Omega(m.res_type) if m.bound == 0 else replace(m, cont=m.body, bound=bound)
+    return Abs(m.var, m.arg_type, body)
+
+
+def _bind(body: Term, env: tuple, pairs: tuple, kont):
+    """The successor that enters ``body`` with ``pairs`` bound over ``env``:
+    ``(code, env, kont, lost, capture)``, or None when a bound name is free
+    in a value of ``env``, so that substitution renamed its binder.
+
+    ``lost`` says that a value holding qubits was dropped; ``capture``, that
+    the second of two names is free in the first's value, so that
+    substitution captured it.
+    """
+    fv, names = free_vars(body), [x for x, _ in pairs]
+    kept, lost = [], False
+    for x, v in env:
+        if x in fv and x not in names:
+            if names[0] in free_vars(v) or names[-1] in free_vars(v):
+                return None
+            kept.append((x, v))
+        else:
+            lost = lost or bool(free_vars(v))
+    for x, v in pairs:
+        if x in fv:
+            kept.append((x, v))
+        else:
+            lost = lost or bool(free_vars(v))
+    capture = len(names) == 2 and set(names) <= fv and names[1] in free_vars(pairs[0][1])
+    return body, tuple(kept), kont, lost or capture, capture
+
+
+def _linking(link) -> tuple:
+    return link if type(link) is tuple else tuple(sorted(link.items(), key=lambda kv: kv[1]))
 
 
 def step(c: Closure) -> list:
@@ -163,30 +336,76 @@ def step(c: Closure) -> list:
 
     A normal form, which is a value or an omega-blocked term, returns the
     empty list; a term that is neither and has no redex raises ``StuckTerm``.
+    A step that substitution makes by renaming a binder goes on from the
+    closure's term instead, with no environment.
     """
-    rule, op, terms = _plan(c.term)
-    state, link = c.state, c.link_map()
-    if rule == "meas":
-        # the successor terms are ff then tt, one per outcome
-        branches = [(p, st, lk, terms[b]) for b, p, st, lk in _measure_out(1.0, state, link, op)]
+    m, env, kont = c.code, c.env, c.kont
+    if env is None and kont is None or isinstance(m, Omega):
+        return []  # a value, or blocked on omega
+    state, link, branches, nxt = c.state, c.linking, None, None
+    if env is not None:  # a letrec under its environment
+        rule, fun = ("letrec" if m.bound is None else f"letrec^{m.bound}"), _unfolded(m)
+        if not any(m.fname in free_vars(v) or m.var in free_vars(v) for _, v in env):
+            nxt = _bind(m.cont, env, ((m.fname, _Fun(fun, _trim(env, free_vars(fun)))),), kont)
+    elif kont[0] is not App:
+        node, fenv, _, up = kont
+        if isinstance(node, LetUnit) and isinstance(m, UnitVal):
+            rule, nxt = "let_unit", (node.body, fenv, up, False, False)
+        elif isinstance(node, LetPair) and isinstance(m, Pair):
+            pairs = ((node.lvar, m.left), (node.rvar, m.right))
+            rule, nxt = "let_tensor", _bind(node.body, fenv, pairs, up)
+        elif isinstance(node, Match) and isinstance(m, InL):
+            rule, nxt = "match_inl", _bind(node.lbody, fenv, ((node.lvar, m.body),), up)
+        elif isinstance(node, Match) and isinstance(m, InR):
+            rule, nxt = "match_inr", _bind(node.rbody, fenv, ((node.rvar, m.body),), up)
+        else:
+            what = {LetUnit: "let ()", LetPair: "let <,>", Match: "match"}[type(node)]
+            raise StuckTerm(f"{what} subject is {S.pretty(_read(m))}")
     else:
-        if rule == "new":
+        f, up = kont[2][0], kont[3]
+        nxt = (m, None, up, False, False)  # split and a gate return their argument
+        if isinstance(f, _Fun):
+            rule, nxt = "beta", _bind(f.code.body, f.env, ((f.code.var, m),), up)
+        elif isinstance(f, Split):
+            rule = "split"
+        elif isinstance(f, New):
+            bit = _bit_value(m)
             if state.num_qubits >= MAX_QUBITS:
                 raise TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
                                     f"beyond the cap of {MAX_QUBITS}")
-            bit, y = op
+            # the linked variables are the free variables of the whole term
+            link = c.link_map()
+            y = S.fresh_name(f"q{len(link) + 1}", link)
             link[y] = state.num_qubits + 1
             state = QS.append_qubit(state, bit)
-        elif rule == "unitary":
-            matrix, names = op
-            state = QS.apply_unitary(state, matrix, [link[x] for x in names])
-        branches = [(1.0, state, link, term) for term in terms]
+            rule, nxt = "new", (Var(y), None, up, False, False)
+        elif isinstance(f, Meas):
+            if not isinstance(m, Var):
+                raise StuckTerm(f"meas argument {S.pretty(_read(m))} is not a qubit variable")
+            rule = "meas"
+            branches = [(p, st, lk, (_TT if b else _FF, None, up, False, False))
+                        for b, p, st, lk in _measure_out(1.0, state, c.link_map(), m.name)]
+        elif isinstance(f, Gate):
+            names = _tensor_vars(m)
+            if len(names) != f.arity:
+                raise StuckTerm(f"gate expects {f.arity} qubits, got {len(names)}")
+            state = QS.apply_unitary(state, f.as_array(), [c.link_map()[x] for x in names])
+            rule = "unitary"
+        else:
+            raise StuckTerm(f"cannot apply {S.pretty(_read(f))}")
+    if branches is None and nxt is None:
+        return step(Closure(c.state, c.linking, c.term))
+    if branches is None and not nxt[3]:  # one plain successor
+        return [Step(1.0, Closure(state, _linking(link), *nxt[:3]), rule)]
     out = []
-    for prob, st, lk, term in branches:
-        for p2, state2, link2 in _discard_orphans(prob, st, lk, term):
-            nc = Closure(state2, tuple(sorted(link2.items(), key=lambda kv: kv[1])), term)
-            nc.validate()
-            out.append(Step(p2, nc, rule))
+    for prob, st, lk, (code, env2, kont2, lost, capture) in branches or [(1.0, state, link, nxt)]:
+        if capture:  # go on from the term that substitution made
+            code, env2, kont2 = _read_back(code, env2, kont2), (), None
+        nc = Closure(st, _linking(lk), code, env2, kont2)
+        for p2, st2, lk2 in (_discard_orphans(prob, st, nc.link_map(), nc.term) if lost
+                             else [(prob, st, None)]):
+            out.append(Step(p2, nc if lk2 is None else
+                            replace(nc, state=st2, linking=_linking(lk2)), rule))
     return out
 
 
@@ -214,87 +433,6 @@ def _measure_out(prob, state, link, x):
     return [(b, prob * p, st, link2) for b, p, st in QS.measure(state, pos)]
 
 
-# Call-by-value evaluation order: the fields of each node that reduce to
-# values, left to right, before the node itself is a redex or a value.  Each
-# field comes with the constructor call that rebuilds the node around a new
-# value of it (``dataclasses.replace`` would walk every field on every plan).
-_EVAL_ORDER = {
-    App: (("fn", lambda m, v: App(v, m.arg)), ("arg", lambda m, v: App(m.fn, v))),
-    Pair: (("left", lambda m, v: Pair(v, m.right)), ("right", lambda m, v: Pair(m.left, v))),
-    InL: (("body", lambda m, v: InL(v, m.ann)),),
-    InR: (("body", lambda m, v: InR(v, m.ann)),),
-    LetUnit: (("subject", lambda m, v: LetUnit(v, m.body)),),
-    LetPair: (("subject", lambda m, v: LetPair(m.lvar, m.ltype, m.rvar, m.rtype, v, m.body)),),
-    Match: (("subject", lambda m, v: Match(v, m.lvar, m.ltype, m.lbody,
-                                           m.rvar, m.rtype, m.rbody)),),
-}
-
-
-@functools.lru_cache(maxsize=256)
-def _plan(m: Term):
-    """The part of a step from ``m`` that the term alone fixes:
-    ``(rule, op, successor terms)``.
-
-    ``op`` is ``(bit, fresh name)`` for ``new``, ``(matrix, variable names)``
-    for ``unitary``, the measured variable for ``meas`` (whose successors are
-    ff then tt) and None otherwise.  A normal form has rule None and no
-    successors.  A closure's linking covers exactly its term's free
-    variables, so the fresh name avoids those of the whole term.
-    """
-    return _redex_plan(m, free_vars(m))
-
-
-def _redex_plan(m: Term, linked: frozenset):
-    for name, rebuild in _EVAL_ORDER.get(type(m), ()):
-        sub = getattr(m, name)
-        if not is_value(sub):
-            rule, op, terms = _redex_plan(sub, linked)
-            return rule, op, tuple(rebuild(m, m2) for m2 in terms)
-    match m:
-        case App(Abs(x, _, body), a):
-            return "beta", None, (subst(body, x, a),)
-        case App(Split(), a):
-            return "split", None, (a,)
-        case App(New(), a):
-            y = S.fresh_name(f"q{len(linked) + 1}", linked)
-            return "new", (_bit_value(a), y), (Var(y),)
-        case App(Meas(), a):
-            if not isinstance(a, Var):
-                raise StuckTerm(f"meas argument {S.pretty(a)} is not a qubit variable")
-            return "meas", a.name, (S.ff(), S.tt())
-        case App(Gate(_, arity, _) as g, a):
-            names = _tensor_vars(a)
-            if len(names) != arity:
-                raise StuckTerm(f"gate expects {arity} qubits, got {len(names)}")
-            matrix = g.as_array()
-            matrix.setflags(write=False)  # every step from this plan shares it
-            return "unitary", (matrix, tuple(names)), (a,)
-        case App(f, _):
-            raise StuckTerm(f"cannot apply {S.pretty(f)}")
-        case LetUnit(s, b):
-            if not isinstance(s, UnitVal):
-                raise StuckTerm(f"let () subject is {S.pretty(s)}")
-            return "let_unit", None, (b,)
-        case LetPair(x, _, y, _, s, b):
-            if not isinstance(s, Pair):
-                raise StuckTerm(f"let <,> subject is {S.pretty(s)}")
-            return "let_tensor", None, (subst(subst(b, x, s.left), y, s.right),)
-        case Match(InL(v, _), x, _, lb, _, _, _):
-            return "match_inl", None, (subst(lb, x, v),)
-        case Match(InR(v, _), _, _, _, y, _, rb):
-            return "match_inr", None, (subst(rb, y, v),)
-        case Match(s):
-            raise StuckTerm(f"match subject is {S.pretty(s)}")
-        case LetRec(_, _, _, _, _, _, bound):
-            rule = "letrec" if bound is None else f"letrec^{bound}"
-            return rule, None, (_unfold_letrec(m),)
-        case Omega():
-            return None, None, ()
-        case _ if is_value(m):
-            return None, None, ()
-    raise StuckTerm(f"no rule applies to {S.pretty(m)}")
-
-
 # ---------------------------------------------------------------------------
 # Distribution over outcomes
 
@@ -314,8 +452,7 @@ def canonical_key(c: Closure):
 
     scan(canon)
     canon = S.alpha_canonical(canon, renaming)
-    link = c.link_map()
-    link_key = tuple(sorted((renaming.get(x, x), i) for x, i in link.items()))
+    link_key = tuple(sorted((renaming.get(x, x), i) for x, i in c.linking))
     amps = c.state.amps
     phase_ref = amps[np.argmax(np.abs(amps))]
     if abs(phase_ref) > 1e-12:
@@ -361,7 +498,7 @@ def _resolve(c: Closure):
     normal form, has neither.
     """
     succs = step(c)
-    return succs, (canonical_key(c) if not succs and is_value(c.term) else None)
+    return succs, (canonical_key(c) if not succs and c.env is None else None)
 
 
 class _Node:
@@ -395,7 +532,7 @@ class _ClosureTable:
     def node(self, c: Closure) -> _Node:
         if c.state.amps.size > MAX_TABLE_AMPS:  # its node could never be held
             return _Node(*_resolve(c), False)
-        key = (c.term, c.linking, c.state.amps.tobytes())
+        key = (c.code, c.env, c.kont, c.linking, c.state.amps.tobytes())
         node = self.nodes.get(key)
         if node is None:
             succs, out_key = _resolve(c)
@@ -478,21 +615,17 @@ def sample(c: Closure, seed: int, max_steps: int = 10_000) -> Trace:
     """Sample one run, resolving probabilistic branches with the given seed."""
     if max_steps < 0:
         raise MachineError(f"step budget must be nonnegative, got {max_steps}")
-    rng = random.Random(seed)
-    trace = []
-    cur = c
+    rng, trace = random.Random(seed), []
     for _ in range(max_steps):
-        succs = step(cur)
+        succs = step(c)
         if not succs:
-            return Trace(trace, cur, False)
-        r = rng.random()
-        acc = 0.0
-        chosen = succs[-1]
+            return Trace(trace, c, False)
+        r, acc, chosen = rng.random(), 0.0, succs[-1]
         for s in succs:
             acc += s.prob
             if r < acc:
                 chosen = s
                 break
         trace.append((chosen.rule, chosen.prob, chosen.closure))
-        cur = chosen.closure
-    return Trace(trace, cur, True)
+        c = chosen.closure
+    return Trace(trace, c, True)

@@ -160,6 +160,10 @@ def check(ctx: Ctx, m: Term, expected: Optional[Type] = None) -> Derivation:
         return Derivation("promotion", ctx, m, expected, (child,))
 
     if isinstance(expected, ListT):
+        # an unannotated injection (a cons or nil literal) is a list only as
+        # its unrolled sum: ``_check_core`` would raise, printing it first
+        if isinstance(m, (InL, InR)) and m.ann is None:
+            return _coerce_list(ctx, m, expected)
         try:
             return _check_core(ctx, m, expected)
         except TypingError:

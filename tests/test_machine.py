@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -128,7 +128,7 @@ def _is_blocked(m: S.Term) -> bool:
     """Whether the next redex of ``m``, followed down the evaluation order,
     is an exhausted letrec's omega."""
     while True:
-        names = [n for n, _ in M._EVAL_ORDER.get(type(m), ()) if not S.is_value(getattr(m, n))]
+        names = [n for n, _ in _EVAL_ORDER.get(type(m), ()) if not S.is_value(getattr(m, n))]
         if not names:
             return isinstance(m, S.Omega)
         m = getattr(m, names[0])
@@ -155,20 +155,6 @@ def test_is_blocked_follows_the_evaluation_order():
         dist = M.evaluate(c)
         assert dist.blocked == (1.0 if blocked or succs else 0.0)
         assert dist.halt_mass == 1.0 - dist.blocked
-
-
-def test_focus_rebuild_changes_only_its_field():
-    # every field of each node distinct, so a swapped argument shows
-    a, b, c = S.Var("a"), S.Var("b"), S.Var("c")
-    nodes = [
-        S.App(a, b), S.Pair(a, b), S.InL(a, S.BIT), S.InR(a, S.BIT), S.LetUnit(a, b),
-        S.LetPair("x", S.QUBIT, "y", S.UNIT, a, b),
-        S.Match(a, "x", S.QUBIT, b, "y", S.UNIT, S.Var("d")),
-    ]
-    assert {type(m) for m in nodes} == set(M._EVAL_ORDER)
-    for m in nodes:
-        for name, rebuild in M._EVAL_ORDER[type(m)]:
-            assert rebuild(m, c) == replace(m, **{name: c})
 
 
 @pytest.mark.parametrize("linking, message", [
@@ -295,8 +281,157 @@ def test_qubit_cap(monkeypatch):
     assert M.sample(M.load(term), 0).final.num_qubits == 3
 
 
+# ---------------------------------------------------------------------------
+# The substitution machine, kept as the reference semantics: each step finds
+# the redex of the whole term down the evaluation order, substitutes, and
+# rebuilds the term around the result.
+
+
+@dataclass(frozen=True)
+class _RefClosure:
+    state: Q.QState
+    linking: tuple
+    term: S.Term
+
+    link_map = M.Closure.link_map
+    num_qubits = M.Closure.num_qubits
+
+
+# Call-by-value evaluation order: the fields of each node that reduce to
+# values, left to right, before the node itself is a redex or a value.  Each
+# field comes with the constructor call that rebuilds the node around a new
+# value of it.
+_EVAL_ORDER = {
+    S.App: (("fn", lambda m, v: S.App(v, m.arg)), ("arg", lambda m, v: S.App(m.fn, v))),
+    S.Pair: (("left", lambda m, v: S.Pair(v, m.right)), ("right", lambda m, v: S.Pair(m.left, v))),
+    S.InL: (("body", lambda m, v: S.InL(v, m.ann)),),
+    S.InR: (("body", lambda m, v: S.InR(v, m.ann)),),
+    S.LetUnit: (("subject", lambda m, v: S.LetUnit(v, m.body)),),
+    S.LetPair: (("subject", lambda m, v: S.LetPair(m.lvar, m.ltype, m.rvar, m.rtype, v, m.body)),),
+    S.Match: (("subject", lambda m, v: S.Match(v, m.lvar, m.ltype, m.lbody,
+                                               m.rvar, m.rtype, m.rbody)),),
+}
+
+
+def _unfold_letrec(m: S.LetRec) -> S.Term:
+    """One unfolding of the recursive binder inside the body."""
+    f, x = m.fname, m.var
+    if m.bound is None:
+        wrapped = S.Abs(x, m.arg_type, S.LetRec(f, m.arg_type, m.res_type, x, m.body, m.body, None))
+    elif m.bound == 0:
+        wrapped = S.Abs(x, m.arg_type, S.Omega(m.res_type))
+    else:
+        wrapped = S.Abs(x, m.arg_type, S.LetRec(f, m.arg_type, m.res_type, x, m.body, m.body,
+                                                m.bound - 1))
+    return S.subst(m.cont, f, wrapped)
+
+
+def _redex_plan(m: S.Term, linked: frozenset):
+    """``(rule, op, successor terms)`` of ``m``, whose linked variables are
+    ``linked``: ``op`` is ``(bit, fresh name)`` for ``new``, ``(matrix,
+    variable names)`` for ``unitary``, the measured variable for ``meas``
+    (whose successors are ff then tt) and None otherwise; a normal form has
+    rule None and no successors."""
+    for name, rebuild in _EVAL_ORDER.get(type(m), ()):
+        sub = getattr(m, name)
+        if not S.is_value(sub):
+            rule, op, terms = _redex_plan(sub, linked)
+            return rule, op, tuple(rebuild(m, m2) for m2 in terms)
+    match m:
+        case S.App(S.Abs(x, _, body), a):
+            return "beta", None, (S.subst(body, x, a),)
+        case S.App(S.Split(), a):
+            return "split", None, (a,)
+        case S.App(S.New(), a):
+            y = S.fresh_name(f"q{len(linked) + 1}", linked)
+            return "new", (M._bit_value(a), y), (S.Var(y),)
+        case S.App(S.Meas(), a):
+            if not isinstance(a, S.Var):
+                raise M.StuckTerm(f"meas argument {S.pretty(a)} is not a qubit variable")
+            return "meas", a.name, (S.ff(), S.tt())
+        case S.App(S.Gate(_, arity, _) as g, a):
+            names = M._tensor_vars(a)
+            if len(names) != arity:
+                raise M.StuckTerm(f"gate expects {arity} qubits, got {len(names)}")
+            return "unitary", (g.as_array(), tuple(names)), (a,)
+        case S.App(f, _):
+            raise M.StuckTerm(f"cannot apply {S.pretty(f)}")
+        case S.LetUnit(s, b):
+            if not isinstance(s, S.UnitVal):
+                raise M.StuckTerm(f"let () subject is {S.pretty(s)}")
+            return "let_unit", None, (b,)
+        case S.LetPair(x, _, y, _, s, b):
+            if not isinstance(s, S.Pair):
+                raise M.StuckTerm(f"let <,> subject is {S.pretty(s)}")
+            return "let_tensor", None, (S.subst(S.subst(b, x, s.left), y, s.right),)
+        case S.Match(S.InL(v, _), x, _, lb, _, _, _):
+            return "match_inl", None, (S.subst(lb, x, v),)
+        case S.Match(S.InR(v, _), _, _, _, y, _, rb):
+            return "match_inr", None, (S.subst(rb, y, v),)
+        case S.Match(s):
+            raise M.StuckTerm(f"match subject is {S.pretty(s)}")
+        case S.LetRec(_, _, _, _, _, _, bound):
+            rule = "letrec" if bound is None else f"letrec^{bound}"
+            return rule, None, (_unfold_letrec(m),)
+        case S.Omega():
+            return None, None, ()
+        case _ if S.is_value(m):
+            return None, None, ()
+    raise M.StuckTerm(f"no rule applies to {S.pretty(m)}")
+
+
+def _reference_step(c) -> list:
+    """``M.step`` by substitution, on a closure with a ``term``."""
+    rule, op, terms = _redex_plan(c.term, S.free_vars(c.term))
+    state, link = c.state, c.link_map()
+    if rule == "meas":
+        branches = [(p, st, lk, terms[b]) for b, p, st, lk in M._measure_out(1.0, state, link, op)]
+    else:
+        if rule == "new":
+            if state.num_qubits >= M.MAX_QUBITS:
+                raise M.TooManyQubits(f"new would allocate qubit {state.num_qubits + 1} "
+                                      f"beyond the cap of {M.MAX_QUBITS}")
+            bit, y = op
+            link[y] = state.num_qubits + 1
+            state = Q.append_qubit(state, bit)
+        elif rule == "unitary":
+            matrix, names = op
+            state = Q.apply_unitary(state, matrix, [link[x] for x in names])
+        branches = [(1.0, state, link, term) for term in terms]
+    out = []
+    for prob, st, lk, term in branches:
+        for p2, state2, link2 in M._discard_orphans(prob, st, lk, term):
+            linking = tuple(sorted(link2.items(), key=lambda kv: kv[1]))
+            out.append(M.Step(p2, _RefClosure(state2, linking, term), rule))
+    return out
+
+
+def _reference_sample(c, seed: int, max_steps: int = 10_000) -> M.Trace:
+    """``M.sample`` with ``_reference_step``."""
+    rng = random.Random(seed)
+    trace = []
+    for _ in range(max_steps):
+        succs = _reference_step(c)
+        if not succs:
+            return M.Trace(trace, c, False)
+        r, acc, chosen = rng.random(), 0.0, succs[-1]
+        for s in succs:
+            acc += s.prob
+            if r < acc:
+                chosen = s
+                break
+        trace.append((chosen.rule, chosen.prob, chosen.closure))
+        c = chosen.closure
+    return M.Trace(trace, c, True)
+
+
+def _reference_load(term: S.Term) -> _RefClosure:
+    return _RefClosure(Q.EMPTY, (), S.strip_ascriptions(term))
+
+
 def _reference_evaluate(c, max_steps):
-    """Breadth-first evaluation with plain ``step`` and ``canonical_key``, no table."""
+    """Breadth-first evaluation with ``_reference_step`` and ``canonical_key``,
+    no table."""
     dist = M.Distribution()
     frontier = [(1.0, c)]
     steps = 0
@@ -304,7 +439,7 @@ def _reference_evaluate(c, max_steps):
         steps += 1
         next_frontier = []
         for prob, cl in frontier:
-            succs = M.step(cl)
+            succs = _reference_step(cl)
             if not succs:
                 if S.is_value(cl.term):
                     key = M.canonical_key(cl)
@@ -326,13 +461,6 @@ def _reference_evaluate(c, max_steps):
     dist.residual = sum(p for p, _ in frontier)
     dist.steps_used = steps
     return dist
-
-
-def _plan_lookups() -> int:
-    """How many plans ``step`` has looked up in this process: a call that
-    looked up none stepped nothing."""
-    info = M._plan.cache_info()
-    return info.hits + info.misses
 
 
 def _closure_record(c):
@@ -421,26 +549,24 @@ def test_links_hold_no_memory(monkeypatch):
     # one is close to plain stepping's, whose frontier holds only closures
     term = load("qlist-run")
 
-    plans = []  # the plans each measured run looked up
+    steps = []  # the steps each measured run took
 
     def peak(evaluate):
         c = M.load(term)
-        lookups = _plan_lookups()
         tracemalloc.start()
         try:
-            evaluate(c, 200)
+            steps.append(evaluate(c, 200).steps_used)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            plans.append(_plan_lookups() - lookups)
 
-    M.evaluate(M.load(term), 200)  # every measured run finds the plans made
+    M.evaluate(M.load(term), 200)  # the measured runs find the process warmed up
     with_table = peak(M.evaluate)
     monkeypatch.setattr(M, "MAX_TABLE_AMPS", 0)
     without = peak(M.evaluate)
     assert with_table <= 1.1 * without
     assert without <= 1.1 * peak(_reference_evaluate)
-    assert min(plans) > 0  # each of the three calls stepped
+    assert min(steps) > 0  # each of the three calls stepped
 
 
 def test_frontier_cap(monkeypatch):
@@ -457,23 +583,14 @@ def test_frontier_cap(monkeypatch):
 
 
 def _clear_memos():
-    M._plan.cache_clear()
     S.strip_ascriptions.cache_clear()
     T.check.cache_clear()
 
 
-def _warm_memos():
-    # other programs' plans and stripped terms, so the traces below are
-    # served partly by entries that these programs did not make
-    for seed in range(40):
-        M.evaluate(M.load(A.random_finitary_program(seed, 10)), max_steps=2000)
-    for seed in range(30):
-        M.evaluate(M.load(A.random_letrec_program(seed)), max_steps=300)
-
-
-def _exact_traces(monkeypatch, name):
-    """Seeds 0..9 of ``sample``: every step's rule, probability, linking, term
-    and amplitude bytes, and the number of ``rng.random()`` draws."""
+def _exact_traces(monkeypatch, term, seeds=range(10)):
+    """``sample`` at ``seeds``: every step's rule, probability, linking, raw
+    printed term and amplitude bytes, and the number of ``rng.random()``
+    draws; then the same of ``_reference_sample``."""
     draws = []
 
     class Counting(random.Random):
@@ -481,49 +598,65 @@ def _exact_traces(monkeypatch, name):
             draws[-1] += 1
             return super().random()
 
+    def record(trace):
+        return ([(rule, prob, c.linking, S.pretty(c.term), c.state.amps.tobytes())
+                 for rule, prob, c in trace.steps],
+                _closure_record(trace.final), trace.timed_out, len(trace.steps))
+
     monkeypatch.setattr(M, "random", SimpleNamespace(Random=Counting))
-    out = []
-    for seed in range(10):
+    got = []
+    for seed in seeds:
         draws.append(0)
-        trace = M.sample(M.load(load(name)), seed)
+        trace = M.sample(M.load(term), seed)
         assert draws[-1] == len(trace.steps)  # one draw per step taken
-        out.append(([(rule, prob, c.linking, S.pretty(c.term), c.state.amps.tobytes())
-                     for rule, prob, c in trace.steps],
-                    _closure_record(trace.final), trace.timed_out, draws[-1]))
+        got.append(record(trace))
     monkeypatch.undo()
-    return out
+    return got, [record(_reference_sample(_reference_load(term), seed)) for seed in seeds]
 
 
-def test_plans_do_not_change_sample_traces(monkeypatch):
-    from test_golden import SAMPLE_PROGRAMS
+# Programs in which substitution renames a binder, captures a name or drops
+# a qubit: a binder named like a qubit that a value substituted under it
+# holds (beta, match, a letrec's function and its argument), a pair whose
+# second name is the qubit of its first value, and a discarded argument.
+_CLASHES = [
+    "let a:qubit = new ff in (lam q1:qubit. <a, q1>) (new tt)",
+    "let <x:qubit, q1:qubit> = <new ff, new tt> in <x, q1>",
+    "let a:qubit = new ff in match inl[unit + unit] () with "
+    "(q1:unit -> let () = q1 in a | z:unit -> let () = z in a)",
+    "let a:qubit = new ff in letrec q1(x:unit):qubit = let () = x in a in q1 ()",
+    "let a:qubit = new ff in letrec f(q1:unit):qubit = let () = q1 in a in f ()",
+    "(lam q:qubit. omega[unit]) (new ff)",
+    "let x:qubit = new ff in match inl[unit + unit] () with "
+    "(x:unit -> x | y:unit -> let () = y in x)",
+]
 
-    cold = {}
-    for name in SAMPLE_PROGRAMS:
-        _clear_memos()
-        cold[name] = _exact_traces(monkeypatch, name)
-    _clear_memos()
-    _warm_memos()
-    info = M._plan.cache_info()
-    assert info.currsize == info.maxsize  # the warm-up also evicted plans
-    for name in SAMPLE_PROGRAMS:
-        assert _exact_traces(monkeypatch, name) == cold[name], name
-    # seeds 1..9 of each program are served by the plans of the seeds before
-    assert M._plan.cache_info().hits - info.hits > 300
 
-
-def test_plans_do_not_change_evaluations():
+def test_environment_machine_matches_substitution(monkeypatch):
     from test_golden import MACHINE_PROGRAMS, MACHINE_STEPS
 
-    cold = {}
-    for name in MACHINE_PROGRAMS:
-        _clear_memos()
-        cold[name] = M.evaluate(M.load(load(name)), MACHINE_STEPS)
-    _clear_memos()
-    _warm_memos()
-    for name in MACHINE_PROGRAMS:
-        lookups = _plan_lookups()
-        _assert_same_distribution(M.evaluate(M.load(load(name)), MACHINE_STEPS), cold[name])
-        assert _plan_lookups() > lookups, name  # it stepped, on the warm plans
+    cases = [(A.random_finitary_program(seed, 10), 2000, range(2)) for seed in range(50)]
+    cases += [(A.random_letrec_program(seed), 300, range(2)) for seed in range(30)]
+    cases += [(load(name), MACHINE_STEPS, range(10)) for name in MACHINE_PROGRAMS]
+    cases += [(P.parse_term(text), 100, range(4)) for text in _CLASHES]
+    for term, max_steps, seeds in cases:
+        # exact distributions, the outcomes' closures included
+        _assert_same_distribution(M.evaluate(M.load(term), max_steps),
+                                  _reference_evaluate(_reference_load(term), max_steps))
+        # raw traces: the names of new qubits and of renamed binders included
+        got, want = _exact_traces(monkeypatch, term, seeds)
+        assert got == want, S.pretty(term)
+    # the reference's rebuilds change only the field they focus on; every
+    # field of each node distinct, so a swapped argument shows
+    a, b, c = S.Var("a"), S.Var("b"), S.Var("c")
+    nodes = [
+        S.App(a, b), S.Pair(a, b), S.InL(a, S.BIT), S.InR(a, S.BIT), S.LetUnit(a, b),
+        S.LetPair("x", S.QUBIT, "y", S.UNIT, a, b),
+        S.Match(a, "x", S.QUBIT, b, "y", S.UNIT, S.Var("d")),
+    ]
+    assert {type(m) for m in nodes} == set(_EVAL_ORDER)
+    for m in nodes:
+        for name, rebuild in _EVAL_ORDER[type(m)]:
+            assert rebuild(m, c) == replace(m, **{name: c})
 
 
 def test_new_names_avoid_the_whole_term():

@@ -49,7 +49,6 @@ CACHES = {
     "denote._route": "adequacy-fuzz",          # 1205 / 193
     "denote.denote": "letrec-sandwich",        # 34 / 77 over 256 items
     "denote.denote_type": "adequacy-fuzz",     # 2616 / 67
-    "machine._plan": "sample-teleport",        # 1868 / 52 over 64 samples
     "syntax.strip_ascriptions": "adequacy-fuzz",  # 1775 / 1486
     "typecheck.check": "letrec-sandwich",      # 34 / 77 over 256 items
 }

@@ -231,3 +231,38 @@ def test_bounded_letrec_rule():
     while node.rule != "recN":
         node = node.children[-1]
     assert node.term.bound == 2
+
+
+def test_cons_literal_checks_without_printing(monkeypatch):
+    # an unannotated cons or nil is a list only through its unrolled sum; a
+    # direct attempt would print the whole literal into an error message
+    # that the retry swallows, at a cost quadratic in the literal's length
+    lst = S.ListT(S.UNIT)
+    m = S.nil()
+    for _ in range(50):
+        m = S.cons(S.UnitVal(), m)
+    printed = []
+    pretty = S.pretty
+    monkeypatch.setattr(S, "pretty", lambda t: printed.append(t) or pretty(t))
+    T.check.cache_clear()
+    assert T.check((), m, lst).type == lst
+    assert printed == []
+    # the error that escapes is the retry's, as it always was
+    bad = S.cons(S.App(S.New(), S.ff()), S.nil())
+    with pytest.raises(T.TypingError) as err:
+        T.check((), bad, lst)
+    assert str(err.value) == \
+        "TypeMismatch: term new (inl[unit + unit] ()) has type qubit, expected unit"
+
+
+def test_unshadow_avoids_the_free_names_of_the_scope():
+    # the letrec's f clashes with the context's; its first fresh candidate,
+    # f#1, is the letrec's own parameter, free in the body, so f must skip
+    # past it rather than capture the parameter
+    ctx = (("f", S.BangArrow(S.UNIT, S.UNIT)),)
+    m = S.LetRec("f", S.UNIT, S.UNIT, "f#1", S.App(S.Var("f"), S.Var("f#1")), S.Var("f"))
+    T.check.cache_clear()
+    d = T.check(ctx, m, None)
+    assert (d.term.fname, d.term.var) == ("f#2", "f#1")
+    assert S.free_vars(d.children[0].term) == {"f#2", "f#1"}
+    assert S.pretty(d.term) == "letrec f#2(f#1:unit):unit = f#2 f#1 in f#2"
