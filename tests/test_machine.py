@@ -632,11 +632,8 @@ _CLASHES = [
 
 
 def test_environment_machine_matches_substitution(monkeypatch):
-    from test_golden import MACHINE_PROGRAMS, MACHINE_STEPS
-
     cases = [(A.random_finitary_program(seed, 10), 2000, range(2)) for seed in range(50)]
     cases += [(A.random_letrec_program(seed), 300, range(2)) for seed in range(30)]
-    cases += [(load(name), MACHINE_STEPS, range(10)) for name in MACHINE_PROGRAMS]
     cases += [(P.parse_term(text), 100, range(4)) for text in _CLASHES]
     for term, max_steps, seeds in cases:
         # exact distributions, the outcomes' closures included
@@ -645,6 +642,9 @@ def test_environment_machine_matches_substitution(monkeypatch):
         # raw traces: the names of new qubits and of renamed binders included
         got, want = _exact_traces(monkeypatch, term, seeds)
         assert got == want, S.pretty(term)
+
+
+def test_focus_rebuild_changes_only_its_field():
     # the reference's rebuilds change only the field they focus on; every
     # field of each node distinct, so a swapped argument shows
     a, b, c = S.Var("a"), S.Var("b"), S.Var("c")
@@ -657,6 +657,53 @@ def test_environment_machine_matches_substitution(monkeypatch):
     for m in nodes:
         for name, rebuild in _EVAL_ORDER[type(m)]:
             assert rebuild(m, c) == replace(m, **{name: c})
+
+
+# The two tests below are named for the per-term plan memo the machine once
+# kept.  What they check holds of the memos it keeps now (stripped and checked
+# terms, each function's free variables): filled by other programs, they
+# change no evaluation or trace, which stay the substitution reference's.
+
+
+def _warm_memos():
+    # other programs' stripped and checked terms, so the runs below are served
+    # partly by entries that these programs did not make
+    for seed in range(40):
+        M.evaluate(M.load(A.random_finitary_program(seed, 10)), max_steps=2000)
+    for seed in range(30):
+        M.evaluate(M.load(A.random_letrec_program(seed)), max_steps=300)
+
+
+def test_plans_do_not_change_evaluations():
+    from test_golden import MACHINE_PROGRAMS, MACHINE_STEPS
+
+    cold = {}
+    for name in MACHINE_PROGRAMS:
+        _clear_memos()
+        cold[name] = M.evaluate(M.load(load(name)), MACHINE_STEPS)
+        _assert_same_distribution(cold[name], _reference_evaluate(_reference_load(load(name)),
+                                                                  MACHINE_STEPS))
+    _clear_memos()
+    _warm_memos()
+    for name in MACHINE_PROGRAMS:
+        _assert_same_distribution(M.evaluate(M.load(load(name)), MACHINE_STEPS), cold[name])
+
+
+def test_plans_do_not_change_sample_traces(monkeypatch):
+    from test_golden import MACHINE_PROGRAMS, SAMPLE_PROGRAMS
+
+    cold = {}
+    for name in MACHINE_PROGRAMS:
+        _clear_memos()
+        got, want = _exact_traces(monkeypatch, load(name))
+        assert got == want, name
+        cold[name] = got
+    _clear_memos()
+    _warm_memos()
+    # the programs that halt; coin-unit and omega run out their 10000 steps
+    for name in SAMPLE_PROGRAMS:
+        got, _ = _exact_traces(monkeypatch, load(name))
+        assert got == cold[name], name
 
 
 def test_new_names_avoid_the_whole_term():
