@@ -17,15 +17,18 @@ rebuilds the term or descends from its root, so a fresh program's step costs
 what a recurring one's does.  ``new`` names its qubit apart from the linked
 variables, which are the free variables of the whole term.
 
-The term is read back, by substituting each environment into its code, only
-where output needs it: ``Closure.term`` (cached), ``canonical_key`` at
-values, traces.  It is the term substitution would have made, binder names
-included: a step whose bound name is free in a value of its environment (so
-that substitution renamed the binder), or that binds the second name of a
-pair in which the first value holds a qubit of that name (so that
-substitution captured it), goes on from its term with no environment.  A
-step that drops a value holding qubits measures out those the term no
-longer names.
+The term is read back, by substituting each environment into its code all at
+once (one ``subst`` of the whole mapping), only where output needs it:
+``Closure.term`` (cached), ``canonical_key`` at values, traces.  Binding the
+names of an environment at once means what substituting them at once means,
+so the read-back is the term substitution would have made, binder names
+included: a binder named like a qubit of a value substituted under it is
+renamed by the read-back as by substitution.  One step goes on from its
+read-back term with no environment instead: a ``letrec`` whose function or
+argument name is free in a value of its environment, because substitution
+renamed the ``letrec``'s binders and its unfolding copies the renamed body,
+which an environment cannot carry.  A step that drops a value holding
+qubits measures out those the term no longer names.
 
 ``evaluate`` runs the branching reduction as a Markov chain over shared
 closures: one table per call keeps a node for each distinct closure, holding
@@ -148,18 +151,7 @@ def _read(v) -> Term:
 
 
 def _subst_env(m: Term, env: tuple) -> Term:
-    for x, v in env:
-        m = subst(m, x, _read(v))
-    return m
-
-
-def _read_back(m, env: Optional[tuple], kont: Optional[tuple]) -> Term:
-    """The term of code ``m`` under ``env`` (of value ``m``, if ``env`` is
-    None) inside the frames ``kont``."""
-    t = _read(m) if env is None else _subst_env(m, env)
-    while kont is not None:
-        t, kont = _plug(kont, t), kont[3]
-    return t
+    return subst(m, {x: _read(v) for x, v in env})
 
 
 def _trim(env: tuple, keep: frozenset) -> tuple:
@@ -244,7 +236,11 @@ class Closure:
 
     @functools.cached_property
     def term(self) -> Term:
-        return _read_back(self.code, self.env, self.kont)
+        t = _read(self.code) if self.env is None else _subst_env(self.code, self.env)
+        kont = self.kont
+        while kont is not None:
+            t, kont = _plug(kont, t), kont[3]
+        return t
 
     def link_map(self) -> dict:
         return dict(self.linking)
@@ -301,20 +297,18 @@ def _unfolded(m: LetRec) -> Abs:
 
 
 def _bind(body: Term, env: tuple, pairs: tuple, kont):
-    """The successor that enters ``body`` with ``pairs`` bound over ``env``:
-    ``(code, env, kont, lost, capture)``, or None when a bound name is free
-    in a value of ``env``, so that substitution renamed its binder.
+    """The successor that enters ``body`` with ``pairs`` bound over ``env``,
+    all at once: ``(code, env, kont, lost)``, where ``lost`` says that a
+    value holding qubits was dropped.
 
-    ``lost`` says that a value holding qubits was dropped; ``capture``, that
-    the second of two names is free in the first's value, so that
-    substitution captured it.
+    A bound name may also name a qubit in a value of ``env``: the read-back
+    substitutes the whole environment at once, so the name means the bound
+    value in ``body`` and the qubit in the value, as after substitution.
     """
     fv, names = free_vars(body), [x for x, _ in pairs]
     kept, lost = [], False
     for x, v in env:
         if x in fv and x not in names:
-            if names[0] in free_vars(v) or names[-1] in free_vars(v):
-                return None
             kept.append((x, v))
         else:
             lost = lost or bool(free_vars(v))
@@ -323,8 +317,7 @@ def _bind(body: Term, env: tuple, pairs: tuple, kont):
             kept.append((x, v))
         else:
             lost = lost or bool(free_vars(v))
-    capture = len(names) == 2 and set(names) <= fv and names[1] in free_vars(pairs[0][1])
-    return body, tuple(kept), kont, lost or capture, capture
+    return body, tuple(kept), kont, lost
 
 
 def _linking(link) -> tuple:
@@ -336,21 +329,25 @@ def step(c: Closure) -> list:
 
     A normal form, which is a value or an omega-blocked term, returns the
     empty list; a term that is neither and has no redex raises ``StuckTerm``.
-    A step that substitution makes by renaming a binder goes on from the
-    closure's term instead, with no environment.
+    A ``letrec`` whose function or argument name is free in a value of its
+    environment steps from the closure's read-back term instead, with no
+    environment: substitution renamed its binders, and the unfolded copy of
+    the body carries the new names, which an environment cannot.  Every
+    other step binds, pushes or pops.
     """
     m, env, kont = c.code, c.env, c.kont
     if env is None and kont is None or isinstance(m, Omega):
         return []  # a value, or blocked on omega
-    state, link, branches, nxt = c.state, c.linking, None, None
+    state, link, branches = c.state, c.linking, None
     if env is not None:  # a letrec under its environment
+        if any(m.fname in free_vars(v) or m.var in free_vars(v) for _, v in env):
+            return step(Closure(state, link, c.term))
         rule, fun = ("letrec" if m.bound is None else f"letrec^{m.bound}"), _unfolded(m)
-        if not any(m.fname in free_vars(v) or m.var in free_vars(v) for _, v in env):
-            nxt = _bind(m.cont, env, ((m.fname, _Fun(fun, _trim(env, free_vars(fun)))),), kont)
+        nxt = _bind(m.cont, env, ((m.fname, _Fun(fun, _trim(env, free_vars(fun)))),), kont)
     elif kont[0] is not App:
         node, fenv, _, up = kont
         if isinstance(node, LetUnit) and isinstance(m, UnitVal):
-            rule, nxt = "let_unit", (node.body, fenv, up, False, False)
+            rule, nxt = "let_unit", (node.body, fenv, up, False)
         elif isinstance(node, LetPair) and isinstance(m, Pair):
             pairs = ((node.lvar, m.left), (node.rvar, m.right))
             rule, nxt = "let_tensor", _bind(node.body, fenv, pairs, up)
@@ -363,7 +360,7 @@ def step(c: Closure) -> list:
             raise StuckTerm(f"{what} subject is {S.pretty(_read(m))}")
     else:
         f, up = kont[2][0], kont[3]
-        nxt = (m, None, up, False, False)  # split and a gate return their argument
+        nxt = (m, None, up, False)  # split and a gate return their argument
         if isinstance(f, _Fun):
             rule, nxt = "beta", _bind(f.code.body, f.env, ((f.code.var, m),), up)
         elif isinstance(f, Split):
@@ -378,12 +375,12 @@ def step(c: Closure) -> list:
             y = S.fresh_name(f"q{len(link) + 1}", link)
             link[y] = state.num_qubits + 1
             state = QS.append_qubit(state, bit)
-            rule, nxt = "new", (Var(y), None, up, False, False)
+            rule, nxt = "new", (Var(y), None, up, False)
         elif isinstance(f, Meas):
             if not isinstance(m, Var):
                 raise StuckTerm(f"meas argument {S.pretty(_read(m))} is not a qubit variable")
             rule = "meas"
-            branches = [(p, st, lk, (_TT if b else _FF, None, up, False, False))
+            branches = [(p, st, lk, (_TT if b else _FF, None, up, False))
                         for b, p, st, lk in _measure_out(1.0, state, c.link_map(), m.name)]
         elif isinstance(f, Gate):
             names = _tensor_vars(m)
@@ -393,14 +390,10 @@ def step(c: Closure) -> list:
             rule = "unitary"
         else:
             raise StuckTerm(f"cannot apply {S.pretty(_read(f))}")
-    if branches is None and nxt is None:
-        return step(Closure(c.state, c.linking, c.term))
     if branches is None and not nxt[3]:  # one plain successor
         return [Step(1.0, Closure(state, _linking(link), *nxt[:3]), rule)]
     out = []
-    for prob, st, lk, (code, env2, kont2, lost, capture) in branches or [(1.0, state, link, nxt)]:
-        if capture:  # go on from the term that substitution made
-            code, env2, kont2 = _read_back(code, env2, kont2), (), None
+    for prob, st, lk, (code, env2, kont2, lost) in branches or [(1.0, state, link, nxt)]:
         nc = Closure(st, _linking(lk), code, env2, kont2)
         for p2, st2, lk2 in (_discard_orphans(prob, st, nc.link_map(), nc.term) if lost
                              else [(prob, st, None)]):

@@ -27,9 +27,11 @@ table on a term costs one node.  Nodes are never mutated otherwise, and a
 node built by a constructor, ``replace``, ``map_subterms`` or ``subst`` starts
 with both slots empty, so no cached value can go stale.  A hash depends on
 the process's string-hash seed, so a pickled term leaves its hash behind.
-``subst`` returns every subterm in which the variable is not free as it is,
-so it rebuilds only the paths down to the occurrences and the rest of the
-term, caches included, is shared with the result.
+``subst`` substitutes a mapping of variables all at once, and renames a
+binder that would capture by adding it to the mapping under the binder.  It
+returns every subterm in which none of the variables is free as it is, so it
+rebuilds only the paths down to the occurrences and the rest of the term,
+caches included, is shared with the result.
 """
 
 from __future__ import annotations
@@ -496,59 +498,62 @@ def fresh_name(base: str, avoid) -> str:
     return f"{root}#{k}"
 
 
-def subst(m: Term, x: str, v: Term) -> Term:
-    """Capture-avoiding substitution ``m[v / x]``.
+def subst(m: Term, sigma: dict) -> Term:
+    """Capture-avoiding simultaneous substitution: ``m`` with every free
+    variable ``x`` in ``sigma`` replaced by ``sigma[x]``, all at once.
 
-    Only the paths down to the free occurrences of ``x`` are rebuilt; every
-    other subterm of ``m`` is shared with the result, ``m`` itself when ``x``
-    is not free in it.  A binder is renamed only when ``x`` occurs under it
-    and ``v`` has a free variable of the same name.
+    Only the paths down to the free occurrences of ``sigma``'s variables are
+    rebuilt; every other subterm of ``m`` is shared with the result, ``m``
+    itself when none of them is free in it.  A binder is renamed only when a
+    term substituted under it has a free variable of the same name, and the
+    renaming is one more entry of the mapping under the binder.
     """
-    fv_v = free_vars(v)
 
-    def under(names: tuple, body: Term):
-        """Substitute in ``body`` under the binders ``names``."""
-        if x in names or x not in free_vars(body):
-            return names, body
-        avoid = set().union(fv_v, free_vars(body), names)
+    def under(names: tuple, scope: frozenset, sigma: dict, taken=()):
+        """The binders ``names`` of a scope with free variables ``scope``,
+        renamed apart from the terms ``sigma`` substitutes there (and from
+        ``taken``), and the mapping to apply in the scope."""
+        inner = {x: v for x, v in sigma.items() if x in scope and x not in names}
+        if not inner:
+            return names, inner
+        fv_v = set().union(*map(free_vars, inner.values()))
+        if fv_v.isdisjoint(names):
+            return names, inner
+        avoid = fv_v.union(scope, names, taken)
         renamed = []
         for y in names:
             if y in fv_v:
                 y2 = fresh_name(y, avoid)
                 avoid.add(y2)
-                body = subst(body, y, Var(y2))
+                inner[y] = Var(y2)
                 y = y2
             renamed.append(y)
-        return tuple(renamed), go(body)
+        return tuple(renamed), inner
 
-    def go(t: Term) -> Term:
-        if x not in free_vars(t):
+    def go(t: Term, sigma: dict) -> Term:
+        if free_vars(t).isdisjoint(sigma):
             return t
         match t:
-            case Var():
-                return v
+            case Var(x):
+                return sigma[x]
             case Abs(y, ty, body):
-                (y,), body = under((y,), body)
-                return Abs(y, ty, body)
+                (y,), sb = under((y,), free_vars(body), sigma)
+                return Abs(y, ty, go(body, sb))
             case LetPair(y, ty, z, tz, s, b):
-                (y, z), b = under((y, z), b)
-                return LetPair(y, ty, z, tz, go(s), b)
+                (y, z), sb = under((y, z), free_vars(b), sigma)
+                return LetPair(y, ty, z, tz, go(s, sigma), go(b, sb))
             case Match(s, y, ty, lb, z, tz, rb):
-                (y,), lb = under((y,), lb)
-                (z,), rb = under((z,), rb)
-                return Match(go(s), y, ty, lb, z, tz, rb)
+                (y,), sl = under((y,), free_vars(lb), sigma)
+                (z,), sr = under((z,), free_vars(rb), sigma)
+                return Match(go(s, sigma), y, ty, go(lb, sl), z, tz, go(rb, sr))
             case LetRec(f, ta, tb, y, body, cont, bound):
                 # f binds in both body and cont, so it is renamed in both
-                # (x is free here, so f != x)
-                if f in fv_v:
-                    f2 = fresh_name(f, fv_v | free_vars(body) | free_vars(cont) | {y})
-                    body, cont = subst(body, f, Var(f2)), subst(cont, f, Var(f2))
-                    f = f2
-                (f, y), body = under((f, y), body)
-                return LetRec(f, ta, tb, y, body, go(cont), bound)
-        return map_subterms(t, go)
+                (f,), sc = under((f,), free_vars(t), sigma, (y,))
+                (y,), sb = under((y,), free_vars(body), sc, (f,))
+                return LetRec(f, ta, tb, y, go(body, sb), go(cont, sc), bound)
+        return map_subterms(t, lambda u: go(u, sigma))
 
-    return go(m)
+    return go(m, sigma)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -120,7 +120,7 @@ def _unshadow(x: str, clash: bool, ctx: Ctx, *terms: Term) -> tuple:
     if not clash:
         return (x, *terms)
     x2 = S.fresh_name(x, {y for y, _ in ctx}.union(*map(free_vars, terms)))
-    return (x2, *(S.subst(t, x, Var(x2)) for t in terms))
+    return (x2, *(S.subst(t, {x: Var(x2)}) for t in terms))
 
 
 def _qubits_tensor(k: int) -> Type:

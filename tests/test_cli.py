@@ -64,10 +64,24 @@ def test_check_deep_nesting_is_an_error(tmp_path):
     assert err == "error: the program nests too deeply\n"
 
 
-def test_run_distribution():
-    code, out, _ = run_cli("run", str(PROGRAMS / "cointoss.qlam"))
+# (program text or file, a line the distribution prints, how often)
+_DISTRIBUTIONS = {
+    "cointoss": (PROGRAMS / "cointoss.qlam", "p=0.500000000", 2),
+    # the pair's second name is the first qubit's: bound at once, not captured
+    "pair-names-a-qubit": ("let <x:qubit, q1:qubit> = <new ff, new tt> in <meas x, meas q1>",
+                           "outcome p=1.000000000 <inl[unit + unit] (), inr[unit + unit] ()>\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_DISTRIBUTIONS))
+def test_run_distribution(name, tmp_path):
+    program, line, count = _DISTRIBUTIONS[name]
+    if isinstance(program, str):
+        (tmp_path / "p.qlam").write_text(program)
+        program = tmp_path / "p.qlam"
+    code, out, _ = run_cli("run", str(program))
     assert code == 0
-    assert out.count("p=0.500000000") == 2
+    assert out.count(line) == count
     assert "residual 0.000000000\npruned 0.000000000\n" in out
 
 

@@ -323,7 +323,7 @@ def _unfold_letrec(m: S.LetRec) -> S.Term:
     else:
         wrapped = S.Abs(x, m.arg_type, S.LetRec(f, m.arg_type, m.res_type, x, m.body, m.body,
                                                 m.bound - 1))
-    return S.subst(m.cont, f, wrapped)
+    return S.subst(m.cont, {f: wrapped})
 
 
 def _redex_plan(m: S.Term, linked: frozenset):
@@ -339,7 +339,7 @@ def _redex_plan(m: S.Term, linked: frozenset):
             return rule, op, tuple(rebuild(m, m2) for m2 in terms)
     match m:
         case S.App(S.Abs(x, _, body), a):
-            return "beta", None, (S.subst(body, x, a),)
+            return "beta", None, (S.subst(body, {x: a}),)
         case S.App(S.Split(), a):
             return "split", None, (a,)
         case S.App(S.New(), a):
@@ -363,11 +363,11 @@ def _redex_plan(m: S.Term, linked: frozenset):
         case S.LetPair(x, _, y, _, s, b):
             if not isinstance(s, S.Pair):
                 raise M.StuckTerm(f"let <,> subject is {S.pretty(s)}")
-            return "let_tensor", None, (S.subst(S.subst(b, x, s.left), y, s.right),)
+            return "let_tensor", None, (S.subst(b, {x: s.left, y: s.right}),)
         case S.Match(S.InL(v, _), x, _, lb, _, _, _):
-            return "match_inl", None, (S.subst(lb, x, v),)
+            return "match_inl", None, (S.subst(lb, {x: v}),)
         case S.Match(S.InR(v, _), _, _, _, y, _, rb):
-            return "match_inr", None, (S.subst(rb, y, v),)
+            return "match_inr", None, (S.subst(rb, {y: v}),)
         case S.Match(s):
             raise M.StuckTerm(f"match subject is {S.pretty(s)}")
         case S.LetRec(_, _, _, _, _, _, bound):
@@ -587,10 +587,10 @@ def _clear_memos():
     T.check.cache_clear()
 
 
-def _exact_traces(monkeypatch, term, seeds=range(10)):
-    """``sample`` at ``seeds``: every step's rule, probability, linking, raw
-    printed term and amplitude bytes, and the number of ``rng.random()``
-    draws; then the same of ``_reference_sample``."""
+def _exact_traces(monkeypatch, term, seeds=range(10), max_steps=10_000):
+    """``sample`` at ``seeds``, for at most ``max_steps`` steps: every step's
+    rule, probability, linking, raw printed term and amplitude bytes, and the
+    number of ``rng.random()`` draws; then the same of ``_reference_sample``."""
     draws = []
 
     class Counting(random.Random):
@@ -607,17 +607,19 @@ def _exact_traces(monkeypatch, term, seeds=range(10)):
     got = []
     for seed in seeds:
         draws.append(0)
-        trace = M.sample(M.load(term), seed)
+        trace = M.sample(M.load(term), seed, max_steps)
         assert draws[-1] == len(trace.steps)  # one draw per step taken
         got.append(record(trace))
     monkeypatch.undo()
-    return got, [record(_reference_sample(_reference_load(term), seed)) for seed in seeds]
+    return got, [record(_reference_sample(_reference_load(term), seed, max_steps))
+                 for seed in seeds]
 
 
-# Programs in which substitution renames a binder, captures a name or drops
-# a qubit: a binder named like a qubit that a value substituted under it
-# holds (beta, match, a letrec's function and its argument), a pair whose
-# second name is the qubit of its first value, and a discarded argument.
+# Programs in which substitution renames a binder or drops a qubit: a binder
+# named like a qubit that a value substituted under it holds (beta, match, a
+# letrec's function and its argument), a pair whose second name is the qubit
+# of its first value (both names are substituted at once, so nothing is
+# captured and the program ends in <q1, q2>), and a discarded argument.
 _CLASHES = [
     "let a:qubit = new ff in (lam q1:qubit. <a, q1>) (new tt)",
     "let <x:qubit, q1:qubit> = <new ff, new tt> in <x, q1>",
@@ -631,16 +633,72 @@ _CLASHES = [
 ]
 
 
+# The names every binder of the renamed corpus is drawn from: the machine's
+# first qubit names, a name that the renaming of a binder named like a qubit
+# picks, and two plain names.
+_BINDER_NAMES = ("q1", "q2", "q3", "q1#1", "q2#1", "a", "x")
+
+
+def _rename_binders(m: S.Term, rng: random.Random) -> S.Term:
+    """``m`` with every binder renamed to a name of ``_BINDER_NAMES`` drawn
+    by ``rng``, keeping scopes: a binder's new name is none of the new names
+    of the other variables free in its scope."""
+
+    def pick(scope, env, taken=()):
+        # scope: the free variables of the binder's scope but its own names
+        used = {env.get(z, z) for z in scope}.union(taken)
+        return rng.choice([n for n in _BINDER_NAMES if n not in used])
+
+    def go(t: S.Term, env: dict) -> S.Term:
+        fv = S.free_vars
+        match t:
+            case S.Var(x):
+                return S.Var(env.get(x, x))
+            case S.Abs(y, ty, b):
+                n = pick(fv(b) - {y}, env)
+                return S.Abs(n, ty, go(b, {**env, y: n}))
+            case S.LetPair(y, ty, z, tz, s, b):
+                ny = pick(fv(b) - {y, z}, env)
+                nz = pick(fv(b) - {y, z}, env, (ny,))
+                return S.LetPair(ny, ty, nz, tz, go(s, env), go(b, {**env, y: ny, z: nz}))
+            case S.Match(s, y, ty, lb, z, tz, rb):
+                ny, nz = pick(fv(lb) - {y}, env), pick(fv(rb) - {z}, env)
+                return S.Match(go(s, env), ny, ty, go(lb, {**env, y: ny}),
+                               nz, tz, go(rb, {**env, z: nz}))
+            case S.LetRec(f, ta, tb, y, body, cont, bound):
+                nf = pick((fv(body) - {f, y}) | (fv(cont) - {f}), env)
+                ny = pick(fv(body) - {f, y}, env, (nf,))
+                return S.LetRec(nf, ta, tb, ny, go(body, {**env, f: nf, y: ny}),
+                                go(cont, {**env, f: nf}), bound)
+        return S.map_subterms(t, lambda u: go(u, env))
+
+    return go(m, {})
+
+
+def _renamed_corpus(seed: int):
+    """Finitary and letrec seeds 0..39 with their binders renamed at ``seed``."""
+    rng = random.Random(seed)
+    cases = [(_rename_binders(A.random_finitary_program(s, 10), rng), 2000) for s in range(40)]
+    cases += [(_rename_binders(A.random_letrec_program(s), rng), 300) for s in range(40)]
+    for term, _ in cases:
+        T.typecheck(term)
+    return cases
+
+
 def test_environment_machine_matches_substitution(monkeypatch):
-    cases = [(A.random_finitary_program(seed, 10), 2000, range(2)) for seed in range(50)]
-    cases += [(A.random_letrec_program(seed), 300, range(2)) for seed in range(30)]
-    cases += [(P.parse_term(text), 100, range(4)) for text in _CLASHES]
-    for term, max_steps, seeds in cases:
+    # (term, step budget, trace seeds, trace budget); the renamed corpus traces
+    # within its step budget, since four of its letrec programs (seeds 9, 11,
+    # 20 and 37), like three of the plain ones, loop for 10000 steps at seed 0
+    cases = [(A.random_finitary_program(seed, 10), 2000, range(2), 10_000) for seed in range(50)]
+    cases += [(A.random_letrec_program(seed), 300, range(2), 10_000) for seed in range(30)]
+    cases += [(P.parse_term(text), 100, range(4), 10_000) for text in _CLASHES]
+    cases += [(term, max_steps, range(2), max_steps) for term, max_steps in _renamed_corpus(1)]
+    for term, max_steps, seeds, trace_steps in cases:
         # exact distributions, the outcomes' closures included
         _assert_same_distribution(M.evaluate(M.load(term), max_steps),
                                   _reference_evaluate(_reference_load(term), max_steps))
         # raw traces: the names of new qubits and of renamed binders included
-        got, want = _exact_traces(monkeypatch, term, seeds)
+        got, want = _exact_traces(monkeypatch, term, seeds, trace_steps)
         assert got == want, S.pretty(term)
 
 

@@ -42,23 +42,23 @@ def test_free_vars():
 
 
 def test_subst_renaming():
-    t = S.subst(S.App(S.Meas(), S.Var("x")), "x", S.Var("y"))
+    t = S.subst(S.App(S.Meas(), S.Var("x")), {"x": S.Var("y")})
     assert t == S.App(S.Meas(), S.Var("y"))
 
 
 def test_subst_capture_avoiding():
     # (lam y. x){y/x} must rename the bound y
-    t = S.subst(S.Abs("y", S.QUBIT, S.Var("x")), "x", S.Var("y"))
+    t = S.subst(S.Abs("y", S.QUBIT, S.Var("x")), {"x": S.Var("y")})
     assert t == S.Abs("y#1", S.QUBIT, S.Var("y"))
     # both binders of a pair pattern
     yz = S.Pair(S.Var("y"), S.Var("z"))
-    t = S.subst(S.LetPair("y", S.UNIT, "z", S.UNIT, S.Var("s"), S.Pair(S.Var("x"), yz)), "x", yz)
+    t = S.subst(S.LetPair("y", S.UNIT, "z", S.UNIT, S.Var("s"), S.Pair(S.Var("x"), yz)), {"x": yz})
     assert t == S.LetPair("y#1", S.UNIT, "z#1", S.UNIT, S.Var("s"),
                           S.Pair(yz, S.Pair(S.Var("y#1"), S.Var("z#1"))))
     # the recursive binder, renamed in the body and the continuation alike
     loop = S.LetRec("f", S.UNIT, S.UNIT, "u", S.Pair(S.Var("x"), S.Var("f")),
                     S.App(S.Var("f"), S.Var("x")))
-    assert S.subst(loop, "x", S.Var("f")) == S.LetRec(
+    assert S.subst(loop, {"x": S.Var("f")}) == S.LetRec(
         "f#1", S.UNIT, S.UNIT, "u", S.Pair(S.Var("f"), S.Var("f#1")),
         S.App(S.Var("f#1"), S.Var("f")))
 
@@ -66,7 +66,7 @@ def test_subst_capture_avoiding():
 def test_subst_free_var_equation():
     m = S.Pair(S.Var("x"), S.Abs("z", S.QUBIT, S.Var("x")))
     v = S.Pair(S.Var("a"), S.Var("b"))
-    out = S.subst(m, "x", v)
+    out = S.subst(m, {"x": v})
     assert S.free_vars(out) == (S.free_vars(m) - {"x"}) | S.free_vars(v)
 
 
@@ -126,14 +126,14 @@ def test_free_vars_of_a_deep_chain_under_the_default_recursion_limit():
 def test_subst_shares_subterms_without_the_variable():
     for term in _fuzz_terms():
         for u in _all_subterms(term):
-            assert S.subst(u, "absent", S.Var("y")) is u
+            assert S.subst(u, {"absent": S.Var("y")}) is u
     big = S.Abs("y", S.QUBIT, S.Pair(S.Var("y"), S.Var("z")))
     m = S.Pair(S.Var("x"), big)
-    out = S.subst(m, "x", S.Var("y"))
+    out = S.subst(m, {"x": S.Var("y")})
     assert out == S.Pair(S.Var("y"), big) and out.right is big
     # x is bound in the left arm only: that arm is shared, the right rebuilt
     arms = S.Match(S.Var("c"), "x", S.UNIT, big, "w", S.UNIT, S.Var("x"))
-    out = S.subst(arms, "x", S.UnitVal())
+    out = S.subst(arms, {"x": S.UnitVal()})
     assert out.lbody is big and out.rbody == S.UnitVal()
 
 
@@ -145,7 +145,7 @@ def test_rebuilt_nodes_carry_no_stale_free_vars():
     swapped = S.map_subterms(m.body, lambda t: S.Var("w") if t == S.Var("x") else t)
     assert S.free_vars(swapped) == {"w", "y"}
     assert S.free_vars(S.map_subterms(m, lambda t: swapped)) == {"w"}
-    assert S.free_vars(S.subst(m, "x", S.Var("v"))) == {"v"}
+    assert S.free_vars(S.subst(m, {"x": S.Var("v")})) == {"v"}
 
 
 class _Uncached:
@@ -181,8 +181,8 @@ def test_equal_terms_built_separately_hash_equal():
     m = S.Abs("y", S.QUBIT, S.Pair(S.Var("x"), S.Var("y")))
     hash(m.body)
     built = S.Abs("y", S.QUBIT, S.Pair(S.Var("z"), S.Var("y")))
-    assert hash(S.subst(m, "x", S.Var("z"))) == hash(built)
-    assert len({S.subst(m, "x", S.Var("z")), built, m}) == 2
+    assert hash(S.subst(m, {"x": S.Var("z")})) == hash(built)
+    assert len({S.subst(m, {"x": S.Var("z")}), built, m}) == 2
 
 
 def test_rebuilt_nodes_carry_no_stale_hash():
@@ -193,7 +193,7 @@ def test_rebuilt_nodes_carry_no_stale_hash():
         replace(m, var="x"),
         replace(m.body, left=S.Var("z")),
         S.map_subterms(m.body, lambda t: S.Var("w") if t == S.Var("x") else t),
-        S.subst(m, "x", S.Var("v")),
+        S.subst(m, {"x": S.Var("v")}),
     ]
     for r in rebuilt:
         assert r._hash is None
@@ -203,7 +203,7 @@ def test_rebuilt_nodes_carry_no_stale_hash():
     assert again == m and again._hash is None and again.body._hash is None
     assert hash(again) == hash(m)
     # subst rebuilds the path to the occurrence and shares the rest, caches included
-    out = S.subst(m, "x", S.Var("v"))
+    out = S.subst(m, {"x": S.Var("v")})
     assert out.body._hash is None and out.body.right is m.body.right
     assert out.body.right._hash is not None
 
@@ -226,24 +226,53 @@ def _naive_subst(m: S.Term, x: str, v: S.Term) -> S.Term:
     return v if m == S.Var(x) else S.map_subterms(m, lambda t: _naive_subst(t, x, v))
 
 
+def _names_value(m: S.Term) -> S.Term:
+    """A pair of variables named like every binder of ``m``."""
+    names = sorted(_binder_names(m)) or ["z"]
+    v = S.Var(names[0])
+    for name in names[1:]:
+        v = S.Pair(v, S.Var(name))
+    return v
+
+
+def _naive_simultaneous(m: S.Term, sigma: dict) -> S.Term:
+    # through fresh placeholders, so that no substituted term is substituted
+    # into; correct under the same condition as ``_naive_subst``
+    holes = {x: f"%{x}" for x in sigma}
+    for x, hole in holes.items():
+        m = _naive_subst(m, x, S.Var(hole))
+    for x, hole in holes.items():
+        m = _naive_subst(m, hole, sigma[x])
+    return m
+
+
 def test_subst_agrees_with_substitution_after_renaming_every_binder():
     # substitute, for the variable of each binder, a value whose free names
-    # are the names of every binder in the body, so that each one captures
-    checked = 0
+    # are the names of every binder in the body, so that each one captures;
+    # and, for two names free in a term with binders, swap them, and
+    # substitute for them values that hold each other's names and the binders'
+    checked, two_names = 0, 0
     for term in _fuzz_terms():
         for u in _all_subterms(term):
-            if not isinstance(u, S.Abs) or u.var not in S.free_vars(u.body):
+            if isinstance(u, S.Abs) and u.var in S.free_vars(u.body):
+                v = _names_value(u.body)
+                got = S.subst(u.body, {u.var: v})
+                want = _naive_subst(S.alpha_canonical(u.body), u.var, v)
+                assert S.alpha_canonical(got) == S.alpha_canonical(want), S.pretty(u)
+                assert S.free_vars(got) == _reference_free_vars(got)
+                checked += 1
+            fv = sorted(S.free_vars(u))
+            if len(fv) < 2 or not _binder_names(u):
                 continue
-            names = sorted(_binder_names(u.body)) or ["z"]
-            v = S.Var(names[0])
-            for name in names[1:]:
-                v = S.Pair(v, S.Var(name))
-            got = S.subst(u.body, u.var, v)
-            want = _naive_subst(S.alpha_canonical(u.body), u.var, v)
-            assert S.alpha_canonical(got) == S.alpha_canonical(want), S.pretty(u)
-            assert S.free_vars(got) == _reference_free_vars(got)
-            checked += 1
-    assert checked > 50
+            x, y, v = fv[0], fv[1], _names_value(u)
+            for sigma in ({x: S.Var(y), y: S.Var(x)},
+                          {x: S.Pair(v, S.Var(y)), y: S.Pair(S.Var(x), v)}):
+                got = S.subst(u, sigma)
+                want = _naive_simultaneous(S.alpha_canonical(u), sigma)
+                assert S.alpha_canonical(got) == S.alpha_canonical(want), S.pretty(u)
+                assert S.free_vars(got) == _reference_free_vars(got)
+                two_names += 1
+    assert checked > 50 and two_names > 50
 
 
 def test_gate_validation():
@@ -365,7 +394,7 @@ def terms(draw, depth=3):
 @given(terms(), st.sampled_from(["x", "y"]))
 def test_subst_and_free_vars_on_random_terms(term, x):
     v = S.Pair(S.Var("y"), S.Var("z"))
-    out = S.subst(term, x, v)
+    out = S.subst(term, {x: v})
     assert S.free_vars(term) == _reference_free_vars(term)
     assert S.free_vars(out) == _reference_free_vars(out)
     want = _naive_subst(S.alpha_canonical(term), x, v)
@@ -375,7 +404,7 @@ def test_subst_and_free_vars_on_random_terms(term, x):
 @settings(max_examples=200, deadline=None)
 @given(terms(), st.sampled_from(["x", "y"]))
 def test_cached_hash_on_random_terms(term, x):
-    out = S.subst(term, x, S.Pair(S.Var("y"), S.Var("z")))
+    out = S.subst(term, {x: S.Pair(S.Var("y"), S.Var("z"))})
     for m in (term, out):
         for u in _all_subterms(m):
             assert hash(u) == _reference_hash(u)
